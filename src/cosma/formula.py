@@ -6,9 +6,10 @@ signal occurs in the step's valuation, and a valuation is simply the set
 of signals currently present.  The constant ``1`` (always true) labels
 spontaneous transitions; ``0`` never fires.
 
-Formulas are plain immutable trees.  Only constant folding is ever applied
-to them, so printed guards stay close to what the user wrote; canonical
-comparison is the job of :mod:`cosma.robdd`.
+Formulas are plain immutable trees: what the parsers build and what VHDL,
+lint messages and printed queries show.  Once parsed, a guard is reasoned
+about only as a BDD, translated by ``BddManager.from_expr`` into the one
+manager of a :class:`GuardContext`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "or_all",
     "residual",
     "satisfiable",
-    "tautology",
     "to_text",
 ]
 
@@ -309,66 +309,30 @@ def _render(expr: BoolExpr, min_prec: int) -> str:
 
 
 class GuardContext:
-    """Reusable satisfiability and tautology checks over a fixed alphabet.
+    """One BDD manager over a fixed alphabet; guards are its ``BddRef`` values.
 
-    Backed by a single BDD manager; converted formulas are memoized, which
-    matters when the reachability builder tests thousands of residuals over
-    the same environment alphabet.  An ordered ``alphabet`` (list or tuple)
-    fixes the variable order, so callers can pass symbols in declaration
-    order; an unordered one is sorted by name.
+    An ordered ``alphabet`` (list or tuple) fixes the variable order, so
+    callers can pass symbols in declaration order; an unordered one is
+    sorted by name.
     """
 
     def __init__(self, alphabet: Iterable[Symbol], backend: str | None = None):
         symbols = list(alphabet)
         if isinstance(alphabet, (set, frozenset)):
             symbols.sort(key=lambda s: s.name)
-        self.alphabet = frozenset(symbols)
-        seen: set[str] = set()
-        order = [s.name for s in symbols if not (s.name in seen or seen.add(s.name))]
-        self._manager = robdd.BddManager(order, backend=backend)
-        self._memo: dict[BoolExpr, robdd.BddRef] = {}
+        self.manager = robdd.BddManager((s.name for s in symbols), backend=backend)
 
-    def ref(self, expr: BoolExpr) -> robdd.BddRef:
-        cached = self._memo.get(expr)
-        if cached is not None:
-            return cached
-        m = self._manager
-        if isinstance(expr, Atom):
-            if expr.symbol not in self.alphabet:
-                raise FormulaError(
-                    f"atom {expr.symbol.name!r} outside alphabet"
-                )
-            result = m.mk_var(expr.symbol.name)
-        elif isinstance(expr, Not):
-            result = m.not_(self.ref(expr.operand))
-        elif isinstance(expr, And):
-            result = m.and_(self.ref(expr.left), self.ref(expr.right))
-        elif isinstance(expr, Or):
-            result = m.or_(self.ref(expr.left), self.ref(expr.right))
-        elif isinstance(expr, ConstTrue):
-            result = m.TRUE
-        elif isinstance(expr, ConstFalse):
-            result = m.FALSE
-        else:
-            raise FormulaError(f"not a formula node: {expr!r}")
-        self._memo[expr] = result
-        return result
+    def satisfiable(self, guard: robdd.BddRef) -> bool:
+        return guard != self.manager.FALSE
 
-    def satisfiable(self, expr: BoolExpr) -> bool:
-        return self.ref(expr) != self._manager.FALSE
-
-    def tautology(self, expr: BoolExpr) -> bool:
-        return self.ref(expr) == self._manager.TRUE
-
-    def overlap(self, a: BoolExpr, b: BoolExpr) -> bool:
-        return self._manager.and_(self.ref(a), self.ref(b)) != self._manager.FALSE
+    def tautology(self, guard: robdd.BddRef) -> bool:
+        return guard == self.manager.TRUE
 
 
 def satisfiable(expr: BoolExpr, alphabet: Iterable[Symbol]) -> bool:
     """True iff some valuation over ``alphabet`` makes ``expr`` true."""
-    return GuardContext(alphabet).satisfiable(expr)
-
-
-def tautology(expr: BoolExpr, alphabet: Iterable[Symbol]) -> bool:
-    """True iff every valuation over ``alphabet`` makes ``expr`` true."""
-    return GuardContext(alphabet).tautology(expr)
+    ctx = GuardContext(alphabet)
+    try:
+        return ctx.satisfiable(ctx.manager.from_expr(expr))
+    except robdd.BddError as exc:
+        raise FormulaError(f"formula outside the alphabet: {exc}") from None

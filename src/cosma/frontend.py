@@ -106,6 +106,7 @@ _PUNCT_2 = ("->", "=>")
 _PUNCT_1 = "{};:,()*+~![]"
 _GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
 
+MAX_NESTING = 100  # formula levels; deeper input would overflow Python's stack
 _SYSTEM_KEYWORDS = frozenset({"system", "machine", "init", "state", "out", "when"})
 _QUERY_KEYWORDS = frozenset({"always", "next", "eventually", "exists", "ctl", "not"})
 
@@ -189,6 +190,7 @@ class _Cursor:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     def peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -215,6 +217,16 @@ class _Cursor:
             found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
             raise ParseError(f"expected {expected}, found {found}", tok.span)
         return self.take()
+
+    def nested(self, parse, *args):
+        """``parse(self, *args)`` one formula level deeper; too deep is an input error."""
+        if self._depth == MAX_NESTING:
+            message = f"formula nested more than {MAX_NESTING} levels deep"
+            raise ParseError(message, self.peek().span)
+        self._depth += 1
+        result = parse(self, *args)
+        self._depth -= 1
+        return result
 
     def expect_ident(self, what: str, reserved: frozenset[str]) -> _Token:
         tok = self.peek()
@@ -253,10 +265,10 @@ def _parse_unary(cur, mk_atom, reserved, allow_not_kw):
     tok = cur.peek()
     if tok.text in ("!", "~") or (allow_not_kw and tok.text == "not" and tok.kind == "ident"):
         cur.take()
-        return F.Not(_parse_unary(cur, mk_atom, reserved, allow_not_kw))
+        return F.Not(cur.nested(_parse_unary, mk_atom, reserved, allow_not_kw))
     if tok.text == "(":
         cur.take()
-        expr = _parse_or(cur, mk_atom, reserved, allow_not_kw)
+        expr = cur.nested(_parse_or, mk_atom, reserved, allow_not_kw)
         cur.expect(")")
         return expr
     if tok.kind == "const":
@@ -473,7 +485,7 @@ def _parse_ctl_query(cur: _Cursor, reserved) -> mc.CtlQuery:
 def _parse_ctl_implies(cur, reserved):
     left = _parse_ctl_or(cur, reserved)
     if cur.accept("=>"):
-        return mc.CtlImplies(left, _parse_ctl_implies(cur, reserved))
+        return mc.CtlImplies(left, cur.nested(_parse_ctl_implies, reserved))
     return left
 
 
@@ -497,10 +509,10 @@ def _parse_ctl_unary(cur, reserved):
     tok = cur.peek()
     if tok.text in ("!", "~") or (tok.kind == "ident" and tok.text == "not"):
         cur.take()
-        return mc.CtlNot(_parse_ctl_unary(cur, reserved))
+        return mc.CtlNot(cur.nested(_parse_ctl_unary, reserved))
     if tok.kind == "ident" and tok.text in _CTL_UNARY:
         cur.take()
-        sub = _parse_ctl_unary(cur, reserved)
+        sub = cur.nested(_parse_ctl_unary, reserved)
         return {
             "AX": mc.CtlAX, "EX": mc.CtlEX,
             "AF": mc.CtlAF, "EF": mc.CtlEF,
@@ -509,17 +521,17 @@ def _parse_ctl_unary(cur, reserved):
     if tok.kind == "ident" and tok.text in ("A", "E") and cur._tokens[cur._pos + 1].text == "[":
         cur.take()
         cur.expect("[")
-        left = _parse_ctl_implies(cur, reserved)
+        left = cur.nested(_parse_ctl_implies, reserved)
         until_tok = cur.peek()
         if until_tok.kind != "ident" or until_tok.text != "U":
             raise ParseError("expected 'U' in the until form", until_tok.span)
         cur.take()
-        right = _parse_ctl_implies(cur, reserved)
+        right = cur.nested(_parse_ctl_implies, reserved)
         cur.expect("]")
         return (mc.CtlAU if tok.text == "A" else mc.CtlEU)(left, right)
     if tok.text == "(":
         cur.take()
-        expr = _parse_ctl_implies(cur, reserved)
+        expr = cur.nested(_parse_ctl_implies, reserved)
         cur.expect(")")
         return expr
     if tok.kind == "const":

@@ -8,8 +8,8 @@ Two requirement styles are supported:
 
 Antecedent atoms may name machine outputs or environment inputs.  Graph
 nodes carry no environment valuation, so environment atoms condition the
-outgoing edges instead: at a matching state only the edges whose guard is
-consistent with the antecedent's environment part are considered.  This
+outgoing edges instead: at a matching state only the edges whose guard BDD
+is consistent with the antecedent's environment part are considered.  This
 must agree with the alternative modeling device of adding a small machine
 that produces the signal, which the test-suite checks explicitly.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from cosma import formula as F
-from cosma import model
 from cosma.reach import ReachGraph
 
 __all__ = [
@@ -216,21 +215,24 @@ def split_antecedent(antecedent: F.BoolExpr, produced: frozenset) -> tuple[F.Boo
     return state_part, env_part
 
 
-def _env_assignments(symbols: list):
-    """All subsets of ``symbols`` in a fixed lexicographic order."""
-    n = len(symbols)
-    for bits in range(1 << n):
-        yield frozenset(symbols[i] for i in range(n) if bits >> i & 1)
+def _find_env(manager, guard) -> frozenset:
+    """Inputs of the first satisfying valuation, counting with bit i for the i-th name.
+
+    The last name is left absent if the guard stays satisfiable, then the
+    one before it, and so on: one conjunction per symbol.
+    """
+    assert guard != manager.FALSE, "guard was reported satisfiable"
+    chosen = []
+    for name in sorted(manager.support(guard), reverse=True):
+        absent = manager.and_(guard, manager.not_(manager.mk_var(name)))
+        if absent == manager.FALSE:
+            chosen.append(F.Symbol(name))  # the guard already implies it
+        else:
+            guard = absent
+    return frozenset(chosen)
 
 
-def _find_env(expr: F.BoolExpr, env_sorted: list) -> frozenset:
-    for valuation in _env_assignments(env_sorted):
-        if F.evaluate(expr, valuation):
-            return valuation
-    raise AssertionError("expression was reported satisfiable over the environment")
-
-
-def _pre_closure_lasso(rg: ReachGraph, start: int, region: set[int], env_sorted: list):
+def _pre_closure_lasso(rg: ReachGraph, start: int, region: set[int]):
     """A trace from ``start`` that loops inside ``region`` forever.
 
     Every node of ``region`` has at least one successor in ``region`` (the
@@ -243,7 +245,7 @@ def _pre_closure_lasso(rg: ReachGraph, start: int, region: set[int], env_sorted:
     while node not in seen:
         seen.add(node)
         edge = next(e for e in rg.out_edges(node) if e.dst in region)
-        steps.append(TraceStep(node, _find_env(edge.guard, env_sorted)))
+        steps.append(TraceStep(node, _find_env(rg.manager, edge.guard)))
         node = edge.dst
     steps.append(TraceStep(node, None))
     return steps
@@ -295,10 +297,10 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
         )
 
     # conditioning alphabet: the true environment plus any antecedent symbol
-    # the system never mentions (unconstrained, hence also environmental)
-    env = model.env_alphabet(system) | (F.atoms(env_part) - produced)
-    env_sorted = sorted(env, key=lambda s: s.name)
-    ctx = F.GuardContext(model.declaration_order(system, env))
+    # the system never mentions (unconstrained, hence also environmental,
+    # and declared in the graph's manager on first use)
+    m = rg.manager
+    env_ref = m.from_expr(env_part, lambda sym: m.mk_var(sym.name))
 
     matching = [i for i in range(len(rg.nodes)) if F.evaluate(state_part, rg.outputs[i])]
     if not matching:
@@ -315,25 +317,21 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
             bad_region = set(range(len(rg.nodes))) - target
 
     for node in matching:
-        conditioned = [
-            e for e in rg.out_edges(node) if ctx.satisfiable(F.and_(e.guard, env_part))
-        ]
+        conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
+        conditioned = [(e, guard) for e, guard in conditioned if guard != m.FALSE]
         if not conditioned:
             return Verdict(holds=False, trace=[TraceStep(node, None)])
         if query.mode == "next":
-            for edge in conditioned:
+            for edge, guard in conditioned:
                 if edge.dst not in goal:
-                    env_val = _find_env(F.and_(edge.guard, env_part), env_sorted)
-                    return Verdict(
-                        holds=False,
-                        trace=[TraceStep(node, env_val), TraceStep(edge.dst, None)],
-                    )
+                    trace = [TraceStep(node, _find_env(m, guard)), TraceStep(edge.dst, None)]
+                    return Verdict(holds=False, trace=trace)
         else:
-            for edge in conditioned:
+            for edge, guard in conditioned:
                 if edge.dst not in target:
-                    env_val = _find_env(F.and_(edge.guard, env_part), env_sorted)
-                    tail = _pre_closure_lasso(rg, edge.dst, bad_region, env_sorted)
-                    return Verdict(holds=False, trace=[TraceStep(node, env_val), *tail])
+                    first = TraceStep(node, _find_env(m, guard))
+                    tail = _pre_closure_lasso(rg, edge.dst, bad_region)
+                    return Verdict(holds=False, trace=[first, *tail])
     return Verdict(holds=True)
 
 

@@ -16,6 +16,7 @@ producing state is current.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import AbstractSet, Sequence
@@ -307,8 +308,8 @@ def validate(system: System) -> LintReport:
                     state=state.name,
                 )
                 continue
-            union = formula.or_all(arc.guard for arc in arcs)
-            if not ctx.tautology(union):
+            guards = [ctx.manager.from_expr(arc.guard) for arc in arcs]
+            if not ctx.tautology(functools.reduce(ctx.manager.or_, guards)):
                 report.add(
                     "warning",
                     "coverage-gap",
@@ -317,8 +318,8 @@ def validate(system: System) -> LintReport:
                     machine=machine.name,
                     state=state.name,
                 )
-            for a, b in itertools.combinations(arcs, 2):
-                if ctx.satisfiable(formula.and_(a.guard, b.guard)):
+            for (a, ga), (b, gb) in itertools.combinations(zip(arcs, guards), 2):
+                if ctx.satisfiable(ctx.manager.and_(ga, gb)):
                     report.add(
                         "warning",
                         "overlap",

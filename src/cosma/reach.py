@@ -2,10 +2,9 @@
 
 Two engines build the same set of global states:
 
-* an explicit breadth-first product that also records edges labelled with
-  residual guards (guards with all machine-produced symbols substituted by
-  their truth values in the source state, leaving environment symbols
-  only), and
+* an explicit breadth-first product that also records edges, each guarded
+  by a BDD over the environment inputs in the graph's one manager (the arc
+  guards with every produced symbol fixed by the source state), and
 * a symbolic fixpoint over a BDD-encoded transition relation, which only
   counts.
 
@@ -15,6 +14,7 @@ cross-check is the central oracle of the whole pipeline.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ReachEdge:
     src: int
-    guard: F.BoolExpr  # over environment symbols only
+    guard: robdd.BddRef  # over environment symbols only, in the graph's manager
     dst: int
 
 
@@ -46,6 +46,7 @@ class ReachGraph:
     nodes: list[model.GlobalState]  # index 0 is the initial state
     edges: list[ReachEdge]
     outputs: list[frozenset]  # per-node output valuation
+    manager: robdd.BddManager  # holds every edge guard; variables are env symbols
     quiescent: frozenset[int] = frozenset()
     _edges_from: list[list[ReachEdge]] = field(default_factory=list, repr=False)
 
@@ -67,46 +68,54 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
     """Breadth-first fixpoint over the synchronous product.
 
     Starting from the initial vector, each frontier state contributes every
-    combination of per-machine moves whose conjoined residual guard is
-    satisfiable over the environment alphabet; machines whose guards leave
-    some environment valuations uncovered contribute an implicit stay move
+    combination of per-machine moves whose conjoined guard is satisfiable
+    over the environment alphabet; machines whose guards leave some
+    environment valuations uncovered contribute an implicit stay move
     guarded by the uncovered remainder.  Parallel edges between the same
     pair of states are merged by disjunction.
     """
     env = model.env_alphabet(system)
     ctx = F.GuardContext(model.declaration_order(system, env))
-    non_env = [s for s in system.symbols if s not in env]
+    m = ctx.manager
 
     initial = system.initial_state()
     index: dict[model.GlobalState, int] = {initial: 0}
     nodes: list[model.GlobalState] = [initial]
     outputs: list[frozenset] = [model.output_valuation(system, initial)]
-    edge_guards: dict[tuple[int, int], F.BoolExpr] = {}
-    edge_order: list[tuple[int, int]] = []
+    edge_guards: dict[tuple[int, int], robdd.BddRef] = {}  # in discovery order
+    # a machine's moves depend only on its state and the outputs its arcs read
+    reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
+              for j in range(len(machine.states))] for machine in system.machines]
+    known_moves: dict[tuple, list[tuple[int, robdd.BddRef]]] = {}
 
     frontier = 0
     while frontier < len(nodes):
         src = frontier
-        gstate = nodes[src]
         valuation = outputs[src]
-        fixed = {s: (s in valuation) for s in non_env}
 
-        per_machine: list[list[tuple[int, F.BoolExpr]]] = []
-        for machine, idx in zip(system.machines, gstate):
-            moves: list[tuple[int, F.BoolExpr]] = []
-            residuals: list[F.BoolExpr] = []
-            for arc in machine.arcs_from(idx):
-                r = F.residual(arc.guard, fixed)
-                residuals.append(r)
-                if ctx.satisfiable(r):
-                    moves.append((machine.state_index(arc.dst), r))
-            stay = F.not_(F.or_all(residuals))
-            if ctx.satisfiable(stay):
-                moves.append((idx, stay))
+        def leaf(sym):
+            if sym in env:
+                return m.mk_var(sym.name)
+            return m.TRUE if sym in valuation else m.FALSE
+
+        per_machine: list[list[tuple[int, robdd.BddRef]]] = []
+        for i, (machine, idx) in enumerate(zip(system.machines, nodes[src])):
+            key = (i, idx, valuation & reads[i][idx])
+            moves = known_moves.get(key)
+            if moves is None:
+                moves = known_moves[key] = []
+                stay = m.TRUE
+                for arc in machine.arcs_from(idx):
+                    r = m.from_expr(arc.guard, leaf)
+                    stay = m.and_(stay, m.not_(r))
+                    if ctx.satisfiable(r):
+                        moves.append((machine.state_index(arc.dst), r))
+                if ctx.satisfiable(stay):
+                    moves.append((idx, stay))
             per_machine.append(moves)
 
         for choice in itertools.product(*per_machine):
-            guard = F.and_all(r for _, r in choice)
+            guard = functools.reduce(m.and_, (r for _, r in choice), m.TRUE)
             if not ctx.satisfiable(guard):
                 continue
             succ = tuple(t for t, _ in choice)
@@ -116,15 +125,11 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 index[succ] = dst
                 nodes.append(succ)
                 outputs.append(model.output_valuation(system, succ))
-            key = (src, dst)
-            if key in edge_guards:
-                edge_guards[key] = F.or_(edge_guards[key], guard)
-            else:
-                edge_guards[key] = guard
-                edge_order.append(key)
+            merged = edge_guards.get((src, dst))
+            edge_guards[(src, dst)] = guard if merged is None else m.or_(merged, guard)
         frontier += 1
 
-    edges = [ReachEdge(src, edge_guards[(src, dst)], dst) for src, dst in edge_order]
+    edges = [ReachEdge(src, guard, dst) for (src, dst), guard in edge_guards.items()]
     edges_from: list[list[ReachEdge]] = [[] for _ in nodes]
     for edge in edges:
         edges_from[edge.src].append(edge)
@@ -140,6 +145,7 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
         nodes=nodes,
         edges=edges,
         outputs=outputs,
+        manager=m,
         quiescent=frozenset(quiescent),
         _edges_from=edges_from,
     )
@@ -215,25 +221,11 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
                 prev = output_fn.get(sym)
                 output_fn[sym] = term if prev is None else manager.or_(prev, term)
 
-    def guard_ref(expr: F.BoolExpr) -> robdd.BddRef:
-        if isinstance(expr, F.Atom):
-            sym = expr.symbol
-            if sym in env_vars:
-                return manager.mk_var(env_vars[sym])
-            fn = output_fn.get(sym)
-            # consumed but never produced and not environmental cannot happen;
-            # guard symbols are either produced somewhere or environmental
-            assert fn is not None, f"unplaced guard symbol {sym.name!r}"
-            return fn
-        if isinstance(expr, F.Not):
-            return manager.not_(guard_ref(expr.operand))
-        if isinstance(expr, F.And):
-            return manager.and_(guard_ref(expr.left), guard_ref(expr.right))
-        if isinstance(expr, F.Or):
-            return manager.or_(guard_ref(expr.left), guard_ref(expr.right))
-        if isinstance(expr, F.ConstTrue):
-            return manager.TRUE
-        return manager.FALSE
+    def leaf(sym) -> robdd.BddRef:
+        if sym in env_vars:
+            return manager.mk_var(env_vars[sym])
+        # guard symbols are either produced somewhere or environmental
+        return output_fn[sym]
 
     transition = manager.TRUE
     for i, machine in enumerate(system.machines):
@@ -243,7 +235,7 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
             union = manager.FALSE
             moves = manager.FALSE
             for arc in machine.arcs_from(j):
-                g = guard_ref(arc.guard)
+                g = manager.from_expr(arc.guard, leaf)
                 union = manager.or_(union, g)
                 moves = manager.or_(
                     moves, manager.and_(g, encode(next_bits[i], machine.state_index(arc.dst)))
@@ -298,6 +290,18 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
 # -- export --------------------------------------------------------------------
 
 
+def _guard_texts(rg: ReachGraph) -> list[str]:
+    """Each edge guard as an irredundant sum of products, literals in declaration order."""
+    texts: dict[robdd.BddRef, str] = {}
+    for edge in rg.edges:
+        if edge.guard not in texts:
+            texts[edge.guard] = F.to_text(F.or_all(
+                F.and_all(F.atom(name) if pos else F.Not(F.atom(name)) for name, pos in cube)
+                for cube in rg.manager.isop(edge.guard)
+            ))
+    return [texts[edge.guard] for edge in rg.edges]
+
+
 def to_dot(rg: ReachGraph) -> str:
     """Graphviz rendering; deterministic (discovery order, sorted outputs)."""
     lines = ["digraph reachability {", "  rankdir=TB;", '  node [shape=ellipse, fontsize=10];']
@@ -307,8 +311,8 @@ def to_dot(rg: ReachGraph) -> str:
         shape = ', peripheries=2' if i == 0 else ""
         extra = ', style=dashed' if i in rg.quiescent else ""
         lines.append(f'  n{i} [label="{label}"{shape}{extra}];')
-    for edge in rg.edges:
-        lines.append(f'  n{edge.src} -> n{edge.dst} [label="{F.to_text(edge.guard)}"];')
+    for edge, guard in zip(rg.edges, _guard_texts(rg)):
+        lines.append(f'  n{edge.src} -> n{edge.dst} [label="{guard}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -329,7 +333,8 @@ def to_json(rg: ReachGraph) -> dict:
             for i in range(len(rg.nodes))
         ],
         "edges": [
-            {"src": e.src, "dst": e.dst, "guard": F.to_text(e.guard)} for e in rg.edges
+            {"src": e.src, "dst": e.dst, "guard": guard}
+            for e, guard in zip(rg.edges, _guard_texts(rg))
         ],
     }
 

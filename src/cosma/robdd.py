@@ -15,8 +15,7 @@ imports; set ``COSMA_BDD_BACKEND=python`` or ``=cython`` to force a choice.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from cosma import _bddpure
 
@@ -61,9 +60,8 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_KERNELS))
 
 
-@dataclass(frozen=True)
-class BddRef:
-    """Opaque handle to a Boolean function inside one manager."""
+class BddRef(NamedTuple):
+    """Handle to a Boolean function inside one manager; a pair, cheap to compare and hash."""
 
     manager: "BddManager"
     node: int
@@ -187,40 +185,66 @@ class BddManager:
             return None
         return {self._names[lv]: value for lv, value in solution.items()}
 
-    def from_expr(self, expr, naming: Callable | None = None) -> BddRef:
-        """Translate a guard formula; every atom must name a declared variable."""
+    def from_expr(self, expr, leaf: Callable | None = None) -> BddRef:
+        """Translate a formula tree; ``leaf(symbol)`` gives each atom's function.
+
+        By default an atom is the declared variable named after its symbol.
+        """
         from cosma import formula  # noqa: PLC0415 (avoids an import cycle)
 
-        if naming is None:
-            naming = lambda sym: sym.name  # noqa: E731
-
-        memo: dict[formula.BoolExpr, BddRef] = {}
-
         def build(e) -> BddRef:
-            cached = memo.get(e)
-            if cached is not None:
-                return cached
             if isinstance(e, formula.Atom):
-                var = naming(e.symbol)
-                if var not in self._levels:
+                if leaf is not None:
+                    return leaf(e.symbol)
+                if e.symbol.name not in self._levels:
                     raise BddError(f"atom {e.symbol.name!r} has no manager variable")
-                result = self.mk_var(var)
-            elif isinstance(e, formula.Not):
-                result = self.not_(build(e.operand))
-            elif isinstance(e, formula.And):
-                result = self.and_(build(e.left), build(e.right))
-            elif isinstance(e, formula.Or):
-                result = self.or_(build(e.left), build(e.right))
-            elif isinstance(e, formula.ConstTrue):
-                result = self.TRUE
-            elif isinstance(e, formula.ConstFalse):
-                result = self.FALSE
-            else:
-                raise BddError(f"not a formula node: {e!r}")
-            memo[e] = result
-            return result
+                return self.mk_var(e.symbol.name)
+            if isinstance(e, formula.Not):
+                return self.not_(build(e.operand))
+            if isinstance(e, formula.And):
+                return self.and_(build(e.left), build(e.right))
+            if isinstance(e, formula.Or):
+                return self.or_(build(e.left), build(e.right))
+            if isinstance(e, formula.ConstTrue):
+                return self.TRUE
+            if isinstance(e, formula.ConstFalse):
+                return self.FALSE
+            raise BddError(f"not a formula node: {e!r}")
 
         return build(expr)
+
+    def isop(self, f: BddRef) -> list[list[tuple[str, bool]]]:
+        """An irredundant sum of products of ``f`` (Minato 1992), as cubes.
+
+        A cube lists (variable, polarity) pairs in variable order.  At each
+        variable the cubes of its negative cofactor come first, then those
+        of its positive cofactor, then those shared by both.
+        """
+        k = self._k
+        memo: dict[tuple[int, int], tuple[tuple, int]] = {}
+
+        def cover(lower: int, upper: int) -> tuple[tuple, int]:
+            # cubes and their union g, with lower <= g <= upper
+            if lower == 0:
+                return (), 0
+            if upper == 1:
+                return ((),), 1
+            if (lower, upper) not in memo:
+                (lv, l0, l1), (uv, u0, u1) = k.node(lower), k.node(upper)
+                level = min(lv, uv)
+                l0, l1 = (l0, l1) if lv == level else (lower, lower)
+                u0, u1 = (u0, u1) if uv == level else (upper, upper)
+                c0, g0 = cover(k.and_(l0, k.not_(u1)), u0)
+                c1, g1 = cover(k.and_(l1, k.not_(u0)), u1)
+                rest = k.or_(k.and_(l0, k.not_(g0)), k.and_(l1, k.not_(g1)))
+                cs, gs = cover(rest, k.and_(u0, u1))
+                cubes = tuple(((level, False),) + c for c in c0)
+                cubes += tuple(((level, True),) + c for c in c1) + cs
+                memo[(lower, upper)] = cubes, k.or_(k.ite(k.var(level), g1, g0), gs)
+            return memo[(lower, upper)]
+
+        node = self._node(f)
+        return [[(self._names[lv], pos) for lv, pos in cube] for cube in cover(node, node)[0]]
 
     def audit(self) -> list[str]:
         """Structural re-check of reduction and unique-table invariants."""

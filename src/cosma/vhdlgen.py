@@ -146,7 +146,8 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
 
     widths = _widths(system, opts)
     onehot = opts.state_encoding == "onehot"
-    guard_ctx = F.GuardContext(model.declaration_order(system, system.guard_symbols()))
+    # the lint pass already found every state whose guards overlap
+    overlapping = {(e.machine, e.state) for e in report.warnings if e.code == "overlap"}
 
     out = []
     emit = out.append
@@ -183,12 +184,7 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
             code = _encode(idx, width, onehot)
             emit(f'        when "{code}" => -- {state.name}')
             arcs = machine.arcs_from(idx)
-            overlapping = any(
-                guard_ctx.satisfiable(F.and_(a.guard, b.guard))
-                for i, a in enumerate(arcs)
-                for b in arcs[i + 1 :]
-            )
-            if overlapping:
+            if (machine.name, state.name) in overlapping:
                 emit("          -- overlapping guards: the first true branch wins")
 
             def assigns(dst_idx: int, pad: str):

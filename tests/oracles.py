@@ -2,8 +2,9 @@
 
 Everything here sticks to brute force: valuations are enumerated
 exhaustively, reachability is recomputed through the raw step semantics,
-and temporal operators are decided by path enumeration.  None of it shares
-code with the residual/BDD machinery under test.
+and temporal operators are decided by path enumeration.  The only engine
+code used is ``BddManager.evaluate``, which reads an edge guard under one
+valuation at a time; nothing here builds or combines BDDs.
 """
 
 import itertools
@@ -21,6 +22,30 @@ def all_valuations(symbols):
 
 def brute_satisfiable(expr, alphabet) -> bool:
     return any(F.evaluate(expr, v) for v in all_valuations(alphabet))
+
+
+def guard_holds(rg, guard, valuation) -> bool:
+    """Truth of an edge guard of ``rg`` when exactly ``valuation`` occurs.
+
+    Symbols outside the guard's support cannot change its value, and need
+    not be variables of the graph's manager.
+    """
+    support = set(rg.manager.support(guard))
+    return rg.manager.evaluate(guard, {s.name for s in valuation} & support)
+
+
+def first_step_env(system, src, dst, env, env_part):
+    """The first valuation of ``env`` under which ``env_part`` holds and one
+    step leads from ``src`` to ``dst``; valuation v has the i-th symbol by
+    name exactly when bit i of v is set."""
+    syms = sorted(env, key=lambda s: s.name)
+    for v in range(1 << len(syms)):
+        valuation = frozenset(s for i, s in enumerate(syms) if v >> i & 1)
+        if not F.evaluate(env_part, valuation):
+            continue
+        if dst in model.step_successors(system, src, valuation):
+            return valuation
+    return None
 
 
 def reachable_by_stepping(system):
@@ -123,7 +148,10 @@ def eventually_query_oracle(rg, query):
         conditioned = [
             e
             for e in rg.out_edges(node)
-            if brute_satisfiable(F.and_(e.guard, env_part), env)
+            if any(
+                guard_holds(rg, e.guard, v) and F.evaluate(env_part, v)
+                for v in all_valuations(env)
+            )
         ]
         if not conditioned:
             return False, False

@@ -35,6 +35,15 @@ class TestLint:
         code, out, err = run(capsys, ["lint", str(bad)])
         assert code == 2
         assert "ghost" in err and "error" in err
+        # nesting past the parser's bound is an input error with a location
+        queries = tmp_path / "q.tq"
+        queries.write_text("q: always (1 => next 1);\n")
+        for guard in ("(" * 2000 + "x" + ")" * 2000, "~" * 2000 + "x"):
+            bad.write_text("system x { machine m { init a; state a { -> a when %s; } } }" % guard)
+            for argv in (["lint"], ["rg"], ["check", "--queries", str(queries)]):
+                code, out, err = run(capsys, [argv[0], str(bad), *argv[1:]])
+                assert code == 2, argv
+                assert re.search(r"bad\.csm:1:\d+: error: formula nested more than", err)
 
     def test_coverage_gap_is_only_a_warning(self, tmp_path, capsys):
         gap = tmp_path / "gap.csm"
@@ -106,6 +115,46 @@ class TestRg:
         assert first == second
 
 
+def parallel_arcs(tmp_path, m: int):
+    """``m`` machines with two complementary arcs into one state; the merged
+    guard of the edge between the two reachable states is a sum of 2^m
+    products equivalent to ``1``."""
+    machines = "".join(
+        f"machine P{i} {{ init a; state a {{ -> b when y{i}; -> b when ~y{i}; }}"
+        f" state b {{ out B{i}; -> a when 1; }} }}\n"
+        for i in range(m)
+    )
+    model = tmp_path / "parallel.csm"
+    model.write_text(f"system Parallel {{\n{machines}}}\n")
+    return model
+
+
+class TestParallelArcs:
+    def test_rg_json_prints_merged_guards_as_one(self, tmp_path, capsys):
+        model = parallel_arcs(tmp_path, 12)
+        js, dot = tmp_path / "g.json", tmp_path / "g.dot"
+        code, out, err = run(capsys, ["rg", str(model), "--json", str(js), "--dot", str(dot)])
+        assert code == 0, err
+        assert "explicit: 2 reachable states, 2 edges" in out
+        assert [e["guard"] for e in json.loads(js.read_text())["edges"]] == ["1", "1"]
+        assert dot.read_text().count('[label="1"]') == 2
+
+    def test_check_verdicts(self, tmp_path, capsys):
+        model = parallel_arcs(tmp_path, 12)
+        queries = tmp_path / "parallel.tq"
+        queries.write_text(
+            "ctl alt: AG (B0 => AX ~B0);\nctl fair: AG AF B0;\nctl split: EF (B0 * ~B11);\n"
+            "go: always (~B0 => next B0);\nrest: always (~B0 => next ~B0);\n"
+        )
+        code, out, err = run(capsys, ["check", str(model), "--queries", str(queries), "--json"])
+        assert code == 1, err
+        doc = json.loads(out)
+        verdicts = {entry["name"]: entry["holds"] for entry in doc["queries"]}
+        assert verdicts == {"alt": True, "fair": True, "split": False, "go": True, "rest": False}
+        rest = next(entry for entry in doc["queries"] if entry["name"] == "rest")
+        assert [step["env"] for step in rest["trace"]] == [[], None]
+
+
 class TestCheck:
     def test_bundled_suite_passes(self, workdir, capsys):
         code, out, err = run(
@@ -156,6 +205,14 @@ class TestCheck:
         )
         assert code == 2
         assert "error" in err
+        for deep in ("q: always (" + "~" * 2000 + "HG => next HY);",
+                     "ctl c: " + "EX " * 2000 + "HG;"):
+            broken.write_text(deep + "\n")
+            code, out, err = run(
+                capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)]
+            )
+            assert code == 2
+            assert re.search(r"broken\.tq:1:\d+: error: formula nested more than", err)
 
     def test_model_parse_error_exits_two(self, tmp_path, workdir, capsys):
         bad = tmp_path / "bad.csm"

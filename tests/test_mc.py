@@ -7,6 +7,7 @@ from cosma import formula as F
 from gensys import random_system
 from oracles import (
     eventually_query_oracle,
+    first_step_env,
     next_query_oracle,
     replay_trace,
 )
@@ -156,6 +157,31 @@ class TestOracleAgreement:
                         assert replay_trace(system, rg, verdict.trace)
         assert checked_next >= 20
         assert checked_ev >= 5
+
+    def test_trace_env_is_the_first_satisfying_valuation(self):
+        # declaration order differs from name order, the first valuation that
+        # fires the arc needs three inputs, and choosing the inputs from the
+        # first name on would give the other product
+        text = """
+        system pick {
+          machine M {
+            init a;
+            state a { -> b when go * right * up + left * ~stop * fast * go; }
+            state b { out B; -> a when 1; }
+          }
+        }
+        """
+        system = frontend.parse_system(text, "pick.csm").system
+        rg = reach.build_rg_explicit(system)
+        query = q("calm: always (~B * go * ~extra => next ~B);")
+        verdict = mc.check_query(rg, query)
+        assert not verdict.holds
+        here, there = (rg.nodes[step.node] for step in verdict.trace)
+        _, env_part = mc.split_antecedent(query.antecedent, system.produced_symbols())
+        env = model.env_alphabet(system) | {F.Symbol("extra")}
+        expected = first_step_env(system, here, there, env, env_part)
+        assert verdict.trace[0].env == expected
+        assert sorted(s.name for s in expected) == ["fast", "go", "left"]
 
     def test_eventually_bounded_paths_on_tlc_like_small_graph(self):
         rng = random.Random(13)

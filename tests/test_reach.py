@@ -3,10 +3,9 @@ import re
 
 import pytest
 
-from cosma import formula as F
 from cosma import frontend, model, reach
 from gensys import random_system
-from oracles import all_valuations, reachable_by_stepping
+from oracles import all_valuations, guard_holds, reachable_by_stepping
 
 ONE_STATE = "system one { machine m { init s; state s { -> s when 1; } } }"
 
@@ -27,21 +26,21 @@ class TestExplicit:
         assert len(one_state_rg.edges) == 1
         edge = one_state_rg.edges[0]
         assert (edge.src, edge.dst) == (0, 0)
-        assert edge.guard == F.TRUE
+        assert edge.guard == one_state_rg.manager.TRUE
 
     def test_initial_node_is_index_zero(self, tlc_rg):
         assert tlc_rg.nodes[0] == tlc_rg.system.initial_state()
 
     def test_edge_guards_are_environment_only(self, tlc_rg, tlc_car_rg):
         for rg in (tlc_rg, tlc_car_rg):
-            env = model.env_alphabet(rg.system)
+            env = {s.name for s in model.env_alphabet(rg.system)}
             for edge in rg.edges:
-                assert F.atoms(edge.guard) <= env
+                assert set(rg.manager.support(edge.guard)) <= env
 
     def test_edge_guards_satisfiable(self, tlc_rg):
         env = model.env_alphabet(tlc_rg.system)
         for edge in tlc_rg.edges:
-            assert any(F.evaluate(edge.guard, v) for v in all_valuations(env))
+            assert any(guard_holds(tlc_rg, edge.guard, v) for v in all_valuations(env))
 
     def test_every_step_replays(self, tlc_rg):
         # any env valuation satisfying an edge guard can produce that move
@@ -49,7 +48,7 @@ class TestExplicit:
         env = model.env_alphabet(system)
         for edge in tlc_rg.edges:
             for valuation in all_valuations(env):
-                if F.evaluate(edge.guard, valuation):
+                if guard_holds(tlc_rg, edge.guard, valuation):
                     succs = model.step_successors(system, tlc_rg.nodes[edge.src], valuation)
                     assert tlc_rg.nodes[edge.dst] in succs
 
@@ -64,9 +63,9 @@ class TestExplicit:
             env = model.env_alphabet(system)
             assert set(rg.nodes) == reachable_by_stepping(system)
             for edge in rg.edges:
-                assert F.atoms(edge.guard) <= env
+                assert set(rg.manager.support(edge.guard)) <= {s.name for s in env}
                 for valuation in all_valuations(env):
-                    if F.evaluate(edge.guard, valuation):
+                    if guard_holds(rg, edge.guard, valuation):
                         succs = model.step_successors(system, rg.nodes[edge.src], valuation)
                         assert rg.nodes[edge.dst] in succs
 
@@ -74,9 +73,8 @@ class TestExplicit:
         first = reach.build_rg_explicit(tlc_system)
         second = reach.build_rg_explicit(tlc_system)
         assert first.nodes == second.nodes
-        assert [(e.src, e.guard, e.dst) for e in first.edges] == [
-            (e.src, e.guard, e.dst) for e in second.edges
-        ]
+        assert [(e.src, e.dst) for e in first.edges] == [(e.src, e.dst) for e in second.edges]
+        assert reach.json_text(first) == reach.json_text(second)
 
     def test_quiescent_detection(self, one_state_rg):
         assert one_state_rg.quiescent == frozenset({0})
@@ -126,6 +124,14 @@ class TestSymbolic:
             explicit = reach.build_rg_explicit(system)
             symbolic = reach.build_rg_symbolic(system)
             assert symbolic.count == len(explicit), frontend.system_to_text(system)
+            for node in explicit.nodes:
+                true_bits = [
+                    bit
+                    for bits, idx in zip(symbolic.current_bits, node)
+                    for k, bit in enumerate(bits)
+                    if idx >> k & 1
+                ]
+                assert symbolic.manager.evaluate(symbolic.reachable, true_bits), node
 
 
 class TestExport:

@@ -195,6 +195,43 @@ class TestFromExpr:
         assert (m.from_expr(expr) != m.FALSE) == brute_satisfiable(expr, syms)
 
 
+class TestIsop:
+    @staticmethod
+    def cube_ref(m, cube):
+        ref = m.TRUE
+        for name, positive in cube:
+            var = m.mk_var(name)
+            ref = m.and_(ref, var if positive else m.not_(var))
+        return ref
+
+    def test_constants(self, backend):
+        m = robdd.BddManager(["a"], backend=backend)
+        assert m.isop(m.TRUE) == [[]]
+        assert m.isop(m.FALSE) == []
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(expr=exprs(VARS4))
+    def test_cover_is_exact_irredundant_and_ordered(self, expr, backend):
+        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+        ref = m.from_expr(expr)
+        cubes = m.isop(ref)
+        refs = [self.cube_ref(m, cube) for cube in cubes]
+        union = m.FALSE
+        for cube_ref in refs:
+            union = m.or_(union, cube_ref)
+        assert union == ref
+        for i, cube in enumerate(cubes):
+            names = [name for name, _ in cube]
+            assert names == sorted(names, key=m.level_of)
+            others = m.FALSE
+            for cube_ref in refs[:i] + refs[i + 1 :]:
+                others = m.or_(others, cube_ref)
+            assert others != ref  # no cube can be dropped
+            for j in range(len(cube)):
+                wider = self.cube_ref(m, cube[:j] + cube[j + 1 :])
+                assert m.and_(wider, m.not_(ref)) != m.FALSE  # no literal can be dropped
+
+
 class TestStructure:
     def test_audit_clean_after_workload(self, backend):
         rng = random.Random(3)
