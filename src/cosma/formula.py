@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator
 
 from cosma import robdd
 
@@ -36,14 +36,11 @@ __all__ = [
     "TRUE",
     "and_",
     "and_all",
-    "atom",
     "atoms",
     "conj_factors",
     "evaluate",
     "not_",
     "or_",
-    "or_all",
-    "residual",
     "satisfiable",
     "to_text",
 ]
@@ -163,10 +160,6 @@ TRUE = ConstTrue()
 FALSE = ConstFalse()
 
 
-def atom(symbol: Symbol | str) -> Atom:
-    return Atom(symbol if isinstance(symbol, Symbol) else Symbol(symbol))
-
-
 def not_(expr: BoolExpr) -> BoolExpr:
     if expr == TRUE:
         return FALSE
@@ -199,13 +192,6 @@ def and_all(exprs: Iterable[BoolExpr]) -> BoolExpr:
     result: BoolExpr = TRUE
     for e in exprs:
         result = and_(result, e)
-    return result
-
-
-def or_all(exprs: Iterable[BoolExpr]) -> BoolExpr:
-    result: BoolExpr = FALSE
-    for e in exprs:
-        result = or_(result, e)
     return result
 
 
@@ -253,27 +239,6 @@ def evaluate(expr: BoolExpr, valuation: AbstractSet[Symbol]) -> bool:
     if isinstance(expr, ConstFalse):
         return False
     raise FormulaError(f"not a formula node: {expr!r}")
-
-
-def residual(expr: BoolExpr, fixed: Mapping[Symbol, bool]) -> BoolExpr:
-    """Substitute the ``fixed`` symbols by constants and fold constants.
-
-    The folding rules are exactly x*1=x, x*0=0, x+0=x, x+1=1, !1=0, !0=1;
-    atoms outside ``fixed`` are left untouched, so the result is a formula
-    over the remaining symbols only.
-    """
-    if isinstance(expr, Atom):
-        value = fixed.get(expr.symbol)
-        if value is None:
-            return expr
-        return TRUE if value else FALSE
-    if isinstance(expr, Not):
-        return not_(residual(expr.operand, fixed))
-    if isinstance(expr, And):
-        return and_(residual(expr.left, fixed), residual(expr.right, fixed))
-    if isinstance(expr, Or):
-        return or_(residual(expr.left, fixed), residual(expr.right, fixed))
-    return expr
 
 
 _PREC_OR = 1

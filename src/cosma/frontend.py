@@ -106,7 +106,14 @@ _PUNCT_2 = ("->", "=>")
 _PUNCT_1 = "{};:,()*+~![]"
 _GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
 
-MAX_NESTING = 100  # formula levels; deeper input would overflow Python's stack
+# Deepest formula the parsers accept, in parentheses, negations and CTL
+# operators.  A level costs at most 5 Python frames in the parser (a
+# parenthesised CTL operand: _parse_ctl_unary, nested, _parse_ctl_implies,
+# _parse_ctl_or, _parse_ctl_and) and at most 2 in the walkers that run later
+# (BddManager.from_expr, evaluate, to_text, vhdlgen._condition, the CTL
+# checker), so 150 levels take at most 750 of Python's default 1000 frames
+# and leave the rest to the CLI and its callers.
+MAX_NESTING = 150
 _SYSTEM_KEYWORDS = frozenset({"system", "machine", "init", "state", "out", "when"})
 _QUERY_KEYWORDS = frozenset({"always", "next", "eventually", "exists", "ctl", "not"})
 

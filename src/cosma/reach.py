@@ -83,7 +83,8 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
     nodes: list[model.GlobalState] = [initial]
     outputs: list[frozenset] = [model.output_valuation(system, initial)]
     edge_guards: dict[tuple[int, int], robdd.BddRef] = {}  # in discovery order
-    # a machine's moves depend only on its state and the outputs its arcs read
+    # a machine's moves depend only on its state and the outputs its arcs
+    # read, so they are built once per such pair, not once per node
     reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
               for j in range(len(machine.states))] for machine in system.machines]
     known_moves: dict[tuple, list[tuple[int, robdd.BddRef]]] = {}
@@ -291,14 +292,21 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
 
 
 def _guard_texts(rg: ReachGraph) -> list[str]:
-    """Each edge guard as an irredundant sum of products, literals in declaration order."""
+    """Each edge guard as an irredundant sum of products, literals in declaration order.
+
+    Products are printed one by one and joined, never as one formula tree,
+    because a cover can have exponentially many of them.
+    """
     texts: dict[robdd.BddRef, str] = {}
     for edge in rg.edges:
         if edge.guard not in texts:
-            texts[edge.guard] = F.to_text(F.or_all(
-                F.and_all(F.atom(name) if pos else F.Not(F.atom(name)) for name, pos in cube)
+            texts[edge.guard] = " + ".join(
+                F.to_text(F.and_all(
+                    F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
+                    for name, pos in cube
+                ))
                 for cube in rg.manager.isop(edge.guard)
-            ))
+            ) or "0"
     return [texts[edge.guard] for edge in rg.edges]
 
 

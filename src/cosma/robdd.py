@@ -15,7 +15,8 @@ imports; set ``COSMA_BDD_BACKEND=python`` or ``=cython`` to force a choice.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from cosma import _bddpure
 
@@ -60,8 +61,9 @@ def available_backends() -> tuple[str, ...]:
     return tuple(sorted(_KERNELS))
 
 
-class BddRef(NamedTuple):
-    """Handle to a Boolean function inside one manager; a pair, cheap to compare and hash."""
+@dataclass(frozen=True)
+class BddRef:
+    """Opaque handle to a Boolean function inside one manager."""
 
     manager: "BddManager"
     node: int

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cosma import cli
+from cosma import cli, frontend
 
 
 @pytest.fixture(autouse=True)
@@ -38,12 +38,17 @@ class TestLint:
         # nesting past the parser's bound is an input error with a location
         queries = tmp_path / "q.tq"
         queries.write_text("q: always (1 => next 1);\n")
-        for guard in ("(" * 2000 + "x" + ")" * 2000, "~" * 2000 + "x"):
-            bad.write_text("system x { machine m { init a; state a { -> a when %s; } } }" % guard)
-            for argv in (["lint"], ["rg"], ["check", "--queries", str(queries)]):
-                code, out, err = run(capsys, [argv[0], str(bad), *argv[1:]])
-                assert code == 2, argv
-                assert re.search(r"bad\.csm:1:\d+: error: formula nested more than", err)
+        n = frontend.MAX_NESTING
+        for depth, expected in ((2000, 2), (n + 1, 2), (n, 0)):
+            for guard in ("(" * depth + "x" + ")" * depth, "~" * depth + "x"):
+                bad.write_text(
+                    "system x { machine m { init a; state a { -> a when %s; } } }" % guard
+                )
+                for argv in (["lint"], ["rg"], ["check", "--queries", str(queries)]):
+                    code, out, err = run(capsys, [argv[0], str(bad), *argv[1:]])
+                    assert code == expected, (depth, argv, err)
+                    if expected == 2:
+                        assert re.search(r"bad\.csm:1:\d+: error: formula nested more than", err)
 
     def test_coverage_gap_is_only_a_warning(self, tmp_path, capsys):
         gap = tmp_path / "gap.csm"
@@ -155,6 +160,26 @@ class TestParallelArcs:
         assert [step["env"] for step in rest["trace"]] == [[], None]
 
 
+def test_product_of_sums_guard_prints_its_cover(tmp_path, capsys):
+    """An ISOP of a product of ten sums has 2^10 products; it still prints."""
+    guard = " * ".join(f"(y{i} + z{i})" for i in range(10))
+    model = tmp_path / "pos.csm"
+    model.write_text(
+        f"system Pos {{ machine M {{ init a; state a {{ -> b when {guard}; }}"
+        " state b { out B; -> a when 1; } } }\n"
+    )
+    js = tmp_path / "g.json"
+    dot = tmp_path / "g.dot"
+    code, out, err = run(capsys, ["rg", str(model), "--json", str(js), "--dot", str(dot)])
+    assert code == 0, err
+    (edge,) = [e for e in json.loads(js.read_text())["edges"] if e["dst"] == 1]
+    assert len(edge["guard"].split(" + ")) == 2**10
+    queries = tmp_path / "pos.tq"
+    queries.write_text("go: always (~B => next B);\n")
+    code, out, err = run(capsys, ["check", str(model), "--queries", str(queries)])
+    assert code == 1, err
+
+
 class TestCheck:
     def test_bundled_suite_passes(self, workdir, capsys):
         code, out, err = run(
@@ -205,14 +230,20 @@ class TestCheck:
         )
         assert code == 2
         assert "error" in err
+        n = frontend.MAX_NESTING
         for deep in ("q: always (" + "~" * 2000 + "HG => next HY);",
-                     "ctl c: " + "EX " * 2000 + "HG;"):
+                     "ctl c: " + "EX " * 2000 + "HG;",
+                     "ctl c: " + "(" * (n + 1) + "HG" + ")" * (n + 1) + ";"):
             broken.write_text(deep + "\n")
             code, out, err = run(
                 capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)]
             )
             assert code == 2
             assert re.search(r"broken\.tq:1:\d+: error: formula nested more than", err)
+        # the costliest level the parser accepts: a parenthesised CTL operand
+        broken.write_text("ctl c: " + "(" * n + "HG" + ")" * n + ";\n")
+        code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)])
+        assert code == 0, err
 
     def test_model_parse_error_exits_two(self, tmp_path, workdir, capsys):
         bad = tmp_path / "bad.csm"
