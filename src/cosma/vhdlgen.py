@@ -23,6 +23,7 @@ Output is a pure function of the input, hence byte-identical across runs.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from cosma import formula as F
@@ -231,16 +232,40 @@ class AuditReport:
         return not self.problems
 
 
+# Patterns of the audit, one scan of the text (or of one process block) each.
+# Names are matched as whole words, which is what the parser accepts as an
+# identifier, so no pattern is built per machine, state or symbol.  Patterns
+# that may start anywhere begin with a letter, and a lookbehind after it
+# stands for the word boundary before it, so that the scan can skip ahead
+# to that letter.
+_PROCESS_START = re.compile(r"^\s*(\w+)\s*:\s*process\b", re.M)
+_PROCESS_END = re.compile(r"end(?<!\wend) process (\w+);")
+_PORT_LINE = re.compile(r"^\s*(\w+) : (?:in|out) BIT[;,]?\s*$", re.M)
+_VECTOR_DECL = re.compile(r"BIT_VECTOR \((\d+) downto 0\)")
+_WHEN_BRANCH = re.compile(r'when "([01]+)" => -- (\w+)')
+# A block closer is "end if" (etc.) after a word boundary; an opener is a
+# whole-word "if" not right after "end ", so "xend if" is neither.
+_BLOCK_WORD = re.compile(
+    r"(?:end(?<!\wend) (?:if|case|loop|process)"
+    r"|i(?<!\wi)(?<!end i)f|c(?<!\wc)(?<!end c)ase"
+    r"|l(?<!\wl)(?<!end l)oop|p(?<!\wp)(?<!end p)rocess)\b"
+)
+
+
 def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
     """Token-level self-check of generated VHDL.
 
-    Verifies one process per machine, one port line per symbol, one
-    ``when`` branch per state inside its machine's process, and balanced
-    if / case / loop / process blocks.
+    Verifies one process per machine, in machine order; one port line per
+    symbol; in each machine's process, a state vector declaration and one
+    ``when`` branch per state whose code has the vector's width; and
+    balanced if / case / loop / process blocks.  Each check counts the
+    matches of one precompiled pattern, so the text is scanned four times
+    and each process block at most twice more, whatever the number of
+    machines, states and symbols: the audit is linear in the text.
     """
     report = AuditReport()
 
-    labels = re.findall(r"^\s*(\w+)\s*:\s*process\b", vhdl_text, re.M)
+    labels, blocks = _process_blocks(vhdl_text)
     report.process_count = len(labels)
     machine_names = [m.name for m in system.machines]
     if labels != machine_names:
@@ -248,62 +273,69 @@ def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
             f"expected one process per machine {machine_names}, found {labels}"
         )
 
+    ports = Counter(_PORT_LINE.findall(vhdl_text))
     symbols = sorted(
         model.env_alphabet(system) | system.produced_symbols(), key=lambda s: s.name
     )
     for sym in symbols:
-        hits = re.findall(
-            rf"^\s*{re.escape(sym.name)} : (?:in|out) BIT[;,]?\s*$", vhdl_text, re.M
-        )
-        if len(hits) != 1:
+        hits = ports[sym.name]
+        if hits != 1:
             report.problems.append(
-                f"symbol {sym.name!r} appears as a port {len(hits)} times, expected once"
+                f"symbol {sym.name!r} appears as a port {hits} times, expected once"
             )
 
     for machine in system.machines:
-        block = _process_block(vhdl_text, machine.name)
+        block = blocks.get(machine.name)
         if block is None:
             report.problems.append(f"no process block for machine {machine.name!r}")
             continue
-        width = None
-        m = re.search(r"BIT_VECTOR \((\d+) downto 0\)", block)
-        if m:
-            width = int(m.group(1)) + 1
-        for idx, state in enumerate(machine.states):
-            if width is None:
+        m = _VECTOR_DECL.search(block)
+        if m is None:
+            if machine.states:
                 report.problems.append(
                     f"machine {machine.name!r}: no state vector declaration"
                 )
-                break
-            hits = len(re.findall(rf'when "[01]{{{width}}}" => -- {re.escape(state.name)}\b', block))
+            continue
+        width = int(m.group(1)) + 1
+        branches = Counter(
+            name for code, name in _WHEN_BRANCH.findall(block) if len(code) == width
+        )
+        for state in machine.states:
+            hits = branches[state.name]
             if hits != 1:
                 report.problems.append(
                     f"machine {machine.name!r}, state {state.name!r}: {hits} 'when' "
                     "branches, expected exactly one"
                 )
 
-    for opener, closer in (
-        (r"(?<!end )\bif\b", r"\bend if\b"),
-        (r"(?<!end )\bcase\b", r"\bend case\b"),
-        (r"(?<!end )\bloop\b", r"\bend loop\b"),
-        (r"(?<!end )\bprocess\b", r"\bend process\b"),
-    ):
-        n_open = len(re.findall(opener, vhdl_text))
-        n_close = len(re.findall(closer, vhdl_text))
+    words = Counter(_BLOCK_WORD.findall(vhdl_text))
+    for kind in ("if", "case", "loop", "process"):
+        n_open = words[kind]
+        n_close = words["end " + kind]
         if n_open != n_close:
-            name = closer.replace(r"\bend ", "").replace(r"\b", "")
             report.problems.append(
-                f"unbalanced {name} blocks: {n_open} openers, {n_close} closers"
+                f"unbalanced {kind} blocks: {n_open} openers, {n_close} closers"
             )
 
     return report
 
 
-def _process_block(vhdl_text: str, label: str) -> str | None:
-    start = re.search(rf"^\s*{re.escape(label)}\s*:\s*process\b", vhdl_text, re.M)
-    if not start:
-        return None
-    end = re.search(rf"\bend process {re.escape(label)};", vhdl_text)
-    if not end:
-        return None
-    return vhdl_text[start.start() : end.end()]
+def _process_blocks(vhdl_text: str) -> tuple[list[str], dict[str, str]]:
+    """The process labels in text order, and each label's block.
+
+    A block runs from the label's first ``X : process`` line to the end of
+    the first ``end process X;`` in the text; a label without such an end
+    has no block.
+    """
+    labels = []
+    starts: dict[str, int] = {}
+    for m in _PROCESS_START.finditer(vhdl_text):
+        labels.append(m.group(1))
+        starts.setdefault(m.group(1), m.start())
+    ends: dict[str, int] = {}
+    for m in _PROCESS_END.finditer(vhdl_text):
+        ends.setdefault(m.group(1), m.end())
+    blocks = {
+        label: vhdl_text[start : ends[label]] for label, start in starts.items() if label in ends
+    }
+    return labels, blocks

@@ -4,13 +4,16 @@ Everything here sticks to brute force: valuations are enumerated
 exhaustively, reachability is recomputed through the raw step semantics,
 and temporal operators are decided by path enumeration.  The only engine
 code used is ``BddManager.evaluate``, which reads an edge guard under one
-valuation at a time; nothing here builds or combines BDDs.
+valuation at a time; nothing here builds or combines BDDs.  The VHDL
+audit's reference is the audit as it was first written, with one regex
+per machine, state and symbol.
 """
 
 import itertools
+import re
 
 from cosma import formula as F
-from cosma import mc, model
+from cosma import mc, model, vhdlgen
 
 
 def all_valuations(symbols):
@@ -170,3 +173,83 @@ def replay_trace(system, rg, trace) -> bool:
         if rg.nodes[there.node] not in succs:
             return False
     return True
+
+
+def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:
+    """The per-name regex audit that ``vhdlgen.structural_audit`` replaced.
+
+    Token-level self-check of generated VHDL.
+
+    Verifies one process per machine, one port line per symbol, one
+    ``when`` branch per state inside its machine's process, and balanced
+    if / case / loop / process blocks.
+    """
+    report = vhdlgen.AuditReport()
+
+    labels = re.findall(r"^\s*(\w+)\s*:\s*process\b", vhdl_text, re.M)
+    report.process_count = len(labels)
+    machine_names = [m.name for m in system.machines]
+    if labels != machine_names:
+        report.problems.append(
+            f"expected one process per machine {machine_names}, found {labels}"
+        )
+
+    symbols = sorted(
+        model.env_alphabet(system) | system.produced_symbols(), key=lambda s: s.name
+    )
+    for sym in symbols:
+        hits = re.findall(
+            rf"^\s*{re.escape(sym.name)} : (?:in|out) BIT[;,]?\s*$", vhdl_text, re.M
+        )
+        if len(hits) != 1:
+            report.problems.append(
+                f"symbol {sym.name!r} appears as a port {len(hits)} times, expected once"
+            )
+
+    for machine in system.machines:
+        block = _process_block(vhdl_text, machine.name)
+        if block is None:
+            report.problems.append(f"no process block for machine {machine.name!r}")
+            continue
+        width = None
+        m = re.search(r"BIT_VECTOR \((\d+) downto 0\)", block)
+        if m:
+            width = int(m.group(1)) + 1
+        for idx, state in enumerate(machine.states):
+            if width is None:
+                report.problems.append(
+                    f"machine {machine.name!r}: no state vector declaration"
+                )
+                break
+            hits = len(re.findall(rf'when "[01]{{{width}}}" => -- {re.escape(state.name)}\b', block))
+            if hits != 1:
+                report.problems.append(
+                    f"machine {machine.name!r}, state {state.name!r}: {hits} 'when' "
+                    "branches, expected exactly one"
+                )
+
+    for opener, closer in (
+        (r"(?<!end )\bif\b", r"\bend if\b"),
+        (r"(?<!end )\bcase\b", r"\bend case\b"),
+        (r"(?<!end )\bloop\b", r"\bend loop\b"),
+        (r"(?<!end )\bprocess\b", r"\bend process\b"),
+    ):
+        n_open = len(re.findall(opener, vhdl_text))
+        n_close = len(re.findall(closer, vhdl_text))
+        if n_open != n_close:
+            name = closer.replace(r"\bend ", "").replace(r"\b", "")
+            report.problems.append(
+                f"unbalanced {name} blocks: {n_open} openers, {n_close} closers"
+            )
+
+    return report
+
+
+def _process_block(vhdl_text: str, label: str) -> str | None:
+    start = re.search(rf"^\s*{re.escape(label)}\s*:\s*process\b", vhdl_text, re.M)
+    if not start:
+        return None
+    end = re.search(rf"\bend process {re.escape(label)};", vhdl_text)
+    if not end:
+        return None
+    return vhdl_text[start.start() : end.end()]

@@ -1,12 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosma import formula as F
 from cosma import frontend, model, vhdlgen
 from gensys import random_system
-from oracles import all_valuations
+from oracles import all_valuations, regex_audit
 from vhdl_interp import ProcessModel
 
 WIDTH3 = vhdlgen.CodegenOptions(state_encoding="width", explicit_width=3)
@@ -29,6 +32,25 @@ def first_machine_system(guards_and_outputs):
     machine = model.Machine("m", states, "s0", arcs)
     table.freeze()
     return model.System("sys", [machine], table)
+
+
+def process_spans(lines):
+    """(first, last) line index of every ``X : process`` ... ``end process X;``."""
+    spans, opened = [], {}
+    for i, line in enumerate(lines):
+        if line.endswith(" : process"):
+            opened[line.split(" : ")[0].strip()] = i
+        elif line.startswith("  end process ") and line.endswith(";"):
+            first = opened.pop(line[len("  end process ") : -1], None)
+            if first is not None:
+                spans.append((first, i))
+    return spans
+
+
+def swap_processes(lines, first, second):
+    """The lines with two disjoint process spans exchanged."""
+    (a, b), (c, d) = sorted((first, second))
+    return lines[:a] + lines[c : d + 1] + lines[b + 1 : c] + lines[a : b + 1] + lines[d + 1 :]
 
 
 class TestFragments:
@@ -100,6 +122,154 @@ class TestAudit:
         assert report.process_count == 1
         assert text.count('when "') == 1
         assert "\n          if " not in text  # single spontaneous arc is compound
+
+    def test_when_branch_moved_to_another_process(self, tlc_vhdl, tlc_system):
+        branch = '        when "001" => -- TSrun\n'
+        target = '        when "010" => -- TLelap\n'
+        corrupted = tlc_vhdl.replace(branch, "").replace(target, target + branch)
+        report = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert report.problems == [
+            "machine 'TimerTS', state 'TSrun': 0 'when' branches, expected exactly one"
+        ]
+
+    def test_duplicated_port_line(self, tlc_vhdl, tlc_system):
+        line = "    tauTL : in BIT;\n"
+        corrupted = tlc_vhdl.replace(line, line + line)
+        report = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert report.problems == ["symbol 'tauTL' appears as a port 2 times, expected once"]
+
+    def test_missing_end_case(self, tlc_vhdl, tlc_system):
+        corrupted = tlc_vhdl.replace("      end case;\n", "", 1)
+        report = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert report.problems == ["unbalanced case blocks: 3 openers, 2 closers"]
+
+    def test_missing_end_loop(self, tlc_vhdl, tlc_system):
+        corrupted = tlc_vhdl.replace("    end loop;\n", "", 1)
+        report = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert report.problems == ["unbalanced loop blocks: 3 openers, 2 closers"]
+
+    def test_missing_end_process(self, tlc_vhdl, tlc_system):
+        corrupted = tlc_vhdl.replace("  end process TimerTS;\n", "")
+        report = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert report.problems == [
+            "no process block for machine 'TimerTS'",
+            "unbalanced process blocks: 3 openers, 2 closers",
+        ]
+
+    def test_removed_state_vector_declaration(self, tlc_vhdl, tlc_system):
+        # the last process is TimerTL's; both of its vector variables go
+        head, _, tail = tlc_vhdl.rpartition(
+            '    variable current_state : BIT_VECTOR (2 downto 0) :="000";\n'
+            '    variable newstate : BIT_VECTOR (2 downto 0) :="000";\n'
+        )
+        report = vhdlgen.structural_audit(head + tail, tlc_system)
+        assert report.problems == ["machine 'TimerTL': no state vector declaration"]
+
+    def test_processes_in_swapped_order(self, tlc_vhdl, tlc_system):
+        lines = tlc_vhdl.split("\n")
+        _, timer_ts, timer_tl = process_spans(lines)
+        corrupted = "\n".join(swap_processes(lines, timer_ts, timer_tl))
+        report = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert report.problems == [
+            "expected one process per machine ['Controller', 'TimerTS', 'TimerTL'], "
+            "found ['Controller', 'TimerTL', 'TimerTS']"
+        ]
+        assert report.process_count == 3
+
+    def test_audit_compiles_no_pattern_per_name(self, monkeypatch):
+        table = F.SymbolTable()
+        go = F.Atom(table.intern("go"))
+        n = 300
+        states = [model.State(f"s{j}", frozenset()) for j in range(n)]
+        arcs = [model.Arc(f"s{j}", f"s{(j + 1) % n}", go) for j in range(n)]
+        table.freeze()
+        system = model.System("cycle", [model.Machine("m", states, "s0", arcs)], table)
+        text = vhdlgen.generate(system, vhdlgen.CodegenOptions(state_encoding="onehot"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit built a pattern at run time")
+
+        for name in ("compile", "search", "findall", "finditer"):
+            monkeypatch.setattr(re, name, refuse)
+        report = vhdlgen.structural_audit(text, system)
+        assert report.ok, report.problems
+        assert report.process_count == 1
+
+
+@st.composite
+def mutated_vhdl(draw):
+    """A random system's VHDL in some mode, after a few line-level edits."""
+    system = random_system(random.Random(draw(st.integers(0, 10**6))))
+    mode = draw(st.sampled_from(["binary", "onehot", "width", "clock"]))
+    if mode == "width":
+        fits = max(1, (max(len(m.states) for m in system.machines) - 1).bit_length())
+        opts = vhdlgen.CodegenOptions(
+            state_encoding="width", explicit_width=fits + draw(st.integers(0, 2))
+        )
+    elif mode == "clock":
+        opts = vhdlgen.CodegenOptions(clock=True)
+    else:
+        opts = vhdlgen.CodegenOptions(state_encoding=mode)
+    lines = vhdlgen.generate(system, opts).split("\n")
+    state_names = [s.name for m in system.machines for s in m.states]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "copy", "append", "rename", "recode",
+                                     "swap", "glue"]))
+        if kind in ("delete", "duplicate", "copy", "append"):
+            # one kind of line the audit reads, or any line ("")
+            keys = draw(st.sampled_from(
+                [("process",), (" => -- ",), ("BIT",), ("if", "case", "loop"), ("",)]
+            ))
+            wanted = [i for i, line in enumerate(lines) if any(k in line for k in keys)]
+            if not wanted:
+                continue
+            i = draw(st.sampled_from(wanted))
+            if kind == "delete":
+                del lines[i]
+            elif kind == "duplicate":
+                lines.insert(i, lines[i])
+            elif kind == "copy":
+                lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            else:
+                lines[i] += draw(st.sampled_from([";", ",", " ", " x", "0"]))
+        elif kind in ("rename", "recode"):
+            branches = [i for i, line in enumerate(lines) if " => -- " in line]
+            if branches:
+                i = draw(st.sampled_from(branches))
+                head, _, name = lines[i].partition(" => -- ")
+                if kind == "rename":
+                    name = draw(st.sampled_from(state_names + ["zz"]))
+                    name += draw(st.sampled_from(["", ".", " x", "x", "_", "0"]))
+                else:  # a code one bit shorter or longer
+                    prefix, code, _ = head.split('"')
+                    code = code[1:] if draw(st.booleans()) else code + draw(st.sampled_from("01"))
+                    head = f'{prefix}"{code}"'
+                lines[i] = f"{head} => -- {name}"
+        elif kind == "swap":
+            spans = process_spans(lines)
+            if len(spans) >= 2:
+                first, second = draw(
+                    st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True)
+                )
+                if first[1] < second[0] or second[1] < first[0]:
+                    lines = swap_processes(lines, first, second)
+        else:  # glue: "end" no longer a whole word, or a second space after it
+            ends = [i for i, line in enumerate(lines) if "end " in line]
+            if ends:
+                i = draw(st.sampled_from(ends))
+                glued = draw(st.sampled_from(["xend ", "_end ", "end  "]))
+                lines[i] = lines[i].replace("end ", glued, 1)
+    return system, "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_vhdl())
+def test_audit_agrees_with_regex_oracle(case):
+    system, text = case
+    report = vhdlgen.structural_audit(text, system)
+    expected = regex_audit(text, system)
+    assert report.problems == expected.problems
+    assert report.process_count == expected.process_count
 
 
 class TestOptionsAndErrors:
@@ -236,7 +406,8 @@ class TestArcBranchCorrespondence:
             assert total_branches == len(machine.arcs)
 
     def test_every_output_latched_once_per_process(self, tlc_vhdl, tlc_system):
+        _, blocks = vhdlgen._process_blocks(tlc_vhdl)
         for machine in tlc_system.machines:
-            block = vhdlgen._process_block(tlc_vhdl, machine.name)
+            block = blocks[machine.name]
             for sym in {s for st in machine.states for s in st.outputs}:
                 assert block.count(f"{sym.name} <= new{sym.name};") == 1
