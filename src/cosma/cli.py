@@ -109,13 +109,19 @@ def cmd_rg(args) -> int:
         symbolic_count = symbolic.count
         print(f"symbolic: {_plural(symbolic_count, 'reachable state')}")
 
-    if args.engine == "both" and explicit_count != symbolic_count:
-        print(
-            _style("engine mismatch", "31")
-            + f": explicit found {explicit_count}, symbolic found {symbolic_count}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERNAL
+    if args.engine == "both":
+        problem = None
+        if explicit_count != symbolic_count:
+            problem = f"explicit found {explicit_count}, symbolic found {symbolic_count}"
+        else:
+            # equal sizes: the sets are equal when the symbolic one holds every explicit node
+            missing = next((i for i, gstate in enumerate(graph.nodes)
+                            if not symbolic.contains(gstate)), None)
+            if missing is not None:
+                problem = f"explicit state {graph.node_name(missing)} is not in the symbolic set"
+        if problem:
+            print(_style("engine mismatch", "31") + f": {problem}", file=sys.stderr)
+            return EXIT_INTERNAL
 
     if args.dot or args.json:
         if graph is None:

@@ -5,11 +5,14 @@ Two engines build the same set of global states:
 * an explicit breadth-first product that also records edges, each guarded
   by a BDD over the environment inputs in the graph's one manager (the arc
   guards with every produced symbol fixed by the source state), and
-* a symbolic fixpoint over a BDD-encoded transition relation, which only
-  counts.
+* a symbolic fixpoint over a BDD-encoded transition relation, built
+  bottom-up (state cubes from the last bit, machine relations conjoined
+  from the last machine), whose image steps take only the states reached
+  in the step before.  It counts, and answers membership of one state.
 
-The two must always agree on the number of reachable states; that
-cross-check is the central oracle of the whole pipeline.
+The two must always agree on the reachable set: equal sizes, and every
+explicit node in the symbolic set.  That cross-check is the central oracle
+of the whole pipeline.
 """
 
 from __future__ import annotations
@@ -166,6 +169,16 @@ class SymbolicReachability:
     reachable: robdd.BddRef
     count: int
 
+    def contains(self, gstate: model.GlobalState) -> bool:
+        """Whether ``gstate`` is in the reachable set: one walk, no new nodes."""
+        true_bits = {
+            bit
+            for bits, idx in zip(self.current_bits, gstate)
+            for k, bit in enumerate(bits)
+            if idx >> k & 1
+        }
+        return self.manager.evaluate(self.reachable, true_bits)
+
 
 def _bit_width(nstates: int) -> int:
     return (nstates - 1).bit_length()
@@ -180,6 +193,14 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
     atoms naming produced symbols are substituted by functions of the
     current state bits, so the relation realizes the same synchronous step
     semantics as the explicit engine, output feedback included.
+
+    Every state cube is built once, from its last bit up, so each AND adds
+    one node above the ones already built.  The per-machine relations are
+    conjoined from the last machine to the first: each AND then puts a
+    machine above a product of machines whose variables all lie below it,
+    instead of rebuilding the whole product as a left-to-right fold does.
+    The fixpoint takes the image of the newly reached states only, one
+    ``exists`` per breadth-first level plus the one that finds nothing new.
     """
     env = model.declaration_order(system, model.env_alphabet(system))
     manager = robdd.BddManager(backend=backend)
@@ -206,21 +227,27 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
         manager.mk_var(name)
         env_vars[sym] = name
 
-    def encode(names: list[str], state_idx: int) -> robdd.BddRef:
-        ref = manager.TRUE
-        for k, var in enumerate(names):
-            bit = manager.mk_var(var)
-            ref = manager.and_(ref, bit if (state_idx >> k) & 1 else manager.not_(bit))
-        return ref
+    def cubes(names: list[str], nstates: int) -> list[robdd.BddRef]:
+        """The cube of each state index over ``names``, ANDed from the last bit up."""
+        bits = [manager.mk_var(var) for var in names]
+        out = []
+        for j in range(nstates):
+            ref = manager.TRUE
+            for k in reversed(range(len(bits))):
+                ref = manager.and_(ref, bits[k] if (j >> k) & 1 else manager.not_(bits[k]))
+            out.append(ref)
+        return out
+
+    here = [cubes(bits, len(m.states)) for bits, m in zip(current_bits, system.machines)]
+    there = [cubes(bits, len(m.states)) for bits, m in zip(next_bits, system.machines)]
 
     # truth of each produced symbol as a function of the current state bits
     output_fn: dict = {}
     for i, machine in enumerate(system.machines):
         for j, state in enumerate(machine.states):
             for sym in state.outputs:
-                term = encode(current_bits[i], j)
                 prev = output_fn.get(sym)
-                output_fn[sym] = term if prev is None else manager.or_(prev, term)
+                output_fn[sym] = here[i][j] if prev is None else manager.or_(prev, here[i][j])
 
     def leaf(sym) -> robdd.BddRef:
         if sym in env_vars:
@@ -229,25 +256,23 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
         return output_fn[sym]
 
     transition = manager.TRUE
-    for i, machine in enumerate(system.machines):
+    for i in reversed(range(len(system.machines))):
+        machine = system.machines[i]
         relation = manager.FALSE
         for j in range(len(machine.states)):
-            here = encode(current_bits[i], j)
             union = manager.FALSE
             moves = manager.FALSE
             for arc in machine.arcs_from(j):
                 g = manager.from_expr(arc.guard, leaf)
                 union = manager.or_(union, g)
-                moves = manager.or_(
-                    moves, manager.and_(g, encode(next_bits[i], machine.state_index(arc.dst)))
-                )
-            stay = manager.and_(manager.not_(union), encode(next_bits[i], j))
-            relation = manager.or_(relation, manager.and_(here, manager.or_(moves, stay)))
-        transition = manager.and_(transition, relation)
+                moves = manager.or_(moves, manager.and_(g, there[i][machine.state_index(arc.dst)]))
+            stay = manager.and_(manager.not_(union), there[i][j])
+            relation = manager.or_(relation, manager.and_(here[i][j], manager.or_(moves, stay)))
+        transition = manager.and_(relation, transition)
 
     init = manager.TRUE
-    for i, machine in enumerate(system.machines):
-        init = manager.and_(init, encode(current_bits[i], machine.initial_index))
+    for i in reversed(range(len(system.machines))):
+        init = manager.and_(here[i][system.machines[i].initial_index], init)
 
     quantified = [v for bits in current_bits for v in bits] + list(env_vars.values())
     renaming = {
@@ -256,25 +281,18 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
         for cur, nxt in zip(cur_list, nxt_list)
     }
 
-    reachable = init
-    while True:
-        image = manager.exists(quantified, manager.and_(reachable, transition))
-        image = manager.rename(image, renaming) if renaming else image
-        grown = manager.or_(reachable, image)
-        if grown == reachable:
-            break
-        reachable = grown
+    reachable = frontier = init
+    while frontier != manager.FALSE:
+        image = manager.rename(manager.exists(quantified, manager.and_(frontier, transition)),
+                               renaming)
+        frontier = manager.and_(image, manager.not_(reachable))
+        reachable = manager.or_(reachable, frontier)
 
-    # mask off bit patterns that encode no state, then count over the
-    # current bits; the interleaved next bits are free, hence the shift
-    mask = manager.TRUE
-    for i, machine in enumerate(system.machines):
-        valid = manager.FALSE
-        for j in range(len(machine.states)):
-            valid = manager.or_(valid, encode(current_bits[i], j))
-        mask = manager.and_(mask, valid)
-    masked = manager.and_(reachable, mask)
-    count = manager.sat_count(masked, 2 * total_bits) >> total_bits
+    # reachable holds valid codes only (the initial state and every next-state
+    # cube encode states, and a relation is false on any other current code),
+    # so it is counted over the current bits as it is; the interleaved next
+    # bits are free, hence the shift
+    count = manager.sat_count(reachable, 2 * total_bits) >> total_bits
 
     return SymbolicReachability(
         system=system,

@@ -4,9 +4,11 @@ Everything here sticks to brute force: valuations are enumerated
 exhaustively, reachability is recomputed through the raw step semantics,
 and temporal operators are decided by path enumeration.  The only engine
 code used is ``BddManager.evaluate``, which reads an edge guard under one
-valuation at a time; nothing here builds or combines BDDs.  The VHDL
-audit's reference is the audit as it was first written, with one regex
-per machine, state and symbol.
+valuation at a time; apart from the fixpoint below, nothing here builds
+or combines BDDs.  The symbolic fixpoint's reference is the loop the
+engine first ran: images of the whole reachable set until it stops
+growing.  The VHDL audit's reference is the audit as it was first written,
+with one regex per machine, state and symbol.
 """
 
 import itertools
@@ -173,6 +175,35 @@ def replay_trace(system, rg, trace) -> bool:
         if rg.nodes[there.node] not in succs:
             return False
     return True
+
+
+def whole_set_reachable(sym, system):
+    """The reachable set of ``sym`` recomputed in ``sym.manager`` over
+    ``sym.transition`` by images of the whole set, until it stops growing."""
+    manager = sym.manager
+    init = manager.TRUE
+    for names, machine in zip(sym.current_bits, system.machines):
+        for k, var in enumerate(names):
+            bit = manager.mk_var(var)
+            literal = bit if (machine.initial_index >> k) & 1 else manager.not_(bit)
+            init = manager.and_(init, literal)
+
+    quantified = [v for bits in sym.current_bits for v in bits] + list(sym.env_vars.values())
+    renaming = {
+        nxt: cur
+        for cur_list, nxt_list in zip(sym.current_bits, sym.next_bits)
+        for cur, nxt in zip(cur_list, nxt_list)
+    }
+
+    reachable = init
+    while True:
+        image = manager.exists(quantified, manager.and_(reachable, sym.transition))
+        image = manager.rename(image, renaming) if renaming else image
+        grown = manager.or_(reachable, image)
+        if grown == reachable:
+            break
+        reachable = grown
+    return reachable
 
 
 def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
-from cosma import cli, frontend
+from cosma import cli, frontend, reach
 
 
 @pytest.fixture(autouse=True)
@@ -112,6 +113,25 @@ class TestRg:
         code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "both"])
         assert code == 3
         assert "mismatch" in err
+
+    def test_missing_state_is_a_mismatch_despite_equal_counts(self, workdir, capsys, monkeypatch):
+        build = reach.build_rg_symbolic
+
+        def drop_last_node(system):
+            sym = build(system)
+            gstate = reach.build_rg_explicit(system).nodes[-1]
+            m = sym.manager
+            cube = m.TRUE
+            for bits, idx in zip(sym.current_bits, gstate):
+                for k, bit in enumerate(bits):
+                    cube = m.and_(cube, m.mk_var(bit) if idx >> k & 1 else m.not_(m.mk_var(bit)))
+            return dataclasses.replace(sym, reachable=m.and_(sym.reachable, m.not_(cube)))
+
+        monkeypatch.setattr(cli.reach, "build_rg_symbolic", drop_last_node)
+        code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "both"])
+        assert code == 3
+        assert "symbolic: 13 reachable states" in out
+        assert "mismatch" in err and "is not in the symbolic set" in err
 
     def test_deterministic_stdout(self, workdir, capsys):
         argv = ["rg", str(workdir / "tlc.csm"), "--engine", "both"]

@@ -1,11 +1,14 @@
+import itertools
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosma import frontend, model, reach
+from cosma import frontend, model, reach, robdd
 from gensys import random_system
-from oracles import all_valuations, guard_holds, reachable_by_stepping
+from oracles import all_valuations, guard_holds, reachable_by_stepping, whole_set_reachable
 
 ONE_STATE = "system one { machine m { init s; state s { -> s when 1; } } }"
 
@@ -132,6 +135,69 @@ class TestSymbolic:
                     if idx >> k & 1
                 ]
                 assert symbolic.manager.evaluate(symbolic.reachable, true_bits), node
+
+    def test_contains_agrees_with_bit_lists(self):
+        rng = random.Random(2024)
+        for _ in range(8):
+            system = random_system(rng)
+            explicit = set(reach.build_rg_explicit(system).nodes)
+            symbolic = reach.build_rg_symbolic(system)
+            nodes_before = len(symbolic.manager)
+            for gstate in itertools.product(*(range(len(m.states)) for m in system.machines)):
+                true_bits = [
+                    bit
+                    for bits, idx in zip(symbolic.current_bits, gstate)
+                    for k, bit in enumerate(bits)
+                    if idx >> k & 1
+                ]
+                held = symbolic.manager.evaluate(symbolic.reachable, true_bits)
+                assert symbolic.contains(gstate) == held == (gstate in explicit), gstate
+            assert len(symbolic.manager) == nodes_before
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10**6))
+    def test_frontier_fixpoint_agrees_with_whole_set_oracle(self, seed):
+        system = random_system(random.Random(seed))
+        calls = []
+        exists = robdd.BddManager.exists
+
+        def counted(manager, names, f):
+            calls.append(f)
+            return exists(manager, names, f)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(robdd.BddManager, "exists", counted)
+            sym = reach.build_rg_symbolic(system)
+        assert whole_set_reachable(sym, system) == sym.reachable
+        assert len(calls) == bfs_depth(reach.build_rg_explicit(system)) + 1
+
+    def test_token_ring_relation_stays_small(self):
+        # 100 two-state machines pass a token round whenever ``pass`` occurs;
+        # conjoining the machine relations left to right makes 135,242 nodes,
+        # from the last machine to the first about 41,000
+        machines = "".join(
+            f"machine R{i} {{ init {'tok' if i == 0 else 'idle'};"
+            f" state idle {{ -> tok when T{(i - 1) % 100} * pass;"
+            f" -> idle when ~(T{(i - 1) % 100} * pass); }}"
+            f" state tok {{ out T{i}; -> idle when pass; -> tok when ~pass; }} }}\n"
+            for i in range(100)
+        )
+        system = frontend.parse_system(f"system Ring {{\n{machines}}}\n", "ring.csm").system
+        sym = reach.build_rg_symbolic(system)
+        assert sym.count == 100
+        assert len(sym.manager) < 70_000
+
+
+def bfs_depth(rg) -> int:
+    """The largest breadth-first distance of a node from the initial one."""
+    depth = {0: 0}
+    queue = [0]
+    for node in queue:
+        for edge in rg.out_edges(node):
+            if edge.dst not in depth:
+                depth[edge.dst] = depth[node] + 1
+                queue.append(edge.dst)
+    return max(depth.values())
 
 
 class TestExport:
