@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python BDD kernels on three workloads.
+"""Time the BDD kernel on four workloads, each checking its own answer.
 
-* ``queens``   the n-queens constraint function built on the bare kernels
+* ``queens``   the n-queens constraint function built on the bare kernel
                (no manager wrapper): pure apply/unique-table traffic.
 * ``guards``   random guard formulas over 14 variables, built and combined
                pairwise through the manager API.
@@ -19,7 +19,7 @@ import argparse
 import random
 import time
 
-from cosma import assets, frontend, reach, robdd
+from cosma import _bddpure, assets, frontend, reach, robdd
 from cosma import formula as F
 
 
@@ -36,16 +36,8 @@ def random_formula(rng, symbols, depth):
 _SOLUTIONS = {4: 2, 5: 10, 6: 4, 7: 40, 8: 92}
 
 
-def _kernel(backend: str):
-    if backend == "python":
-        from cosma import _bddpure as module
-    else:
-        from cosma import _bddcore as module
-    return module.BddKernel()
-
-
-def bench_queens(backend: str, n: int) -> float:
-    kernel = _kernel(backend)
+def bench_queens(n: int) -> float:
+    kernel = _bddpure.BddKernel()
     cell = [[kernel.var(kernel.add_var()) for _ in range(n)] for _ in range(n)]
     started = time.perf_counter()
     board = 1  # TRUE
@@ -72,10 +64,10 @@ def bench_queens(backend: str, n: int) -> float:
     return time.perf_counter() - started
 
 
-def bench_guards(backend: str) -> float:
+def bench_guards() -> float:
     rng = random.Random(42)
     symbols = [F.Symbol(f"g{i}") for i in range(14)]
-    manager = robdd.BddManager([s.name for s in symbols], backend=backend)
+    manager = robdd.BddManager([s.name for s in symbols])
     started = time.perf_counter()
     refs = [manager.from_expr(random_formula(rng, symbols, 6)) for _ in range(300)]
     acc = manager.TRUE
@@ -86,11 +78,11 @@ def bench_guards(backend: str) -> float:
     return time.perf_counter() - started
 
 
-def bench_counter(backend: str, bits: int) -> float:
+def bench_counter(bits: int) -> float:
     names: list[str] = []
     for i in range(bits):
         names += [f"x{i}", f"y{i}"]  # interleaved current/next
-    manager = robdd.BddManager(names, backend=backend)
+    manager = robdd.BddManager(names)
     started = time.perf_counter()
 
     # transition relation of x' = x + 1 (wrapping)
@@ -119,11 +111,11 @@ def bench_counter(backend: str, bits: int) -> float:
     return time.perf_counter() - started
 
 
-def bench_pipeline(backend: str, repeat: int) -> float:
+def bench_pipeline(repeat: int) -> float:
     system = frontend.parse_system(assets.text("tlc_car.csm"), "tlc_car.csm").system
     started = time.perf_counter()
     for _ in range(repeat):
-        sym = reach.build_rg_symbolic(system, backend=backend)
+        sym = reach.build_rg_symbolic(system)
         assert sym.count == 15
     return time.perf_counter() - started
 
@@ -135,38 +127,20 @@ def main() -> int:
     parser.add_argument("--queens", type=int, default=7)
     args = parser.parse_args()
 
-    backends = robdd.available_backends()
-    if "cython" not in backends:
-        print("note: compiled kernel not built, timing the pure kernel only")
-
     workloads = [
-        ("queens", lambda b: bench_queens(b, args.queens)),
-        ("guards", lambda b: bench_guards(b)),
-        ("counter", lambda b: bench_counter(b, args.counter_bits)),
-        ("pipeline", lambda b: bench_pipeline(b, args.repeat)),
+        ("queens", lambda: bench_queens(args.queens)),
+        ("guards", bench_guards),
+        ("counter", lambda: bench_counter(args.counter_bits)),
+        ("pipeline", lambda: bench_pipeline(args.repeat)),
     ]
 
-    results: dict[str, dict[str, float]] = {}
-    for name, fn in workloads:
-        results[name] = {}
-        for backend in backends:
-            fn(backend)  # warm-up
-            results[name][backend] = min(fn(backend) for _ in range(3))
-
     width = max(len(n) for n, _ in workloads)
-    header = f"{'workload':<{width}}  " + "".join(f"{b:>12}" for b in backends)
-    if len(backends) == 2:
-        header += f"{'speedup':>10}"
+    header = f"{'workload':<{width}}  {'seconds':>12}"
     print(header)
     print("-" * len(header))
-    for name, _ in workloads:
-        row = f"{name:<{width}}  "
-        for backend in backends:
-            row += f"{results[name][backend]:>11.4f}s"
-        if len(backends) == 2:
-            ratio = results[name]["python"] / results[name]["cython"]
-            row += f"{ratio:>9.2f}x"
-        print(row)
+    for name, fn in workloads:
+        fn()  # warm-up
+        print(f"{name:<{width}}  {min(fn() for _ in range(3)):>11.4f}s")
     return 0
 
 

@@ -6,8 +6,7 @@ closer to the root, and every node's children carry strictly larger levels
 (the ordering rule).  The unique table guarantees reduction, so two handles
 are equal exactly when they denote the same Boolean function.
 
-``cosma._bddcore`` is a compiled twin of this module with the same
-interface; :mod:`cosma.robdd` selects one of the two at import time.
+:mod:`cosma.robdd` wraps it with named variables.
 """
 
 from __future__ import annotations

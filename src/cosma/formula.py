@@ -281,11 +281,11 @@ class GuardContext:
     sorted by name.
     """
 
-    def __init__(self, alphabet: Iterable[Symbol], backend: str | None = None):
+    def __init__(self, alphabet: Iterable[Symbol]):
         symbols = list(alphabet)
         if isinstance(alphabet, (set, frozenset)):
             symbols.sort(key=lambda s: s.name)
-        self.manager = robdd.BddManager((s.name for s in symbols), backend=backend)
+        self.manager = robdd.BddManager(s.name for s in symbols)
 
     def satisfiable(self, guard: robdd.BddRef) -> bool:
         return guard != self.manager.FALSE

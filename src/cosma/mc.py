@@ -16,6 +16,10 @@ that produces the signal, which the test-suite checks explicitly.
 ``eventually`` is read universally: after the conditioned first step the
 consequent must be hit on all paths.  The ``exists`` variant asks for one
 path instead.
+
+Both styles rest on three fixpoints, each linear in the size of the graph:
+EX as a union of predecessor lists, EU as a backward search, and EG by
+counting each node's successors inside the region.
 """
 
 from __future__ import annotations
@@ -251,29 +255,44 @@ def _pre_closure_lasso(rg: ReachGraph, start: int, region: set[int]):
     return steps
 
 
-def _eg_region(rg: ReachGraph, region: set[int]) -> set[int]:
-    """Greatest subset of ``region`` all of whose members can stay in it."""
-    z = set(region)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(z):
-            if not any(e.dst in z for e in rg.out_edges(node)):
-                z.discard(node)
-                changed = True
-    return z
+# -- fixpoint core: EX, EU and EG, each linear in the graph --------------------
 
 
-def _ef_region(rg: ReachGraph, goal: set[int]) -> set[int]:
-    z = set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for node in range(len(rg.nodes)):
-            if node not in z and any(e.dst in z for e in rg.out_edges(node)):
-                z.add(node)
-                changed = True
-    return z
+def _pre(rg: ReachGraph, target) -> set[int]:
+    """EX: the nodes with an edge into ``target``."""
+    return {p for node in target for p in rg.predecessors(node)}
+
+
+def _until(rg: ReachGraph, hold, goal) -> set[int]:
+    """E[hold U goal]: a backward search from ``goal`` through ``hold``."""
+    region = set(goal)
+    work = list(region)
+    while work:
+        for p in rg.predecessors(work.pop()):
+            if p not in region and p in hold:
+                region.add(p)
+                work.append(p)
+    return region
+
+
+def _stay(rg: ReachGraph, region) -> set[int]:
+    """EG: the greatest subset of ``region`` all of whose members can stay in it.
+
+    Each member counts its successors inside; a member whose count falls
+    to zero leaves, and its predecessors inside lose one successor each.
+    """
+    inside = set(region)
+    count = {node: sum(e.dst in inside for e in rg.out_edges(node)) for node in inside}
+    work = [node for node, c in count.items() if c == 0]
+    inside.difference_update(work)
+    while work:
+        for p in rg.predecessors(work.pop()):
+            if p in inside:
+                count[p] -= 1
+                if count[p] == 0:
+                    inside.discard(p)
+                    work.append(p)
+    return inside
 
 
 def check_query(rg: ReachGraph, query: Query) -> Verdict:
@@ -306,15 +325,15 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
     if not matching:
         return Verdict(holds=True, vacuous=True)
 
-    goal = {i for i in range(len(rg.nodes)) if F.evaluate(query.consequent, rg.outputs[i])}
+    everything = set(range(len(rg.nodes)))
+    goal = {i for i in everything if F.evaluate(query.consequent, rg.outputs[i])}
     if query.mode == "eventually":
+        # nodes from which the consequent can be missed forever (universal:
+        # EG not consequent) or is out of reach (exists: not EF consequent)
         if query.universal:
-            # AF(consequent) = complement of EG(not consequent)
-            bad_region = _eg_region(rg, set(range(len(rg.nodes))) - goal)
-            target = set(range(len(rg.nodes))) - bad_region
+            bad_region = _stay(rg, everything - goal)
         else:
-            target = _ef_region(rg, goal)
-            bad_region = set(range(len(rg.nodes))) - target
+            bad_region = everything - _until(rg, everything, goal)
 
     for node in matching:
         conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
@@ -328,7 +347,7 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
                     return Verdict(holds=False, trace=trace)
         else:
             for edge, guard in conditioned:
-                if edge.dst not in target:
+                if edge.dst in bad_region:
                     first = TraceStep(node, _find_env(m, guard))
                     tail = _pre_closure_lasso(rg, edge.dst, bad_region)
                     return Verdict(holds=False, trace=[first, *tail])
@@ -339,7 +358,12 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
 
 
 def check_ctl(rg: ReachGraph, formula_: CtlFormula) -> Verdict:
-    """Standard fixpoint labeling; the verdict is membership of the initial node.
+    """The verdict is membership of the initial node in ``_label``'s set."""
+    return Verdict(holds=0 in _label(rg, formula_))
+
+
+def _label(rg: ReachGraph, formula_: CtlFormula) -> frozenset[int]:
+    """Standard fixpoint labeling: the nodes where ``formula_`` holds.
 
     Atoms are read against node outputs; a symbol no machine produces is
     false at every node (the requirement parser warns about such atoms).
@@ -349,11 +373,6 @@ def check_ctl(rg: ReachGraph, formula_: CtlFormula) -> Verdict:
     n = len(rg.nodes)
     everything = frozenset(range(n))
     memo: dict[CtlFormula, frozenset[int]] = {}
-
-    def pre_exists(target: frozenset[int]) -> frozenset[int]:
-        return frozenset(
-            i for i in range(n) if any(e.dst in target for e in rg.out_edges(i))
-        )
 
     def sat(f: CtlFormula) -> frozenset[int]:
         found = memo.get(f)
@@ -372,43 +391,29 @@ def check_ctl(rg: ReachGraph, formula_: CtlFormula) -> Verdict:
         elif isinstance(f, CtlImplies):
             result = (everything - sat(f.left)) | sat(f.right)
         elif isinstance(f, CtlEX):
-            result = pre_exists(sat(f.sub))
+            result = frozenset(_pre(rg, sat(f.sub)))
         elif isinstance(f, CtlAX):
-            result = everything - pre_exists(everything - sat(f.sub))
+            result = everything - _pre(rg, everything - sat(f.sub))
         elif isinstance(f, CtlEU):
-            result = _lfp_until(rg, sat(f.left), sat(f.right), pre_exists)
+            result = frozenset(_until(rg, sat(f.left), sat(f.right)))
         elif isinstance(f, CtlEF):
-            result = _lfp_until(rg, everything, sat(f.sub), pre_exists)
+            result = frozenset(_until(rg, everything, sat(f.sub)))
         elif isinstance(f, CtlEG):
-            result = frozenset(_eg_region(rg, set(sat(f.sub))))
+            result = frozenset(_stay(rg, sat(f.sub)))
         elif isinstance(f, CtlAF):
-            result = everything - frozenset(_eg_region(rg, set(everything - sat(f.sub))))
+            result = everything - _stay(rg, everything - sat(f.sub))
         elif isinstance(f, CtlAG):
-            result = everything - _lfp_until(rg, everything, everything - sat(f.sub), pre_exists)
+            result = everything - _until(rg, everything, everything - sat(f.sub))
         elif isinstance(f, CtlAU):
             left, right = sat(f.left), sat(f.right)
             not_right = everything - right
-            eu = _lfp_until(rg, not_right, not_right - left, pre_exists)
-            eg = frozenset(_eg_region(rg, set(not_right)))
-            result = everything - (eu | eg)
+            result = everything - (_until(rg, not_right, not_right - left) | _stay(rg, not_right))
         else:
             raise QueryError(f"not a CTL node: {f!r}")
         memo[f] = result
         return result
 
-    return Verdict(holds=0 in sat(formula_))
-
-
-def _lfp_until(rg, hold: frozenset[int], goal: frozenset[int], pre_exists) -> frozenset[int]:
-    z = set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rg.nodes)):
-            if i not in z and i in hold and any(e.dst in z for e in rg.out_edges(i)):
-                z.add(i)
-                changed = True
-    return frozenset(z)
+    return sat(formula_)
 
 
 # -- suites --------------------------------------------------------------------

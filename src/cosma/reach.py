@@ -52,9 +52,14 @@ class ReachGraph:
     manager: robdd.BddManager  # holds every edge guard; variables are env symbols
     quiescent: frozenset[int] = frozenset()
     _edges_from: list[list[ReachEdge]] = field(default_factory=list, repr=False)
+    _preds: list[list[int]] = field(default_factory=list, repr=False)
 
     def out_edges(self, node: int) -> list[ReachEdge]:
         return self._edges_from[node]
+
+    def predecessors(self, node: int) -> list[int]:
+        """Sources of the edges into ``node``, each once."""
+        return self._preds[node]
 
     def node_name(self, node: int) -> str:
         parts = (
@@ -135,8 +140,10 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
 
     edges = [ReachEdge(src, guard, dst) for (src, dst), guard in edge_guards.items()]
     edges_from: list[list[ReachEdge]] = [[] for _ in nodes]
+    preds: list[list[int]] = [[] for _ in nodes]
     for edge in edges:
         edges_from[edge.src].append(edge)
+        preds[edge.dst].append(edge.src)
 
     quiescent = set()
     for i, outgoing in enumerate(edges_from):
@@ -152,6 +159,7 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
         manager=m,
         quiescent=frozenset(quiescent),
         _edges_from=edges_from,
+        _preds=preds,
     )
 
 
@@ -184,7 +192,7 @@ def _bit_width(nstates: int) -> int:
     return (nstates - 1).bit_length()
 
 
-def build_rg_symbolic(system: model.System, backend: str | None = None) -> SymbolicReachability:
+def build_rg_symbolic(system: model.System) -> SymbolicReachability:
     """Least fixpoint of the image operation over a BDD transition relation.
 
     Each machine's state is binary-encoded; current and next bits are
@@ -203,7 +211,7 @@ def build_rg_symbolic(system: model.System, backend: str | None = None) -> Symbo
     ``exists`` per breadth-first level plus the one that finds nothing new.
     """
     env = model.declaration_order(system, model.env_alphabet(system))
-    manager = robdd.BddManager(backend=backend)
+    manager = robdd.BddManager()
 
     current_bits: list[list[str]] = []
     next_bits: list[list[str]] = []

@@ -6,59 +6,23 @@ Boolean function under the manager's variable order.  A manager is
 single-owner; distinct managers may be used concurrently but their
 references must never be mixed.
 
-Two kernels exist: a compiled extension (``cosma._bddcore``) and a pure
-Python twin (``cosma._bddpure``).  The compiled one is used when it
-imports; set ``COSMA_BDD_BACKEND=python`` or ``=cython`` to force a choice.
-``benchmarks/bench_bdd.py`` compares the two.
+The kernel is ``cosma._bddpure``, plain Python; ``BACKEND`` names it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from cosma import _bddpure
 
-__all__ = ["BACKEND", "BddError", "BddManager", "BddRef", "available_backends"]
+__all__ = ["BACKEND", "BddError", "BddManager", "BddRef"]
+
+BACKEND = "python"  # the kernel's name, recorded with benchmark results
 
 
 class BddError(ValueError):
     """Misuse of the BDD API (unknown variable, mixed managers, ...)."""
-
-
-def _load_compiled():
-    try:
-        from cosma import _bddcore  # noqa: PLC0415 (optional extension)
-
-        return _bddcore
-    except ImportError:
-        return None
-
-
-_KERNELS = {"python": _bddpure}
-_compiled = _load_compiled()
-if _compiled is not None:
-    _KERNELS["cython"] = _compiled
-
-_requested = os.environ.get("COSMA_BDD_BACKEND", "auto").strip().lower()
-if _requested in ("", "auto"):
-    BACKEND = "cython" if _compiled is not None else "python"
-elif _requested in ("cython", "c", "compiled"):
-    if _compiled is None:
-        raise ImportError(
-            "COSMA_BDD_BACKEND requests the compiled kernel but cosma._bddcore "
-            "is not importable; build it or unset the variable"
-        )
-    BACKEND = "cython"
-elif _requested in ("python", "py", "pure"):
-    BACKEND = "python"
-else:
-    raise ImportError(f"unknown COSMA_BDD_BACKEND value {_requested!r}")
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_KERNELS))
 
 
 @dataclass(frozen=True)
@@ -87,16 +51,8 @@ class BddRef:
 class BddManager:
     """A variable order, a unique node store, and the logical operations."""
 
-    def __init__(self, variables: Iterable[str] = (), backend: str | None = None):
-        name = BACKEND if backend is None else backend
-        try:
-            kernel_module = _KERNELS[name]
-        except KeyError:
-            raise BddError(
-                f"unknown backend {name!r}; available: {available_backends()}"
-            ) from None
-        self.backend = name
-        self._k = kernel_module.BddKernel()
+    def __init__(self, variables: Iterable[str] = ()):
+        self._k = _bddpure.BddKernel()
         self._levels: dict[str, int] = {}
         self._names: list[str] = []
         self.FALSE = BddRef(self, 0)

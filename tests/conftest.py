@@ -34,6 +34,8 @@ def tlc_car_rg(tlc_car_system):
     return reach.build_rg_explicit(tlc_car_system)
 
 
-@pytest.fixture(params=robdd.available_backends())
-def backend(request):
+# the one kernel's name, kept as the parameter of the kernel tests so that
+# their ids (``test_...[python]``) stay those of earlier runs
+@pytest.fixture(params=[robdd.BACKEND])
+def kernel(request):
     return request.param

@@ -4,11 +4,13 @@ Everything here sticks to brute force: valuations are enumerated
 exhaustively, reachability is recomputed through the raw step semantics,
 and temporal operators are decided by path enumeration.  The only engine
 code used is ``BddManager.evaluate``, which reads an edge guard under one
-valuation at a time; apart from the fixpoint below, nothing here builds
-or combines BDDs.  The symbolic fixpoint's reference is the loop the
-engine first ran: images of the whole reachable set until it stops
-growing.  The VHDL audit's reference is the audit as it was first written,
-with one regex per machine, state and symbol.
+valuation at a time; apart from the symbolic fixpoint and the rescanning
+query checker below, nothing here builds or combines BDDs.  The symbolic
+fixpoint's reference is the loop the engine first ran: images of the whole
+reachable set until it stops growing.  The explicit checker's reference is
+its first labelling, which rescans every node until nothing changes.  The
+VHDL audit's reference is the audit as it was first written, with one
+regex per machine, state and symbol.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import re
 
 from cosma import formula as F
 from cosma import mc, model, vhdlgen
+from cosma.reach import ReachGraph
 
 
 def all_valuations(symbols):
@@ -204,6 +207,171 @@ def whole_set_reachable(sym, system):
             break
         reachable = grown
     return reachable
+
+# -- the explicit checker's rescanning fixpoints ------------------------------
+#
+# The three loops below are the ones ``mc`` ran before its linear
+# primitives, verbatim: each rescans nodes until nothing changes, which is
+# quadratic on a long cycle.  ``rescanning_check_query`` and
+# ``rescanning_ctl_sat`` are the checkers that called them, unchanged
+# apart from naming ``mc``'s helpers and returning the labelled set.
+
+
+def _eg_region(rg: ReachGraph, region: set[int]) -> set[int]:
+    """Greatest subset of ``region`` all of whose members can stay in it."""
+    z = set(region)
+    changed = True
+    while changed:
+        changed = False
+        for node in list(z):
+            if not any(e.dst in z for e in rg.out_edges(node)):
+                z.discard(node)
+                changed = True
+    return z
+
+
+def _ef_region(rg: ReachGraph, goal: set[int]) -> set[int]:
+    z = set(goal)
+    changed = True
+    while changed:
+        changed = False
+        for node in range(len(rg.nodes)):
+            if node not in z and any(e.dst in z for e in rg.out_edges(node)):
+                z.add(node)
+                changed = True
+    return z
+
+
+def _lfp_until(rg, hold: frozenset[int], goal: frozenset[int], pre_exists) -> frozenset[int]:
+    z = set(goal)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rg.nodes)):
+            if i not in z and i in hold and any(e.dst in z for e in rg.out_edges(i)):
+                z.add(i)
+                changed = True
+    return frozenset(z)
+
+
+def rescanning_check_query(rg, query):
+    """Check an implication query at every reachable state.
+
+    At each state whose outputs satisfy the antecedent's output part, the
+    edges consistent with its environment part must exist and lead only to
+    (``next``) or inevitably reach (``eventually``) the consequent.  A
+    failing verdict carries a trace replaying under the step semantics; a
+    query whose output part matches no reachable state holds vacuously.
+    """
+    system = rg.system
+    produced = system.produced_symbols()
+    state_part, env_part = mc.split_antecedent(query.antecedent, produced)
+
+    bad_consequent = sorted(s.name for s in F.atoms(query.consequent) - produced)
+    if bad_consequent:
+        raise mc.QueryError(
+            f"query {query.name!r}: consequent uses non-output symbols "
+            f"{', '.join(bad_consequent)}"
+        )
+
+    # conditioning alphabet: the true environment plus any antecedent symbol
+    # the system never mentions (unconstrained, hence also environmental,
+    # and declared in the graph's manager on first use)
+    m = rg.manager
+    env_ref = m.from_expr(env_part, lambda sym: m.mk_var(sym.name))
+
+    matching = [i for i in range(len(rg.nodes)) if F.evaluate(state_part, rg.outputs[i])]
+    if not matching:
+        return mc.Verdict(holds=True, vacuous=True)
+
+    goal = {i for i in range(len(rg.nodes)) if F.evaluate(query.consequent, rg.outputs[i])}
+    if query.mode == "eventually":
+        if query.universal:
+            # AF(consequent) = complement of EG(not consequent)
+            bad_region = _eg_region(rg, set(range(len(rg.nodes))) - goal)
+            target = set(range(len(rg.nodes))) - bad_region
+        else:
+            target = _ef_region(rg, goal)
+            bad_region = set(range(len(rg.nodes))) - target
+
+    for node in matching:
+        conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
+        conditioned = [(e, guard) for e, guard in conditioned if guard != m.FALSE]
+        if not conditioned:
+            return mc.Verdict(holds=False, trace=[mc.TraceStep(node, None)])
+        if query.mode == "next":
+            for edge, guard in conditioned:
+                if edge.dst not in goal:
+                    trace = [mc.TraceStep(node, mc._find_env(m, guard)), mc.TraceStep(edge.dst, None)]
+                    return mc.Verdict(holds=False, trace=trace)
+        else:
+            for edge, guard in conditioned:
+                if edge.dst not in target:
+                    first = mc.TraceStep(node, mc._find_env(m, guard))
+                    tail = mc._pre_closure_lasso(rg, edge.dst, bad_region)
+                    return mc.Verdict(holds=False, trace=[first, *tail])
+    return mc.Verdict(holds=True)
+
+
+def rescanning_ctl_sat(rg, formula_):
+    """Standard fixpoint labeling: the set of nodes where ``formula_`` holds.
+
+    Atoms are read against node outputs; a symbol no machine produces is
+    false at every node (the requirement parser warns about such atoms).
+    Path quantifiers range over infinite paths, which exist from every node
+    because the step relation is total.
+    """
+    n = len(rg.nodes)
+    everything = frozenset(range(n))
+    memo = {}
+
+    def pre_exists(target: frozenset[int]) -> frozenset[int]:
+        return frozenset(
+            i for i in range(n) if any(e.dst in target for e in rg.out_edges(i))
+        )
+
+    def sat(f):
+        found = memo.get(f)
+        if found is not None:
+            return found
+        if isinstance(f, mc.CtlConst):
+            result = everything if f.value else frozenset()
+        elif isinstance(f, mc.CtlAtom):
+            result = frozenset(i for i in range(n) if f.symbol in rg.outputs[i])
+        elif isinstance(f, mc.CtlNot):
+            result = everything - sat(f.sub)
+        elif isinstance(f, mc.CtlAnd):
+            result = sat(f.left) & sat(f.right)
+        elif isinstance(f, mc.CtlOr):
+            result = sat(f.left) | sat(f.right)
+        elif isinstance(f, mc.CtlImplies):
+            result = (everything - sat(f.left)) | sat(f.right)
+        elif isinstance(f, mc.CtlEX):
+            result = pre_exists(sat(f.sub))
+        elif isinstance(f, mc.CtlAX):
+            result = everything - pre_exists(everything - sat(f.sub))
+        elif isinstance(f, mc.CtlEU):
+            result = _lfp_until(rg, sat(f.left), sat(f.right), pre_exists)
+        elif isinstance(f, mc.CtlEF):
+            result = _lfp_until(rg, everything, sat(f.sub), pre_exists)
+        elif isinstance(f, mc.CtlEG):
+            result = frozenset(_eg_region(rg, set(sat(f.sub))))
+        elif isinstance(f, mc.CtlAF):
+            result = everything - frozenset(_eg_region(rg, set(everything - sat(f.sub))))
+        elif isinstance(f, mc.CtlAG):
+            result = everything - _lfp_until(rg, everything, everything - sat(f.sub), pre_exists)
+        elif isinstance(f, mc.CtlAU):
+            left, right = sat(f.left), sat(f.right)
+            not_right = everything - right
+            eu = _lfp_until(rg, not_right, not_right - left, pre_exists)
+            eg = frozenset(_eg_region(rg, set(not_right)))
+            result = everything - (eu | eg)
+        else:
+            raise mc.QueryError(f"not a CTL node: {f!r}")
+        memo[f] = result
+        return result
+
+    return sat(formula_)
 
 
 def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:

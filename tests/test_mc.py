@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosma import assets, frontend, mc, model, reach
 from cosma import formula as F
@@ -10,6 +13,8 @@ from oracles import (
     first_step_env,
     next_query_oracle,
     replay_trace,
+    rescanning_check_query,
+    rescanning_ctl_sat,
 )
 
 
@@ -288,3 +293,94 @@ class TestEdgeConditioningConsistency:
         assert doc["holds"] is False
         assert doc["trace"][0]["states"] == ["sHG", "TSidle", "TLidle"]
         assert isinstance(doc["trace"][0]["env"], list)
+
+
+def random_ctl(rng, symbols, depth=3):
+    """A random CTL formula over ``symbols`` using every operator."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return mc.CtlConst(rng.random() < 0.5)
+        return mc.CtlAtom(rng.choice(symbols))
+    unary = (mc.CtlNot, mc.CtlEX, mc.CtlAX, mc.CtlEF, mc.CtlAF, mc.CtlEG, mc.CtlAG)
+    binary = (mc.CtlAnd, mc.CtlOr, mc.CtlImplies, mc.CtlEU, mc.CtlAU)
+    op = rng.choice(unary + binary)
+    if op in unary:
+        return op(random_ctl(rng, symbols, depth - 1))
+    return op(random_ctl(rng, symbols, depth - 1), random_ctl(rng, symbols, depth - 1))
+
+
+def random_implication(rng, system):
+    """A random query in any mode, over outputs and environment inputs."""
+    produced = sorted(system.produced_symbols(), key=lambda s: s.name)
+    env = sorted(model.env_alphabet(system), key=lambda s: s.name) + [F.Symbol("unused")]
+    factors = [F.Atom(rng.choice(produced))] if rng.random() < 0.8 else []
+    if rng.random() < 0.6:
+        atom = F.Atom(rng.choice(env))
+        factors.append(F.Not(atom) if rng.random() < 0.4 else atom)
+    consequent = F.Atom(rng.choice(produced))
+    if rng.random() < 0.4:
+        consequent = F.Not(consequent) if rng.random() < 0.5 else F.Or(
+            consequent, F.Atom(rng.choice(produced)))
+    mode = rng.choice(("next", "eventually", "eventually"))
+    universal = mode == "next" or rng.random() < 0.5
+    return mc.Query("r", F.and_all(factors), mode, consequent, universal)
+
+
+class TestFixpointCore:
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 10**6))
+    def test_agrees_with_rescanning_oracle(self, seed):
+        rng = random.Random(seed)
+        system = random_system(rng)
+        rg = reach.build_rg_explicit(system)
+        produced = sorted(system.produced_symbols(), key=lambda s: s.name)
+        if not produced:
+            return
+        symbols = produced + [F.Symbol("dark")]  # an atom false everywhere
+        for _ in range(8):
+            formula_ = random_ctl(rng, symbols)
+            expected = rescanning_ctl_sat(rg, formula_)
+            assert mc._label(rg, formula_) == expected
+            assert mc.check_ctl(rg, formula_).holds == (0 in expected)
+        for _ in range(6):
+            query = random_implication(rng, system)
+            got, expected = mc.check_query(rg, query), rescanning_check_query(rg, query)
+            assert (got.holds, got.vacuous) == (expected.holds, expected.vacuous), str(query)
+            assert got.as_json(rg) == expected.as_json(rg), str(query)
+
+    def test_work_is_linear_on_a_long_cycle(self, monkeypatch):
+        # the rescanning loops read every node's edges once per node they
+        # add, about n * n / 2 calls for EF and exists-eventually here
+        n = 2000
+        states = "\n".join(
+            f"state c{i} {{ {'out Home; ' if i == 0 else ''}{'out Half; ' if i == n // 2 else ''}"
+            f"-> c{(i + 1) % n} when go; -> c{i} when ~go; }}"
+            for i in range(n)
+        )
+        text = f"system Cycle {{ machine Cyc {{ init c0; {states} }} }}"
+        rg = reach.build_rg_explicit(frontend.parse_system(text, "cycle.csm").system)
+        assert len(rg) == n
+
+        calls = Counter()
+        for name in ("out_edges", "predecessors"):
+            def counted(self, node, _original=getattr(reach.ReachGraph, name), _name=name):
+                calls[_name] += 1
+                return _original(self, node)
+            monkeypatch.setattr(reach.ReachGraph, name, counted)
+
+        checks = {
+            "ctl back: AG EF Home;": True,
+            "ret: always (Half => eventually Home);": False,
+            "can: always (Half => exists eventually Home);": True,
+        }
+        for text, holds in checks.items():
+            calls.clear()
+            req = q(text)
+            if isinstance(req, mc.CtlQuery):
+                verdict = mc.check_ctl(rg, req.formula)
+            else:
+                verdict = mc.check_query(rg, req)
+            assert verdict.holds == holds, text
+            # each node's edges and predecessors are read at most once per
+            # primitive, plus once per step of a trace
+            assert sum(calls.values()) <= 3 * n, (text, calls)

@@ -19,29 +19,29 @@ def truth_table(expr, symbols):
 
 
 class TestBasics:
-    def test_var_evaluates_to_itself(self, backend):
-        m = robdd.BddManager(backend=backend)
+    def test_var_evaluates_to_itself(self, kernel):
+        m = robdd.BddManager()
         x = m.mk_var("x")
         assert m.evaluate(x, {"x"})
         assert not m.evaluate(x, set())
 
-    def test_same_var_same_handle(self, backend):
-        m = robdd.BddManager(backend=backend)
+    def test_same_var_same_handle(self, kernel):
+        m = robdd.BddManager()
         assert m.mk_var("x") == m.mk_var("x")
 
-    def test_contradiction_is_false_terminal(self, backend):
-        m = robdd.BddManager(backend=backend)
+    def test_contradiction_is_false_terminal(self, kernel):
+        m = robdd.BddManager()
         x = m.mk_var("x")
         assert m.and_(x, m.not_(x)) == m.FALSE
         assert m.or_(x, m.not_(x)) == m.TRUE
 
-    def test_ite_of_constants_is_the_variable(self, backend):
-        m = robdd.BddManager(backend=backend)
+    def test_ite_of_constants_is_the_variable(self, kernel):
+        m = robdd.BddManager()
         x = m.mk_var("x")
         assert m.ite(x, m.TRUE, m.FALSE) == x
 
-    def test_and_with_true_is_identity(self, backend):
-        m = robdd.BddManager(["x", "y"], backend=backend)
+    def test_and_with_true_is_identity(self, kernel):
+        m = robdd.BddManager(["x", "y"])
         f = m.xor_(m.mk_var("x"), m.mk_var("y"))
         assert m.apply("and", f, m.TRUE) == f
         assert m.apply("or", f, m.FALSE) == f
@@ -61,8 +61,8 @@ class TestBasics:
 class TestTruthTables:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs(VARS4))
-    def test_agreement_with_formula_eval(self, expr, backend):
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+    def test_agreement_with_formula_eval(self, expr, kernel):
+        m = robdd.BddManager([s.name for s in VARS4])
         ref = m.from_expr(expr)
         for valuation in all_valuations(VARS4):
             names = {s.name for s in valuation}
@@ -70,14 +70,14 @@ class TestTruthTables:
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs(VARS4), other=exprs(VARS4))
-    def test_canonicity(self, expr, other, backend):
+    def test_canonicity(self, expr, other, kernel):
         # equal truth tables if and only if equal handles
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+        m = robdd.BddManager([s.name for s in VARS4])
         same_table = truth_table(expr, VARS4) == truth_table(other, VARS4)
         assert (m.from_expr(expr) == m.from_expr(other)) == same_table
 
-    def test_build_order_does_not_matter(self, backend):
-        m = robdd.BddManager(["p", "q", "r"], backend=backend)
+    def test_build_order_does_not_matter(self, kernel):
+        m = robdd.BddManager(["p", "q", "r"])
         p, q, r = m.mk_var("p"), m.mk_var("q"), m.mk_var("r")
         left = m.and_(p, m.and_(q, r))
         right = m.and_(m.and_(r, p), q)
@@ -85,12 +85,12 @@ class TestTruthTables:
         demorgan = m.not_(m.or_(m.not_(p), m.not_(q)))
         assert demorgan == m.and_(p, q)
 
-    def test_randomized_ten_variable_spot_checks(self, backend):
+    def test_randomized_ten_variable_spot_checks(self, kernel):
         rng = random.Random(7)
         syms = [F.Symbol(f"w{i}") for i in range(10)]
         from gensys import random_guard
 
-        m = robdd.BddManager([s.name for s in syms], backend=backend)
+        m = robdd.BddManager([s.name for s in syms])
         for _ in range(25):
             expr = random_guard(rng, syms, depth=4)
             ref = m.from_expr(expr)
@@ -101,20 +101,20 @@ class TestTruthTables:
 
 
 class TestQuantification:
-    def test_exists_removes_a_conjunct(self, backend):
-        m = robdd.BddManager(["x", "y"], backend=backend)
+    def test_exists_removes_a_conjunct(self, kernel):
+        m = robdd.BddManager(["x", "y"])
         x, y = m.mk_var("x"), m.mk_var("y")
         assert m.exists(["x"], m.and_(x, y)) == y
 
-    def test_exists_of_tautology(self, backend):
-        m = robdd.BddManager(["x"], backend=backend)
+    def test_exists_of_tautology(self, kernel):
+        m = robdd.BddManager(["x"])
         x = m.mk_var("x")
         assert m.exists(["x"], m.or_(x, m.not_(x))) == m.TRUE
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs(VARS4))
-    def test_exists_all_vars_iff_satisfiable(self, expr, backend):
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+    def test_exists_all_vars_iff_satisfiable(self, expr, kernel):
+        m = robdd.BddManager([s.name for s in VARS4])
         ref = m.from_expr(expr)
         everything = m.exists([s.name for s in VARS4], ref)
         assert everything in (m.TRUE, m.FALSE)
@@ -122,8 +122,8 @@ class TestQuantification:
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs(VARS4))
-    def test_exists_agrees_with_enumeration(self, expr, backend):
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+    def test_exists_agrees_with_enumeration(self, expr, kernel):
+        m = robdd.BddManager([s.name for s in VARS4])
         quantified = m.exists(["v1", "v3"], m.from_expr(expr))
         for v0 in (False, True):
             for v2 in (False, True):
@@ -140,58 +140,58 @@ class TestQuantification:
 
 
 class TestCounting:
-    def test_terminals(self, backend):
-        m = robdd.BddManager(["x", "y", "z"], backend=backend)
+    def test_terminals(self, kernel):
+        m = robdd.BddManager(["x", "y", "z"])
         assert m.sat_count(m.TRUE, 3) == 8
         assert m.sat_count(m.FALSE, 3) == 0
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs(VARS4))
-    def test_complementarity(self, expr, backend):
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+    def test_complementarity(self, expr, kernel):
+        m = robdd.BddManager([s.name for s in VARS4])
         ref = m.from_expr(expr)
         assert m.sat_count(ref, 4) + m.sat_count(m.not_(ref), 4) == 16
 
-    def test_count_matches_enumeration(self, backend):
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+    def test_count_matches_enumeration(self, kernel):
+        m = robdd.BddManager([s.name for s in VARS4])
         expr = F.Or(F.And(F.Atom(VARS4[0]), F.Atom(VARS4[2])), F.Not(F.Atom(VARS4[3])))
         expect = sum(truth_table(expr, VARS4))
         assert m.sat_count(m.from_expr(expr), 4) == expect
 
-    def test_support_outside_prefix_rejected(self, backend):
-        m = robdd.BddManager(["x", "y"], backend=backend)
+    def test_support_outside_prefix_rejected(self, kernel):
+        m = robdd.BddManager(["x", "y"])
         with pytest.raises(ValueError):
             m.sat_count(m.mk_var("y"), 1)
 
-    def test_big_counts_are_exact(self, backend):
+    def test_big_counts_are_exact(self, kernel):
         names = [f"x{i}" for i in range(80)]
-        m = robdd.BddManager(names, backend=backend)
+        m = robdd.BddManager(names)
         assert m.sat_count(m.TRUE, 80) == 2**80
 
 
 class TestFromExpr:
-    def test_constants(self, backend):
-        m = robdd.BddManager(backend=backend)
+    def test_constants(self, kernel):
+        m = robdd.BddManager()
         assert m.from_expr(F.TRUE) == m.TRUE
         assert m.from_expr(F.FALSE) == m.FALSE
 
-    def test_neither_a_nor_b(self, backend):
-        m = robdd.BddManager(["a", "b"], backend=backend)
+    def test_neither_a_nor_b(self, kernel):
+        m = robdd.BddManager(["a", "b"])
         sa, sb = F.Symbol("a"), F.Symbol("b")
         ref = m.from_expr(F.And(F.Not(F.Atom(sa)), F.Not(F.Atom(sb))))
         assert m.evaluate(ref, set())
         assert not m.evaluate(ref, {"a"})
 
-    def test_unmapped_atom_rejected(self, backend):
-        m = robdd.BddManager(["a"], backend=backend)
+    def test_unmapped_atom_rejected(self, kernel):
+        m = robdd.BddManager(["a"])
         with pytest.raises(robdd.BddError):
             m.from_expr(F.Atom(F.Symbol("zz")))
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs([F.Symbol(f"u{i}") for i in range(6)]))
-    def test_nonfalse_iff_brute_satisfiable(self, expr, backend):
+    def test_nonfalse_iff_brute_satisfiable(self, expr, kernel):
         syms = [F.Symbol(f"u{i}") for i in range(6)]
-        m = robdd.BddManager([s.name for s in syms], backend=backend)
+        m = robdd.BddManager([s.name for s in syms])
         assert (m.from_expr(expr) != m.FALSE) == brute_satisfiable(expr, syms)
 
 
@@ -204,15 +204,15 @@ class TestIsop:
             ref = m.and_(ref, var if positive else m.not_(var))
         return ref
 
-    def test_constants(self, backend):
-        m = robdd.BddManager(["a"], backend=backend)
+    def test_constants(self, kernel):
+        m = robdd.BddManager(["a"])
         assert m.isop(m.TRUE) == [[]]
         assert m.isop(m.FALSE) == []
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs(VARS4))
-    def test_cover_is_exact_irredundant_and_ordered(self, expr, backend):
-        m = robdd.BddManager([s.name for s in VARS4], backend=backend)
+    def test_cover_is_exact_irredundant_and_ordered(self, expr, kernel):
+        m = robdd.BddManager([s.name for s in VARS4])
         ref = m.from_expr(expr)
         cubes = m.isop(ref)
         refs = [self.cube_ref(m, cube) for cube in cubes]
@@ -233,54 +233,38 @@ class TestIsop:
 
 
 class TestStructure:
-    def test_audit_clean_after_workload(self, backend):
+    def test_audit_clean_after_workload(self, kernel):
         rng = random.Random(3)
         from gensys import random_guard
 
         syms = [F.Symbol(f"z{i}") for i in range(6)]
-        m = robdd.BddManager([s.name for s in syms], backend=backend)
+        m = robdd.BddManager([s.name for s in syms])
         refs = [m.from_expr(random_guard(rng, syms, depth=3)) for _ in range(60)]
         for x, y in itertools.combinations(refs[:12], 2):
             m.ite(x, y, m.xor_(x, y))
         assert m.audit() == []
 
-    def test_rename_shifts_levels(self, backend):
-        m = robdd.BddManager(["a", "a2", "b", "b2"], backend=backend)
+    def test_rename_shifts_levels(self, kernel):
+        m = robdd.BddManager(["a", "a2", "b", "b2"])
         f = m.and_(m.mk_var("a2"), m.not_(m.mk_var("b2")))
         g = m.rename(f, {"a2": "a", "b2": "b"})
         assert g == m.and_(m.mk_var("a"), m.not_(m.mk_var("b")))
 
-    def test_rename_requires_monotone_mapping(self, backend):
-        m = robdd.BddManager(["a", "b", "c"], backend=backend)
+    def test_rename_requires_monotone_mapping(self, kernel):
+        m = robdd.BddManager(["a", "b", "c"])
         f = m.and_(m.mk_var("b"), m.mk_var("c"))
         with pytest.raises(ValueError):
             m.rename(f, {"b": "c", "c": "a"})
 
-    def test_support(self, backend):
-        m = robdd.BddManager(["a", "b", "c"], backend=backend)
+    def test_support(self, kernel):
+        m = robdd.BddManager(["a", "b", "c"])
         f = m.or_(m.mk_var("a"), m.mk_var("c"))
         assert m.support(f) == ("a", "c")
 
-    def test_some_assignment(self, backend):
-        m = robdd.BddManager(["a", "b"], backend=backend)
+    def test_some_assignment(self, kernel):
+        m = robdd.BddManager(["a", "b"])
         f = m.and_(m.mk_var("a"), m.not_(m.mk_var("b")))
         solution = m.some_assignment(f)
         assert solution == {"a": True, "b": False}
         assert m.some_assignment(m.FALSE) is None
 
-
-def test_backends_agree_on_everything():
-    if len(robdd.available_backends()) < 2:
-        pytest.skip("only one backend built")
-    rng = random.Random(11)
-    from gensys import random_guard
-
-    syms = [F.Symbol(f"k{i}") for i in range(7)]
-    managers = {
-        name: robdd.BddManager([s.name for s in syms], backend=name)
-        for name in robdd.available_backends()
-    }
-    for _ in range(40):
-        expr = random_guard(rng, syms, depth=4)
-        counts = {name: m.sat_count(m.from_expr(expr), 7) for name, m in managers.items()}
-        assert len(set(counts.values())) == 1, counts
