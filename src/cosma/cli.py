@@ -53,15 +53,14 @@ def _print_diagnostics(diagnostics, errors_only: bool = False) -> None:
         print(f"{where}{label}: {diag.message}", file=sys.stderr)
 
 
-def _load_system(path: str):
-    """Parse a model file; returns (system, diagnostics) with system None on error."""
+def _load_system(path: str) -> frontend.ParseResult:
+    """Parse and validate a model file; the result's system is None on error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"{_style('error', '31')}: cannot read {path}: {exc}", file=sys.stderr)
-        return None, []
-    result = frontend.parse_system(text, filename=path)
-    return result.system, result.diagnostics
+        return frontend.ParseResult(None)
+    return frontend.parse_system(text, filename=path)
 
 
 def _plural(count: int, word: str) -> str:
@@ -72,7 +71,8 @@ def _plural(count: int, word: str) -> str:
 
 
 def cmd_lint(args) -> int:
-    system, diagnostics = _load_system(args.model)
+    loaded = _load_system(args.model)
+    system, diagnostics = loaded.system, loaded.diagnostics
     _print_diagnostics(diagnostics)
     if system is None:
         return EXIT_INPUT_ERROR
@@ -86,7 +86,8 @@ def cmd_lint(args) -> int:
 
 
 def cmd_rg(args) -> int:
-    system, diagnostics = _load_system(args.model)
+    loaded = _load_system(args.model)
+    system, diagnostics = loaded.system, loaded.diagnostics
     _print_diagnostics(diagnostics, errors_only=True)
     if system is None:
         return EXIT_INPUT_ERROR
@@ -136,7 +137,8 @@ def cmd_rg(args) -> int:
 
 
 def cmd_check(args) -> int:
-    system, diagnostics = _load_system(args.model)
+    loaded = _load_system(args.model)
+    system, diagnostics = loaded.system, loaded.diagnostics
     if system is None:
         _print_diagnostics(diagnostics, errors_only=True)
         return EXIT_INPUT_ERROR
@@ -207,7 +209,8 @@ def _parse_encoding(text: str):
 
 
 def cmd_vhdl(args) -> int:
-    system, diagnostics = _load_system(args.model)
+    loaded = _load_system(args.model)
+    system, diagnostics = loaded.system, loaded.diagnostics
     _print_diagnostics(diagnostics, errors_only=True)
     if system is None:
         return EXIT_INPUT_ERROR
@@ -220,7 +223,7 @@ def cmd_vhdl(args) -> int:
         entity_name=args.entity,
     )
     try:
-        text = vhdlgen.generate(system, opts)
+        text = vhdlgen.generate(system, opts, report=loaded.report)
     except vhdlgen.VhdlGenError as exc:
         print(f"{_style('error', '31')}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

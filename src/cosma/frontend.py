@@ -31,6 +31,9 @@ same atom syntax as guards.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import re
 from dataclasses import dataclass, field
 
 from cosma import formula as F
@@ -82,6 +85,7 @@ class ParseError(Exception):
 class ParseResult:
     system: model.System | None
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    report: model.LintReport | None = None  # validation's findings; None when parsing failed
 
     @property
     def ok(self) -> bool:
@@ -102,8 +106,6 @@ class QueryParseResult:
 
 # -- lexing ------------------------------------------------------------------
 
-_PUNCT_2 = ("->", "=>")
-_PUNCT_1 = "{};:,()*+~![]"
 _GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
 
 # Deepest formula the parsers accept, in parentheses, negations and CTL
@@ -117,76 +119,73 @@ MAX_NESTING = 150
 _SYSTEM_KEYWORDS = frozenset({"system", "machine", "init", "state", "out", "when"})
 _QUERY_KEYWORDS = frozenset({"always", "next", "eventually", "exists", "ctl", "not"})
 
+# One match: the blanks and line comments before a token, then the token.
+# ``\w`` is exactly ``str.isalnum()`` plus "_"; numbers and words that start
+# outside ASCII are sorted out by ``str.isalpha``/``isdigit`` in ``_lex``.
+_TOKEN = re.compile(
+    r"""(?: [ \t\r\n]+ | //[^\n]*\n )*
+    (?: (?P<punct> -> | => | [{};:,()*+~!\[\]] ) | (?P<ident> [A-Za-z_]\w* ) | (?P<const> \d+ )
+      | (?P<word> [^\W\d]\w* ) | (?P<eof> (?://[^\n]*)? \Z ) | (?P<other> . ) )""",
+    re.VERBOSE,
+)
+_NEWLINE = re.compile("\n")
 
-@dataclass(frozen=True)
+
+@dataclass
+class _Source:
+    file: str
+    text: str
+
+    @functools.cached_property
+    def line_starts(self) -> list[int]:
+        return [0] + [m.end() for m in _NEWLINE.finditer(self.text)]
+
+    def span(self, start: int, length: int) -> SourceSpan:
+        line = bisect.bisect_right(self.line_starts, start)
+        return SourceSpan(self.file, line, start - self.line_starts[line - 1] + 1, length)
+
+
+@dataclass(slots=True)
 class _Token:
     kind: str  # "ident" | "punct" | "const" | "eof"
     text: str
-    span: SourceSpan
+    start: int  # offset in the source text
+    length: int
+    source: _Source
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.start, self.length)
 
 
 def _lex(text: str, file: str, glyphs: bool) -> list[_Token]:
+    source = _Source(file, text)
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(file, line, col, length)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if glyphs and ch in _GLYPHS:
-            alias = _GLYPHS[ch]
-            kind = "punct" if alias == "=>" else "ident"
-            tokens.append(_Token(kind, alias, span(1)))
-            i += 1
-            col += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT_2:
-            tokens.append(_Token("punct", two, span(2)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_1:
-            tokens.append(_Token("punct", ch, span(1)))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        start = match.start(kind)
+        word = match.group(kind)
+        if kind == "ident" or kind == "punct":
+            tokens.append(_Token(kind, word, start, len(word), source))
+        elif kind == "eof":
+            tokens.append(_Token(kind, "", start, 0, source))
+            break
+        elif glyphs and word in _GLYPHS:
+            alias = _GLYPHS[word]
+            tokens.append(_Token("punct" if alias == "=>" else "ident", alias, start, 1, source))
+        elif word[0].isalpha():
+            tokens.append(_Token("ident", word, start, len(word), source))
+        elif word[0].isdigit():
+            end = start
+            while end < len(text) and text[end].isdigit():
+                end += 1
+            word = text[start:end]
             if word not in ("0", "1"):
-                raise ParseError(f"unexpected number {word!r} (only 0 and 1 are formulas)", span(j - i))
-            tokens.append(_Token("const", word, span(len(word))))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span(1))
-    tokens.append(_Token("eof", "", SourceSpan(file, line, col, 0)))
+                message = f"unexpected number {word!r} (only 0 and 1 are formulas)"
+                raise ParseError(message, source.span(start, end - start))
+            tokens.append(_Token("const", word, start, 1, source))
+        else:
+            raise ParseError(f"unexpected character {word[0]!r}", source.span(start, 1))
     return tokens
 
 
@@ -194,32 +193,34 @@ def _lex(text: str, file: str, glyphs: bool) -> list[_Token]:
 
 
 class _Cursor:
+    """Walks the tokens; ``tok`` is the current one and stays on the eof token."""
+
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
         self._depth = 0
-
-    def peek(self) -> _Token:
-        return self._tokens[self._pos]
+        self.tok = tokens[0]
 
     def take(self) -> _Token:
-        tok = self._tokens[self._pos]
+        tok = self.tok
         if tok.kind != "eof":
             self._pos += 1
+            self.tok = self._tokens[self._pos]
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        # no caller asks for "", the eof token's text
+        return self.tok.text == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.tok.text == text:
             self.take()
             return True
         return False
 
     def expect(self, text: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
+        tok = self.tok
+        if tok.text != text:
             expected = what or f"'{text}'"
             found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
             raise ParseError(f"expected {expected}, found {found}", tok.span)
@@ -229,14 +230,14 @@ class _Cursor:
         """``parse(self, *args)`` one formula level deeper; too deep is an input error."""
         if self._depth == MAX_NESTING:
             message = f"formula nested more than {MAX_NESTING} levels deep"
-            raise ParseError(message, self.peek().span)
+            raise ParseError(message, self.tok.span)
         self._depth += 1
         result = parse(self, *args)
         self._depth -= 1
         return result
 
     def expect_ident(self, what: str, reserved: frozenset[str]) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "ident":
             found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
             raise ParseError(f"expected {what}, found {found}", tok.span)
@@ -269,7 +270,7 @@ def _parse_and(cur, mk_atom, reserved, allow_not_kw):
 
 
 def _parse_unary(cur, mk_atom, reserved, allow_not_kw):
-    tok = cur.peek()
+    tok = cur.tok
     if tok.text in ("!", "~") or (allow_not_kw and tok.text == "not" and tok.kind == "ident"):
         cur.take()
         return F.Not(cur.nested(_parse_unary, mk_atom, reserved, allow_not_kw))
@@ -296,11 +297,14 @@ def _parse_unary(cur, mk_atom, reserved, allow_not_kw):
 def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     """Parse and validate a system description.
 
-    Returns the system together with diagnostics; validation findings are
-    folded in, so a result with no error diagnostics is safe to analyze.
+    Returns the system together with diagnostics and validation's report;
+    the report's findings are folded into the diagnostics, so a result with
+    no error diagnostics is safe to analyze.
     """
     diagnostics: list[ParseDiagnostic] = []
-    spans: dict[tuple, SourceSpan] = {}
+    # the name token of the system, each machine and each state; a span is
+    # built only for the validation findings that point at one
+    spans: dict[tuple, _Token] = {}
     try:
         cur = _Cursor(_lex(text, filename, glyphs=False))
         table = F.SymbolTable()
@@ -311,12 +315,12 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
 
         cur.expect("system")
         name_tok = cur.expect_ident("a system name", reserved)
-        spans[("system",)] = name_tok.span
+        spans[("system",)] = name_tok
         cur.expect("{")
         machines: list[model.Machine] = []
         while not cur.accept("}"):
             machines.append(_parse_machine(cur, table, spans, mk_atom, reserved))
-        tail = cur.peek()
+        tail = cur.tok
         if tail.kind != "eof":
             raise ParseError(f"unexpected {tail.text!r} after the system", tail.span)
         if not machines:
@@ -330,21 +334,21 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     report = model.validate(system)
     fallback = spans[("system",)]
     for entry in report.entries:
-        span = (
+        tok = (
             spans.get(("state", entry.machine, entry.state))
             or spans.get(("machine", entry.machine))
             or fallback
         )
-        diagnostics.append(ParseDiagnostic(entry.severity, entry.message, span))
+        diagnostics.append(ParseDiagnostic(entry.severity, entry.message, tok.span))
     if report.errors:
-        return ParseResult(None, diagnostics)
-    return ParseResult(system, diagnostics)
+        return ParseResult(None, diagnostics, report)
+    return ParseResult(system, diagnostics, report)
 
 
 def _parse_machine(cur, table, spans, mk_atom, reserved) -> model.Machine:
     cur.expect("machine")
     name_tok = cur.expect_ident("a machine name", reserved)
-    spans[("machine", name_tok.text)] = name_tok.span
+    spans[("machine", name_tok.text)] = name_tok
     cur.expect("{")
     cur.expect("init")
     init_tok = cur.expect_ident("the initial state name", reserved)
@@ -353,7 +357,7 @@ def _parse_machine(cur, table, spans, mk_atom, reserved) -> model.Machine:
     arcs: list[model.Arc] = []
     while not cur.accept("}"):
         if not cur.at("state"):
-            raise ParseError("expected 'state' or '}'", cur.peek().span)
+            raise ParseError("expected 'state' or '}'", cur.tok.span)
         _parse_state(cur, table, spans, mk_atom, reserved, name_tok.text, states, arcs)
     if not states:
         raise ParseError(f"machine {name_tok.text!r} has no states", name_tok.span)
@@ -363,7 +367,7 @@ def _parse_machine(cur, table, spans, mk_atom, reserved) -> model.Machine:
 def _parse_state(cur, table, spans, mk_atom, reserved, machine_name, states, arcs):
     cur.expect("state")
     name_tok = cur.expect_ident("a state name", reserved)
-    spans[("state", machine_name, name_tok.text)] = name_tok.span
+    spans[("state", machine_name, name_tok.text)] = name_tok
     cur.expect("{")
     outputs: list[F.Symbol] = []
     if cur.accept("out"):
@@ -400,7 +404,7 @@ def parse_queries(
     try:
         cur = _Cursor(_lex(text, filename, glyphs=True))
         seen_names: set[str] = set()
-        while cur.peek().kind != "eof":
+        while cur.tok.kind != "eof":
             if cur.at("ctl"):
                 entry = _parse_ctl_query(cur, reserved)
             else:
@@ -469,9 +473,9 @@ def _parse_always_query(cur: _Cursor, reserved) -> mc.Query:
     elif cur.accept("eventually"):
         mode = "eventually"
     else:
-        raise ParseError("expected 'next' or 'eventually' after '=>'", cur.peek().span)
+        raise ParseError("expected 'next' or 'eventually' after '=>'", cur.tok.span)
     if not universal and mode != "eventually":
-        raise ParseError("'exists' applies to 'eventually' only", cur.peek().span)
+        raise ParseError("'exists' applies to 'eventually' only", cur.tok.span)
     consequent = _parse_formula(cur, _mk_plain_atom, reserved, allow_not_kw=True)
     if wrapped:
         cur.expect(")")
@@ -513,7 +517,7 @@ def _parse_ctl_and(cur, reserved):
 
 
 def _parse_ctl_unary(cur, reserved):
-    tok = cur.peek()
+    tok = cur.tok
     if tok.text in ("!", "~") or (tok.kind == "ident" and tok.text == "not"):
         cur.take()
         return mc.CtlNot(cur.nested(_parse_ctl_unary, reserved))
@@ -529,7 +533,7 @@ def _parse_ctl_unary(cur, reserved):
         cur.take()
         cur.expect("[")
         left = cur.nested(_parse_ctl_implies, reserved)
-        until_tok = cur.peek()
+        until_tok = cur.tok
         if until_tok.kind != "ident" or until_tok.text != "U":
             raise ParseError("expected 'U' in the until form", until_tok.span)
         cur.take()

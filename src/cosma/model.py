@@ -105,20 +105,22 @@ class System:
         return size
 
     def produced_symbols(self) -> frozenset:
-        out = set()
-        for m in self.machines:
-            for s in m.states:
-                out |= s.outputs
-        return frozenset(out)
+        return self._produced_symbols
 
     def guard_symbols(self) -> frozenset:
+        return self._guard_symbols
+
+    # machines, states and arcs are tuples that nothing reassigns, so each
+    # set is computed once per system
+    @functools.cached_property
+    def _produced_symbols(self) -> frozenset:
+        return frozenset().union(*(s.outputs for m in self.machines for s in m.states))
+
+    @functools.cached_property
+    def _guard_symbols(self) -> frozenset:
         from cosma.formula import atoms
 
-        used = set()
-        for m in self.machines:
-            for arc in m.arcs:
-                used |= atoms(arc.guard)
-        return frozenset(used)
+        return frozenset().union(*(atoms(arc.guard) for m in self.machines for arc in m.arcs))
 
     def __repr__(self):
         return f"System({self.name!r}, {len(self.machines)} machines)"

@@ -125,9 +125,18 @@ def _condition(expr: F.BoolExpr) -> str:
     raise VhdlGenError(f"not a formula node: {expr!r}")
 
 
-def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> str:
-    """Render the whole system as one entity with one process per machine."""
-    report = model.validate(system)
+def generate(
+    system: model.System,
+    opts: CodegenOptions = CodegenOptions(),
+    report: model.LintReport | None = None,
+) -> str:
+    """Render the whole system as one entity with one process per machine.
+
+    ``report`` is ``model.validate(system)`` when the caller already has it;
+    without it the system is validated here.
+    """
+    if report is None:
+        report = model.validate(system)
     if not report.ok:
         raise VhdlGenError(
             "system does not validate: " + "; ".join(e.message for e in report.errors)

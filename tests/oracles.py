@@ -10,14 +10,18 @@ fixpoint's reference is the loop the engine first ran: images of the whole
 reachable set until it stops growing.  The explicit checker's reference is
 its first labelling, which rescans every node until nothing changes.  The
 VHDL audit's reference is the audit as it was first written, with one
-regex per machine, state and symbol.
+regex per machine, state and symbol.  The lexer's reference is its first
+version, which walks the text one character at a time and builds a span
+for every token.
 """
 
 import itertools
 import re
+from dataclasses import dataclass
 
 from cosma import formula as F
 from cosma import mc, model, vhdlgen
+from cosma.frontend import ParseError, SourceSpan
 from cosma.reach import ReachGraph
 
 
@@ -452,3 +456,82 @@ def _process_block(vhdl_text: str, label: str) -> str | None:
     if not end:
         return None
     return vhdl_text[start.start() : end.end()]
+
+
+# -- the lexer as first written: one character at a time ----------------------
+
+_PUNCT_2 = ("->", "=>")
+_PUNCT_1 = "{};:,()*+~![]"
+_GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "ident" | "punct" | "const" | "eof"
+    text: str
+    span: SourceSpan
+
+
+def charwise_lex(text: str, file: str, glyphs: bool) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def span(length: int) -> SourceSpan:
+        return SourceSpan(file, line, col, length)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if glyphs and ch in _GLYPHS:
+            alias = _GLYPHS[ch]
+            kind = "punct" if alias == "=>" else "ident"
+            tokens.append(_Token(kind, alias, span(1)))
+            i += 1
+            col += 1
+            continue
+        two = text[i : i + 2]
+        if two in _PUNCT_2:
+            tokens.append(_Token("punct", two, span(2)))
+            i += 2
+            col += 2
+            continue
+        if ch in _PUNCT_1:
+            tokens.append(_Token("punct", ch, span(1)))
+            i += 1
+            col += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            word = text[i:j]
+            if word not in ("0", "1"):
+                raise ParseError(f"unexpected number {word!r} (only 0 and 1 are formulas)", span(j - i))
+            tokens.append(_Token("const", word, span(len(word))))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], span(j - i)))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", span(1))
+    tokens.append(_Token("eof", "", SourceSpan(file, line, col, 0)))
+    return tokens

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from cosma import cli, frontend, reach
+from cosma import cli, frontend, model, reach
 
 
 @pytest.fixture(autouse=True)
@@ -275,6 +275,16 @@ class TestCheck:
 
 
 class TestVhdl:
+    def test_validates_once(self, workdir, capsys, monkeypatch):
+        calls = []
+        real = model.validate
+        monkeypatch.setattr(model, "validate", lambda system: calls.append(system) or real(system))
+        code, out, err = run(
+            capsys, ["vhdl", str(workdir / "tlc.csm"), "-o", str(workdir / "t.vhd")]
+        )
+        assert code == 0, err
+        assert len(calls) == 1
+
     def test_writes_file_and_reports_processes(self, workdir, capsys):
         out_path = workdir / "tlc.vhd"
         code, out, err = run(
@@ -316,7 +326,7 @@ class TestVhdl:
         original = cli.vhdlgen.generate
         monkeypatch.setattr(
             cli.vhdlgen, "generate",
-            lambda system, opts: original(system, opts).replace("end if;", "", 1),
+            lambda system, opts, **kw: original(system, opts, **kw).replace("end if;", "", 1),
         )
         out_path = workdir / "broken.vhd"
         code, out, err = run(

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosma import assets, frontend, mc
 from cosma import formula as F
 from cosma import model
 from gensys import random_system
+from oracles import charwise_lex
 
 TINY = """
 system tiny {
@@ -207,3 +210,160 @@ class TestQueryParsing:
         res = frontend.parse_queries("q1 always (HG => next HY);")
         assert not res.ok
         assert res.diagnostics[0].span is not None
+
+
+# -- the lexer against the character-at-a-time oracle ---------------------------
+
+# pieces of random source text, with the known traps: "_", tabs, "\r", line
+# comments (also at the end of the input), the query glyphs, the
+# non-decimal digit "²" (str.isdigit but not \d), the Arabic-Indic digit
+# "٣" (a decimal digit outside ASCII) and the non-ASCII letter "é"
+LEX_PIECES = [
+    "a", "Zq", "_", "x1", "when", "next", "0", "1", "10", "2", "²", "٣", "é",
+    "⇒", "○", "◇", "->", "=>", "-", ">", "=", "{", "}", ";", ":", ",", "(", ")",
+    "*", "+", "~", "!", "[", "]", "/", "//", "// note", " ", "  ", "\t", "\r",
+    "\n", "@", ".", "\x0b", "\u00a0",
+]
+
+
+def lex_outcome(lex, text, glyphs):
+    """Every token as (kind, text, location, length), or the error raised."""
+    try:
+        tokens = lex(text, "t.csm", glyphs)
+    except frontend.ParseError as exc:
+        return ("error", str(exc), exc.span.length)
+    return [(t.kind, t.text, str(t.span), t.span.length) for t in tokens]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(st.sampled_from(LEX_PIECES), max_size=30), glyphs=st.booleans())
+def test_lexer_agrees_with_charwise_oracle(pieces, glyphs):
+    text = "".join(pieces)
+    assert lex_outcome(frontend._lex, text, glyphs) == lex_outcome(charwise_lex, text, glyphs)
+
+
+LEX_TRAPS = ["", "//", "x // end", "x\n// end", "\r\n\t_", "a²", "1²", "²1", "1٣", "٣", "1a",
+             "0_", "é1", "½", "x - y", "a⇒b", "○◇"]
+
+
+def numbered(cases):
+    return pytest.mark.parametrize("text", cases, ids=[f"case{i}" for i in range(len(cases))])
+
+
+@numbered(LEX_TRAPS)
+@pytest.mark.parametrize("glyphs", [False, True])
+def test_lexer_traps(text, glyphs):
+    assert lex_outcome(frontend._lex, text, glyphs) == lex_outcome(charwise_lex, text, glyphs)
+
+
+def diagnostics_text(result):
+    return [(str(d), d.span.length if d.span else None) for d in result.diagnostics]
+
+
+# the inputs of the parser's error tests, in this file and in test_cli.py
+N = frontend.MAX_NESTING
+SYSTEM_ERRORS = [
+    "",
+    "system x {\n  machine m {\n    init a\n",
+    "system x { machine m { init ghost; state s { -> s when 1; } } }",
+    "system x { machine m { init state; state state { } } }",
+    TINY + "leftover",
+    "system x { machine m { init a; state a { -> ghost when 1; } } }",
+    "system g { machine m { init a; state a { -> b when x; } state b { -> b when 1; } } }",
+    "system {",
+    "system x {",
+] + [
+    "system x { machine m { init a; state a { -> a when %s; } } }" % guard
+    for depth in (2000, N + 1, N)
+    for guard in ("(" * depth + "x" + ")" * depth, "~" * depth + "x")
+]
+QUERY_ERRORS = [
+    "e: always (HG => exists next FG);",
+    "q1 always (HG => next HY);",
+    "oops next\n",
+    "q: always (" + "~" * 2000 + "HG => next HY);",
+    "ctl c: " + "EX " * 2000 + "HG;",
+    "ctl c: " + "(" * (N + 1) + "HG" + ")" * (N + 1) + ";",
+    "w: always (HG * TimL => next HY);",
+    "ctl c: EF Car;",
+]
+
+
+@numbered(SYSTEM_ERRORS)
+def test_system_diagnostics_match_charwise_oracle(text, monkeypatch):
+    new = diagnostics_text(frontend.parse_system(text, "bad.csm"))
+    monkeypatch.setattr(frontend, "_lex", charwise_lex)
+    assert new == diagnostics_text(frontend.parse_system(text, "bad.csm"))
+
+
+@numbered(QUERY_ERRORS)
+def test_query_diagnostics_match_charwise_oracle(text, tlc_system, monkeypatch):
+    new = diagnostics_text(frontend.parse_queries(text, tlc_system, "broken.tq"))
+    monkeypatch.setattr(frontend, "_lex", charwise_lex)
+    assert new == diagnostics_text(frontend.parse_queries(text, tlc_system, "broken.tq"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_model_diagnostics_match_charwise_oracle(data):
+    text = assets.text("tlc.csm")
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 6))
+        piece = data.draw(st.sampled_from(LEX_PIECES + ["state", "out"]))
+        text = text[:at] + piece + text[at + cut:]
+
+    def outcome():
+        try:
+            return diagnostics_text(frontend.parse_system(text, "m.csm"))
+        except F.FormulaError as exc:
+            # a word both lexers take for an identifier, such as "H²R", is
+            # not a valid symbol name
+            return str(exc)
+
+    new = outcome()
+    real = frontend._lex
+    frontend._lex = charwise_lex
+    try:
+        assert new == outcome()
+    finally:
+        frontend._lex = real
+
+
+# -- spans are built only for what is reported ------------------------------------
+
+
+def cycle_text(n, stay):
+    states = "".join(
+        f"    state s{j} {{ out o{j}; -> s{(j + 1) % n} when go;"
+        + (f" -> s{j} when ~go;" if stay else "")
+        + " }\n"
+        for j in range(n)
+    )
+    return f"system cycle {{\n  machine m {{\n    init s0;\n{states}  }}\n}}\n"
+
+
+@pytest.fixture()
+def spans_built(monkeypatch):
+    """The arguments of every ``SourceSpan`` the front end builds."""
+    built = []
+    real = frontend.SourceSpan
+    monkeypatch.setattr(frontend, "SourceSpan", lambda *args: built.append(args) or real(*args))
+    return built
+
+
+@pytest.mark.parametrize("stay", [True, False])
+def test_valid_parse_builds_one_span_per_diagnostic(stay, spans_built):
+    result = frontend.parse_system(cycle_text(150, stay), "cycle.csm")
+    assert result.ok
+    # the environment note alone, or also a coverage gap at every state
+    assert len(result.diagnostics) == (1 if stay else 151)
+    assert len(spans_built) <= len(result.diagnostics)
+
+
+def test_parse_error_builds_one_span(spans_built):
+    result = frontend.parse_system(cycle_text(150, True)[:-2] + "} extra", "cycle.csm")
+    assert [str(d) for d in result.diagnostics] == [
+        "cycle.csm:155:3: error: unexpected 'extra' after the system"
+    ]
+    assert len(spans_built) == 1

@@ -220,6 +220,29 @@ class TestValidate:
     def test_pure(self, tlc_system):
         assert model.validate(tlc_system) == model.validate(tlc_system)
 
+    def test_guard_atoms_are_collected_once_per_arc(self, monkeypatch):
+        # a 50-machine token ring, 200 arcs: parsing, validating and asking
+        # for the symbol sets again walk each guard once
+        from cosma import frontend
+
+        n = 50
+        machines = "".join(
+            f"machine R{i} {{ init {'tok' if i == 0 else 'idle'};"
+            f" state idle {{ -> tok when T{i - 1} * pass; -> idle when ~(T{i - 1} * pass); }}"
+            f" state tok {{ out T{i}; -> idle when pass; -> tok when ~pass; }} }}\n"
+            for i in range(n)
+        ).replace("T-1", f"T{n - 1}")
+        calls = []
+        real = F.atoms
+        monkeypatch.setattr(F, "atoms", lambda expr: calls.append(expr) or real(expr))
+        result = frontend.parse_system(f"system Ring {{\n{machines}}}\n", "ring.csm")
+        assert result.ok
+        system = result.system
+        assert names(model.env_alphabet(system)) == ["pass"]
+        model.validate(system)
+        system.guard_symbols()
+        assert len(calls) <= sum(len(m.arcs) for m in system.machines) == 4 * n
+
 
 class TestStepSemantics:
     def test_self_feedback_leaves_state(self):
