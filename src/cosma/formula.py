@@ -7,9 +7,12 @@ of signals currently present.  The constant ``1`` (always true) labels
 spontaneous transitions; ``0`` never fires.
 
 Formulas are plain immutable trees: what the parsers build and what VHDL,
-lint messages and printed queries show.  Once parsed, a guard is reasoned
-about only as a BDD, translated by ``BddManager.from_expr`` into the one
-manager of a :class:`GuardContext`.
+lint messages and printed queries show.  ``And`` and ``Or`` are n-ary: a
+chain ``a + b + c`` is one node with three operands, so no walker recurses
+once per operand.  CTL formulas share these connectives; only their
+temporal nodes are ``mc``'s own.  Once parsed, a guard is reasoned about
+only as a BDD, translated by ``BddManager.from_expr`` into the one manager
+of a :class:`GuardContext`.
 """
 
 from __future__ import annotations
@@ -144,16 +147,30 @@ class Not(BoolExpr):
     operand: BoolExpr
 
 
-@dataclass(frozen=True)
-class And(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+@dataclass(frozen=True, init=False)
+class _Chain(BoolExpr):
+    """``And``/``Or`` over two or more operands.
+
+    A first operand of the same kind is spliced in, as ``a + b + c`` reads:
+    ``Or(Or(a, b), c) == Or(a, b, c)``, while ``a + (b + c)`` stays nested.
+    """
+
+    operands: tuple[BoolExpr, ...]
+
+    def __init__(self, *operands: BoolExpr):
+        if len(operands) < 2:
+            raise FormulaError(f"{type(self).__name__} needs two or more operands")
+        if type(operands[0]) is type(self):
+            operands = operands[0].operands + operands[1:]
+        object.__setattr__(self, "operands", operands)
 
 
-@dataclass(frozen=True)
-class Or(BoolExpr):
-    left: BoolExpr
-    right: BoolExpr
+class And(_Chain):
+    pass
+
+
+class Or(_Chain):
+    pass
 
 
 TRUE = ConstTrue()
@@ -189,10 +206,13 @@ def or_(left: BoolExpr, right: BoolExpr) -> BoolExpr:
 
 
 def and_all(exprs: Iterable[BoolExpr]) -> BoolExpr:
-    result: BoolExpr = TRUE
-    for e in exprs:
-        result = and_(result, e)
-    return result
+    """``and_`` folded over ``exprs``, built as one node."""
+    factors = [e for e in exprs if e != TRUE]
+    if FALSE in factors:
+        return FALSE
+    if len(factors) < 2:
+        return factors[0] if factors else TRUE
+    return And(*factors)
 
 
 def atoms(expr: BoolExpr) -> frozenset[Symbol]:
@@ -205,17 +225,16 @@ def atoms(expr: BoolExpr) -> frozenset[Symbol]:
             found.add(e.symbol)
         elif isinstance(e, Not):
             stack.append(e.operand)
-        elif isinstance(e, (And, Or)):
-            stack.append(e.left)
-            stack.append(e.right)
+        elif isinstance(e, _Chain):
+            stack.extend(e.operands)
     return frozenset(found)
 
 
 def conj_factors(expr: BoolExpr) -> Iterator[BoolExpr]:
     """Yield the factors of a top-level conjunction (the expr itself if none)."""
     if isinstance(expr, And):
-        yield from conj_factors(expr.left)
-        yield from conj_factors(expr.right)
+        for operand in expr.operands:
+            yield from conj_factors(operand)
     else:
         yield expr
 
@@ -230,10 +249,13 @@ def evaluate(expr: BoolExpr, valuation: AbstractSet[Symbol]) -> bool:
         return expr.symbol in valuation
     if isinstance(expr, Not):
         return not evaluate(expr.operand, valuation)
-    if isinstance(expr, And):
-        return evaluate(expr.left, valuation) and evaluate(expr.right, valuation)
-    if isinstance(expr, Or):
-        return evaluate(expr.left, valuation) or evaluate(expr.right, valuation)
+    if isinstance(expr, _Chain):
+        # an And is decided by a false operand, an Or by a true one
+        decisive = isinstance(expr, Or)
+        for operand in expr.operands:
+            if evaluate(operand, valuation) is decisive:
+                return decisive
+        return not decisive
     if isinstance(expr, ConstTrue):
         return True
     if isinstance(expr, ConstFalse):
@@ -264,12 +286,11 @@ def _render(expr: BoolExpr, min_prec: int) -> str:
         return expr.symbol.name
     if isinstance(expr, Not):
         return "~" + _render(expr.operand, _PREC_NOT)
-    if isinstance(expr, And):
-        text = _render(expr.left, _PREC_AND) + " * " + _render(expr.right, _PREC_AND + 1)
-        return f"({text})" if min_prec > _PREC_AND else text
-    if isinstance(expr, Or):
-        text = _render(expr.left, _PREC_OR) + " + " + _render(expr.right, _PREC_OR + 1)
-        return f"({text})" if min_prec > _PREC_OR else text
+    if isinstance(expr, _Chain):
+        # a nested operand of the same kind is never the first one
+        op, prec = (" * ", _PREC_AND) if isinstance(expr, And) else (" + ", _PREC_OR)
+        text = op.join([_render(e, prec + 1) for e in expr.operands])
+        return f"({text})" if min_prec > prec else text
     raise FormulaError(f"not a formula node: {expr!r}")
 
 

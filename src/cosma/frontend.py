@@ -21,12 +21,17 @@ One requirement per line-ish statement::
     IDENT ":" "always" "(" formula "=>" ("next"|"eventually") formula ")" ";"
     "ctl" IDENT ":" ctlformula ";"
 
+    ctlformula := implies ; implies := or ("=>" implies)?
+    unary      := ... | ("AX"|"EX"|"AF"|"EF"|"AG"|"EG") unary
+                | ("A"|"E") "[" implies "U" implies "]" | "(" implies ")"
+
 In requirement files ``not`` is accepted alongside ``!``/``~``, ``exists``
 may prefix ``eventually`` (asking for one witnessing path instead of all
 paths), and the glyphs ``⇒``, ``○`` and ``◇`` are aliases for ``=>``,
-``next`` and ``eventually``.  CTL formulas use AX EX AF EF AG EG prefix
-operators, ``A [ f U g ]`` / ``E [ f U g ]`` until forms, ``=>``, and the
-same atom syntax as guards.
+``next`` and ``eventually``.  The CTL grammar is the guard grammar, parsed
+by the same functions into the same nodes, plus the temporal prefixes, the
+until forms and ``=>`` at the top and inside groups.  A chain ``a + b + c``
+is one n-ary node; only nesting is bounded, by ``MAX_NESTING``.
 """
 
 from __future__ import annotations
@@ -110,8 +115,8 @@ _GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
 
 # Deepest formula the parsers accept, in parentheses, negations and CTL
 # operators.  A level costs at most 5 Python frames in the parser (a
-# parenthesised CTL operand: _parse_ctl_unary, nested, _parse_ctl_implies,
-# _parse_ctl_or, _parse_ctl_and) and at most 2 in the walkers that run later
+# parenthesised operand: _parse_unary, nested, _parse_implies, _parse_or,
+# _parse_and) and at most 2 in the walkers that run later
 # (BddManager.from_expr, evaluate, to_text, vhdlgen._condition, the CTL
 # checker), so 150 levels take at most 750 of Python's default 1000 frames
 # and leave the rest to the CLI and its callers.
@@ -247,48 +252,79 @@ class _Cursor:
 
 
 # -- formulas ------------------------------------------------------------------
+# One grammar serves guards, implication queries and CTL.  ``make`` turns an
+# atom's name into its symbol, ``reserved`` holds the words that cannot be
+# atoms (where "not" is one of them, it negates), and ``ctl`` adds the
+# temporal forms and "=>".
 
 
-def _parse_formula(cur: _Cursor, mk_atom, reserved: frozenset[str], allow_not_kw: bool) -> F.BoolExpr:
-    return _parse_or(cur, mk_atom, reserved, allow_not_kw)
+def _symbol(make, tok: _Token) -> F.Symbol:
+    """``make(tok.text)``; a word that is no valid symbol name is an input error."""
+    try:
+        return make(tok.text)
+    except F.FormulaError as exc:
+        raise ParseError(str(exc), tok.span) from None
 
 
-def _parse_or(cur, mk_atom, reserved, allow_not_kw):
-    expr = _parse_and(cur, mk_atom, reserved, allow_not_kw)
-    while cur.at("+"):
-        cur.take()
-        expr = F.Or(expr, _parse_and(cur, mk_atom, reserved, allow_not_kw))
-    return expr
+def _parse_implies(cur, make, reserved, ctl):
+    left = _parse_or(cur, make, reserved, ctl)
+    if ctl and cur.accept("=>"):
+        return mc.CtlImplies(left, cur.nested(_parse_implies, make, reserved, ctl))
+    return left
 
 
-def _parse_and(cur, mk_atom, reserved, allow_not_kw):
-    expr = _parse_unary(cur, mk_atom, reserved, allow_not_kw)
-    while cur.at("*"):
-        cur.take()
-        expr = F.And(expr, _parse_unary(cur, mk_atom, reserved, allow_not_kw))
-    return expr
+def _parse_or(cur, make, reserved, ctl):
+    operands = [_parse_and(cur, make, reserved, ctl)]
+    while cur.accept("+"):
+        operands.append(_parse_and(cur, make, reserved, ctl))
+    return F.Or(*operands) if len(operands) > 1 else operands[0]
 
 
-def _parse_unary(cur, mk_atom, reserved, allow_not_kw):
+def _parse_and(cur, make, reserved, ctl):
+    operands = [_parse_unary(cur, make, reserved, ctl)]
+    while cur.accept("*"):
+        operands.append(_parse_unary(cur, make, reserved, ctl))
+    return F.And(*operands) if len(operands) > 1 else operands[0]
+
+
+_TEMPORAL = {"AX": mc.CtlAX, "EX": mc.CtlEX, "AF": mc.CtlAF,
+             "EF": mc.CtlEF, "AG": mc.CtlAG, "EG": mc.CtlEG}
+
+
+def _parse_unary(cur, make, reserved, ctl):
     tok = cur.tok
-    if tok.text in ("!", "~") or (allow_not_kw and tok.text == "not" and tok.kind == "ident"):
+    if tok.text in ("!", "~") or (tok.text == "not" and "not" in reserved):
         cur.take()
-        return F.Not(cur.nested(_parse_unary, mk_atom, reserved, allow_not_kw))
+        return F.Not(cur.nested(_parse_unary, make, reserved, ctl))
     if tok.text == "(":
         cur.take()
-        expr = cur.nested(_parse_or, mk_atom, reserved, allow_not_kw)
+        expr = cur.nested(_parse_implies, make, reserved, ctl)
         cur.expect(")")
         return expr
     if tok.kind == "const":
         cur.take()
         return F.TRUE if tok.text == "1" else F.FALSE
+    if ctl and tok.text in _TEMPORAL:
+        cur.take()
+        return _TEMPORAL[tok.text](cur.nested(_parse_unary, make, reserved, ctl))
+    if ctl and tok.text in ("A", "E") and cur._tokens[cur._pos + 1].text == "[":
+        cur.take()
+        cur.expect("[")
+        left = cur.nested(_parse_implies, make, reserved, ctl)
+        until_tok = cur.tok
+        if until_tok.kind != "ident" or until_tok.text != "U":
+            raise ParseError("expected 'U' in the until form", until_tok.span)
+        cur.take()
+        right = cur.nested(_parse_implies, make, reserved, ctl)
+        cur.expect("]")
+        return (mc.CtlAU if tok.text == "A" else mc.CtlEU)(left, right)
     if tok.kind == "ident":
         if tok.text in reserved:
             raise ParseError(f"keyword {tok.text!r} cannot be a symbol", tok.span)
         cur.take()
-        return F.Atom(mk_atom(tok))
+        return F.Atom(_symbol(make, tok))
     found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-    raise ParseError(f"expected a formula, found {found}", tok.span)
+    raise ParseError(f"expected {'a CTL formula' if ctl else 'a formula'}, found {found}", tok.span)
 
 
 # -- system files --------------------------------------------------------------
@@ -309,17 +345,13 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
         cur = _Cursor(_lex(text, filename, glyphs=False))
         table = F.SymbolTable()
         reserved = _SYSTEM_KEYWORDS
-
-        def mk_atom(tok: _Token) -> F.Symbol:
-            return table.intern(tok.text)
-
         cur.expect("system")
         name_tok = cur.expect_ident("a system name", reserved)
         spans[("system",)] = name_tok
         cur.expect("{")
         machines: list[model.Machine] = []
         while not cur.accept("}"):
-            machines.append(_parse_machine(cur, table, spans, mk_atom, reserved))
+            machines.append(_parse_machine(cur, table, spans, reserved))
         tail = cur.tok
         if tail.kind != "eof":
             raise ParseError(f"unexpected {tail.text!r} after the system", tail.span)
@@ -345,7 +377,7 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     return ParseResult(system, diagnostics, report)
 
 
-def _parse_machine(cur, table, spans, mk_atom, reserved) -> model.Machine:
+def _parse_machine(cur, table, spans, reserved) -> model.Machine:
     cur.expect("machine")
     name_tok = cur.expect_ident("a machine name", reserved)
     spans[("machine", name_tok.text)] = name_tok
@@ -358,27 +390,27 @@ def _parse_machine(cur, table, spans, mk_atom, reserved) -> model.Machine:
     while not cur.accept("}"):
         if not cur.at("state"):
             raise ParseError("expected 'state' or '}'", cur.tok.span)
-        _parse_state(cur, table, spans, mk_atom, reserved, name_tok.text, states, arcs)
+        _parse_state(cur, table, spans, reserved, name_tok.text, states, arcs)
     if not states:
         raise ParseError(f"machine {name_tok.text!r} has no states", name_tok.span)
     return model.Machine(name_tok.text, states, init_tok.text, arcs)
 
 
-def _parse_state(cur, table, spans, mk_atom, reserved, machine_name, states, arcs):
+def _parse_state(cur, table, spans, reserved, machine_name, states, arcs):
     cur.expect("state")
     name_tok = cur.expect_ident("a state name", reserved)
     spans[("state", machine_name, name_tok.text)] = name_tok
     cur.expect("{")
     outputs: list[F.Symbol] = []
     if cur.accept("out"):
-        outputs.append(table.intern(cur.expect_ident("an output symbol", reserved).text))
+        outputs.append(_symbol(table.intern, cur.expect_ident("an output symbol", reserved)))
         while cur.accept(","):
-            outputs.append(table.intern(cur.expect_ident("an output symbol", reserved).text))
+            outputs.append(_symbol(table.intern, cur.expect_ident("an output symbol", reserved)))
         cur.expect(";")
     while cur.accept("->"):
         dst_tok = cur.expect_ident("a target state name", reserved)
         cur.expect("when")
-        guard = _parse_formula(cur, mk_atom, reserved, allow_not_kw=False)
+        guard = _parse_or(cur, table.intern, reserved, False)
         cur.expect(";")
         arcs.append(model.Arc(name_tok.text, dst_tok.text, guard))
     cur.expect("}")
@@ -386,8 +418,6 @@ def _parse_state(cur, table, spans, mk_atom, reserved, machine_name, states, arc
 
 
 # -- requirement files ---------------------------------------------------------
-
-_CTL_UNARY = {"AX", "EX", "AF", "EF", "AG", "EG"}
 
 
 def parse_queries(
@@ -449,16 +479,12 @@ def parse_queries(
     return result
 
 
-def _mk_plain_atom(tok: _Token) -> F.Symbol:
-    return F.Symbol(tok.text)
-
-
 def _parse_always_query(cur: _Cursor, reserved) -> mc.Query:
     name_tok = cur.expect_ident("a query name", reserved)
     cur.expect(":")
     cur.expect("always")
     cur.expect("(")
-    antecedent = _parse_formula(cur, _mk_plain_atom, reserved, allow_not_kw=True)
+    antecedent = _parse_or(cur, F.Symbol, reserved, False)
     cur.expect("=>")
     # the mode keyword may sit inside its own parentheses: "=> (next HY)"
     wrapped = False
@@ -476,7 +502,7 @@ def _parse_always_query(cur: _Cursor, reserved) -> mc.Query:
         raise ParseError("expected 'next' or 'eventually' after '=>'", cur.tok.span)
     if not universal and mode != "eventually":
         raise ParseError("'exists' applies to 'eventually' only", cur.tok.span)
-    consequent = _parse_formula(cur, _mk_plain_atom, reserved, allow_not_kw=True)
+    consequent = _parse_or(cur, F.Symbol, reserved, False)
     if wrapped:
         cur.expect(")")
     cur.expect(")")
@@ -488,73 +514,9 @@ def _parse_ctl_query(cur: _Cursor, reserved) -> mc.CtlQuery:
     cur.expect("ctl")
     name_tok = cur.expect_ident("a requirement name", reserved)
     cur.expect(":")
-    formula_ = _parse_ctl_implies(cur, reserved)
+    formula_ = _parse_implies(cur, F.Symbol, reserved, True)
     cur.expect(";")
     return mc.CtlQuery(name_tok.text, formula_)
-
-
-def _parse_ctl_implies(cur, reserved):
-    left = _parse_ctl_or(cur, reserved)
-    if cur.accept("=>"):
-        return mc.CtlImplies(left, cur.nested(_parse_ctl_implies, reserved))
-    return left
-
-
-def _parse_ctl_or(cur, reserved):
-    expr = _parse_ctl_and(cur, reserved)
-    while cur.at("+"):
-        cur.take()
-        expr = mc.CtlOr(expr, _parse_ctl_and(cur, reserved))
-    return expr
-
-
-def _parse_ctl_and(cur, reserved):
-    expr = _parse_ctl_unary(cur, reserved)
-    while cur.at("*"):
-        cur.take()
-        expr = mc.CtlAnd(expr, _parse_ctl_unary(cur, reserved))
-    return expr
-
-
-def _parse_ctl_unary(cur, reserved):
-    tok = cur.tok
-    if tok.text in ("!", "~") or (tok.kind == "ident" and tok.text == "not"):
-        cur.take()
-        return mc.CtlNot(cur.nested(_parse_ctl_unary, reserved))
-    if tok.kind == "ident" and tok.text in _CTL_UNARY:
-        cur.take()
-        sub = cur.nested(_parse_ctl_unary, reserved)
-        return {
-            "AX": mc.CtlAX, "EX": mc.CtlEX,
-            "AF": mc.CtlAF, "EF": mc.CtlEF,
-            "AG": mc.CtlAG, "EG": mc.CtlEG,
-        }[tok.text](sub)
-    if tok.kind == "ident" and tok.text in ("A", "E") and cur._tokens[cur._pos + 1].text == "[":
-        cur.take()
-        cur.expect("[")
-        left = cur.nested(_parse_ctl_implies, reserved)
-        until_tok = cur.tok
-        if until_tok.kind != "ident" or until_tok.text != "U":
-            raise ParseError("expected 'U' in the until form", until_tok.span)
-        cur.take()
-        right = cur.nested(_parse_ctl_implies, reserved)
-        cur.expect("]")
-        return (mc.CtlAU if tok.text == "A" else mc.CtlEU)(left, right)
-    if tok.text == "(":
-        cur.take()
-        expr = cur.nested(_parse_ctl_implies, reserved)
-        cur.expect(")")
-        return expr
-    if tok.kind == "const":
-        cur.take()
-        return mc.CtlConst(tok.text == "1")
-    if tok.kind == "ident":
-        if tok.text in reserved:
-            raise ParseError(f"keyword {tok.text!r} cannot be a symbol", tok.span)
-        cur.take()
-        return mc.CtlAtom(F.Symbol(tok.text))
-    found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-    raise ParseError(f"expected a CTL formula, found {found}", tok.span)
 
 
 # -- pretty printing -----------------------------------------------------------

@@ -6,6 +6,11 @@ Two requirement styles are supported:
   checked at every reachable state, and
 * general CTL formulas over output symbols, evaluated at the initial state.
 
+A CTL formula's Boolean part is built from ``formula``'s nodes (constants,
+atoms, ``Not`` and the n-ary ``And``/``Or``), whose operands may be the
+nodes defined here; only implication and the temporal operators are this
+module's own.
+
 Antecedent atoms may name machine outputs or environment inputs.  Graph
 nodes carry no environment valuation, so environment atoms condition the
 outgoing edges instead: at a matching state only the edges whose guard BDD
@@ -30,10 +35,9 @@ from cosma import formula as F
 from cosma.reach import ReachGraph
 
 __all__ = [
-    "CtlAF", "CtlAG", "CtlAU", "CtlAX", "CtlAnd", "CtlAtom", "CtlConst",
-    "CtlEF", "CtlEG", "CtlEU", "CtlEX", "CtlFormula", "CtlImplies", "CtlNot",
-    "CtlOr", "CtlQuery", "Query", "QueryError", "TraceStep", "Verdict",
-    "check_ctl", "check_query", "check_suite", "ctl_atoms",
+    "CtlAF", "CtlAG", "CtlAU", "CtlAX", "CtlEF", "CtlEG", "CtlEU", "CtlEX",
+    "CtlFormula", "CtlImplies", "CtlQuery", "Query", "QueryError", "TraceStep",
+    "Verdict", "check_ctl", "check_query", "check_suite", "ctl_atoms",
 ]
 
 
@@ -62,97 +66,76 @@ class Query:
 # -- CTL ASTs ------------------------------------------------------------------
 
 
-class CtlFormula:
+class CtlFormula(F.BoolExpr):
+    """A node of CTL's own: implication or a temporal operator."""
+
     __slots__ = ()
 
 
 @dataclass(frozen=True)
-class CtlConst(CtlFormula):
-    value: bool
-
-
-@dataclass(frozen=True)
-class CtlAtom(CtlFormula):
-    symbol: F.Symbol
-
-
-@dataclass(frozen=True)
-class CtlNot(CtlFormula):
-    sub: CtlFormula
-
-
-@dataclass(frozen=True)
-class CtlAnd(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-
-@dataclass(frozen=True)
-class CtlOr(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-
-@dataclass(frozen=True)
 class CtlImplies(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    left: F.BoolExpr
+    right: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlEX(CtlFormula):
-    sub: CtlFormula
+    sub: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlAX(CtlFormula):
-    sub: CtlFormula
+    sub: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlEF(CtlFormula):
-    sub: CtlFormula
+    sub: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlAF(CtlFormula):
-    sub: CtlFormula
+    sub: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlEG(CtlFormula):
-    sub: CtlFormula
+    sub: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlAG(CtlFormula):
-    sub: CtlFormula
+    sub: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlEU(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    left: F.BoolExpr
+    right: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlAU(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+    left: F.BoolExpr
+    right: F.BoolExpr
 
 
 @dataclass(frozen=True)
 class CtlQuery:
     name: str
-    formula: CtlFormula
+    formula: F.BoolExpr
 
 
-def ctl_atoms(f: CtlFormula) -> frozenset[F.Symbol]:
-    if isinstance(f, CtlAtom):
+def ctl_atoms(f: F.BoolExpr) -> frozenset[F.Symbol]:
+    if isinstance(f, F.Atom):
         return frozenset({f.symbol})
-    if isinstance(f, (CtlNot, CtlEX, CtlAX, CtlEF, CtlAF, CtlEG, CtlAG)):
+    if isinstance(f, F.Not):
+        return ctl_atoms(f.operand)
+    if isinstance(f, (F.And, F.Or)):
+        return frozenset.union(*map(ctl_atoms, f.operands))
+    if isinstance(f, (CtlEX, CtlAX, CtlEF, CtlAF, CtlEG, CtlAG)):
         return ctl_atoms(f.sub)
-    if isinstance(f, (CtlAnd, CtlOr, CtlImplies, CtlEU, CtlAU)):
+    if isinstance(f, (CtlImplies, CtlEU, CtlAU)):
         return ctl_atoms(f.left) | ctl_atoms(f.right)
     return frozenset()
 
@@ -203,20 +186,19 @@ def split_antecedent(antecedent: F.BoolExpr, produced: frozenset) -> tuple[F.Boo
     over other symbols; a mixed factor has no unique reading and is
     rejected.
     """
-    state_part: F.BoolExpr = F.TRUE
-    env_part: F.BoolExpr = F.TRUE
+    state_part, env_part = [], []
     for factor in F.conj_factors(antecedent):
         used = F.atoms(factor)
         if not used or used <= produced:
-            state_part = F.and_(state_part, factor)
+            state_part.append(factor)
         elif used & produced:
             raise QueryError(
                 f"antecedent factor {F.to_text(factor)!r} mixes output and environment "
                 "symbols; split it into separate conjuncts"
             )
         else:
-            env_part = F.and_(env_part, factor)
-    return state_part, env_part
+            env_part.append(factor)
+    return F.and_all(state_part), F.and_all(env_part)
 
 
 def _find_env(manager, guard) -> frozenset:
@@ -357,12 +339,12 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
 # -- CTL -----------------------------------------------------------------------
 
 
-def check_ctl(rg: ReachGraph, formula_: CtlFormula) -> Verdict:
+def check_ctl(rg: ReachGraph, formula_: F.BoolExpr) -> Verdict:
     """The verdict is membership of the initial node in ``_label``'s set."""
     return Verdict(holds=0 in _label(rg, formula_))
 
 
-def _label(rg: ReachGraph, formula_: CtlFormula) -> frozenset[int]:
+def _label(rg: ReachGraph, formula_: F.BoolExpr) -> frozenset[int]:
     """Standard fixpoint labeling: the nodes where ``formula_`` holds.
 
     Atoms are read against node outputs; a symbol no machine produces is
@@ -372,22 +354,22 @@ def _label(rg: ReachGraph, formula_: CtlFormula) -> frozenset[int]:
     """
     n = len(rg.nodes)
     everything = frozenset(range(n))
-    memo: dict[CtlFormula, frozenset[int]] = {}
+    memo: dict[F.BoolExpr, frozenset[int]] = {}
 
-    def sat(f: CtlFormula) -> frozenset[int]:
+    def sat(f: F.BoolExpr) -> frozenset[int]:
         found = memo.get(f)
         if found is not None:
             return found
-        if isinstance(f, CtlConst):
-            result = everything if f.value else frozenset()
-        elif isinstance(f, CtlAtom):
+        if isinstance(f, (F.ConstTrue, F.ConstFalse)):
+            result = everything if f == F.TRUE else frozenset()
+        elif isinstance(f, F.Atom):
             result = frozenset(i for i in range(n) if f.symbol in rg.outputs[i])
-        elif isinstance(f, CtlNot):
-            result = everything - sat(f.sub)
-        elif isinstance(f, CtlAnd):
-            result = sat(f.left) & sat(f.right)
-        elif isinstance(f, CtlOr):
-            result = sat(f.left) | sat(f.right)
+        elif isinstance(f, F.Not):
+            result = everything - sat(f.operand)
+        elif isinstance(f, F.And):
+            result = frozenset.intersection(*map(sat, f.operands))
+        elif isinstance(f, F.Or):
+            result = frozenset.union(*map(sat, f.operands))
         elif isinstance(f, CtlImplies):
             result = (everything - sat(f.left)) | sat(f.right)
         elif isinstance(f, CtlEX):

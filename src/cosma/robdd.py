@@ -11,6 +11,7 @@ The kernel is ``cosma._bddpure``, plain Python; ``BACKEND`` names it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -159,10 +160,10 @@ class BddManager:
                 return self.mk_var(e.symbol.name)
             if isinstance(e, formula.Not):
                 return self.not_(build(e.operand))
-            if isinstance(e, formula.And):
-                return self.and_(build(e.left), build(e.right))
-            if isinstance(e, formula.Or):
-                return self.or_(build(e.left), build(e.right))
+            if isinstance(e, (formula.And, formula.Or)):
+                # left to right, the operations a left-deep chain would make
+                op = self.and_ if isinstance(e, formula.And) else self.or_
+                return functools.reduce(op, map(build, e.operands))
             if isinstance(e, formula.ConstTrue):
                 return self.TRUE
             if isinstance(e, formula.ConstFalse):

@@ -114,10 +114,12 @@ def _condition(expr: F.BoolExpr) -> str:
         return f"({expr.symbol.name}='1')"
     if isinstance(expr, F.Not):
         return f"(not {_condition(expr.operand)})"
-    if isinstance(expr, F.And):
-        return f"({_condition(expr.left)} and {_condition(expr.right)})"
-    if isinstance(expr, F.Or):
-        return f"({_condition(expr.left)} or {_condition(expr.right)})"
+    if isinstance(expr, (F.And, F.Or)):
+        # left-nested pairs: "((a and b) and c)"
+        op = " and " if isinstance(expr, F.And) else " or "
+        first, *rest = expr.operands
+        tail = "".join([f"{op}{_condition(e)})" for e in rest])
+        return "(" * len(rest) + _condition(first) + tail
     if isinstance(expr, F.ConstTrue):
         return "(TRUE)"
     if isinstance(expr, F.ConstFalse):

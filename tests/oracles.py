@@ -338,16 +338,18 @@ def rescanning_ctl_sat(rg, formula_):
         found = memo.get(f)
         if found is not None:
             return found
-        if isinstance(f, mc.CtlConst):
-            result = everything if f.value else frozenset()
-        elif isinstance(f, mc.CtlAtom):
+        if isinstance(f, F.ConstTrue):
+            result = everything
+        elif isinstance(f, F.ConstFalse):
+            result = frozenset()
+        elif isinstance(f, F.Atom):
             result = frozenset(i for i in range(n) if f.symbol in rg.outputs[i])
-        elif isinstance(f, mc.CtlNot):
-            result = everything - sat(f.sub)
-        elif isinstance(f, mc.CtlAnd):
-            result = sat(f.left) & sat(f.right)
-        elif isinstance(f, mc.CtlOr):
-            result = sat(f.left) | sat(f.right)
+        elif isinstance(f, F.Not):
+            result = everything - sat(f.operand)
+        elif isinstance(f, F.And):
+            result = frozenset.intersection(*map(sat, f.operands))
+        elif isinstance(f, F.Or):
+            result = frozenset.union(*map(sat, f.operands))
         elif isinstance(f, mc.CtlImplies):
             result = (everything - sat(f.left)) | sat(f.right)
         elif isinstance(f, mc.CtlEX):

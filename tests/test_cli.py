@@ -200,6 +200,58 @@ def test_product_of_sums_guard_prints_its_cover(tmp_path, capsys):
     assert code == 1, err
 
 
+FLAT = 10_000
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_flat_chains_have_no_length_limit(tmp_path, capsys, op):
+    """A 10,000-operand chain over 100 inputs is one node: nothing recurses per operand."""
+    chain = f" {op} ".join(f"x{i % 100}" for i in range(FLAT))
+    model = tmp_path / "flat.csm"
+    model.write_text(
+        f"system Flat {{ machine M {{ init a; state a {{ out A; -> b when {chain};"
+        f" -> a when ~({chain}); }} state b {{ -> a when 1; }} }} }}\n"
+    )
+    env = " * ".join(f"x{i % 100}" for i in range(FLAT - 1))
+    holds, fails = tmp_path / "holds.tq", tmp_path / "fails.tq"
+    holds.write_text(
+        "ctl some: " + " + ".join(["A"] * FLAT) + ";\n"
+        "ctl back: AG (" + " * ".join(["~A"] * FLAT) + " => AX A);\n"
+        f"leave: always (A * {env} => next ~A);\n"
+    )
+    fails.write_text(
+        "ctl none: " + " * ".join(["~A"] * FLAT) + ";\n"
+        f"stay: always (A * {env} => next A);\n"
+    )
+    for argv in (["lint"], ["rg"], ["vhdl", "-o", str(tmp_path / "flat.vhd")]):
+        code, out, err = run(capsys, [argv[0], str(model), *argv[1:]])
+        assert code == 0, (argv, err)
+    for queries, expected in ((holds, {"some": True, "back": True, "leave": True}),
+                              (fails, {"none": False, "stay": False})):
+        code, out, err = run(capsys, ["check", str(model), "--queries", str(queries), "--json"])
+        assert code == (0 if all(expected.values()) else 1), err
+        assert {q["name"]: q["holds"] for q in json.loads(out)["queries"]} == expected
+
+
+def test_non_ascii_symbol_names_are_input_errors(tmp_path, workdir, capsys):
+    # the lexer takes "é" for a letter, but a symbol name is ASCII
+    fine = tmp_path / "fine.tq"
+    fine.write_text("q: always (1 => next 1);\n")
+    bad = tmp_path / "bad.csm"
+    for body in ("out é; -> a when 1;", "-> a when xé;"):
+        bad.write_text(f"system s {{ machine M {{ init a; state a {{ {body} }} }} }}\n")
+        for argv in (["lint"], ["rg"], ["check", "--queries", str(fine)], ["vhdl"]):
+            code, out, err = run(capsys, [argv[0], str(bad), *argv[1:]])
+            assert code == 2, (body, argv, err)
+            assert re.search(r"bad\.csm:1:\d+: error: invalid symbol name '", err), err
+    broken = tmp_path / "broken.tq"
+    for text in ("q: always (é => next HY);", "ctl c: EF é;"):
+        broken.write_text(text + "\n")
+        code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)])
+        assert code == 2, (text, err)
+        assert re.search(r"broken\.tq:1:\d+: error: invalid symbol name 'é'", err), err
+
+
 class TestCheck:
     def test_bundled_suite_passes(self, workdir, capsys):
         code, out, err = run(

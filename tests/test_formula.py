@@ -3,21 +3,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosma import formula as F
-from cosma import robdd
+from cosma import frontend, robdd
 from oracles import all_valuations, brute_satisfiable
 
 a, b, c, d, e, f = (F.Symbol(n) for n in "abcdef")
 
 
 def exprs(symbols, max_leaves=12):
+    """Trees whose And/Or nodes have 2 to 5 operands; an operand of the node's
+    own kind is spliced in when it comes first and stays nested otherwise."""
     leaves = st.sampled_from([F.Atom(s) for s in symbols] + [F.TRUE, F.FALSE])
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.builds(F.Not, sub), st.builds(F.And, sub, sub), st.builds(F.Or, sub, sub)
-        ),
-        max_leaves=max_leaves,
-    )
+
+    def nodes(sub):
+        operands = st.lists(sub, min_size=2, max_size=5)
+        return st.one_of(
+            st.builds(F.Not, sub),
+            operands.map(lambda ops: F.And(*ops)),
+            operands.map(lambda ops: F.Or(*ops)),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=max_leaves)
+
+
+def parse_guard(text):
+    """``text`` read by the guard parser alone."""
+    cur = frontend._Cursor(frontend._lex(text, "<guard>", glyphs=False))
+    expr = frontend._parse_or(cur, F.Symbol, frontend._SYSTEM_KEYWORDS, False)
+    assert cur.tok.kind == "eof", text
+    return expr
 
 
 class TestEvaluate:
@@ -155,6 +168,56 @@ class TestText:
         flat = F.Or(F.Or(F.Atom(a), F.Atom(b)), F.Atom(c))
         assert F.to_text(nested) == "a + (b + c)"
         assert F.to_text(flat) == "a + b + c"
+
+
+    @settings(deadline=None)
+    @given(expr=exprs([a, b, c, d]))
+    def test_text_reparses_to_the_tree_and_bdd_agrees(self, expr):
+        assert parse_guard(F.to_text(expr)) == expr
+        m = robdd.BddManager(s.name for s in (a, b, c, d))
+        ref = m.from_expr(expr)
+        for valuation in all_valuations({a, b, c, d}):
+            assert m.evaluate(ref, {s.name for s in valuation}) == F.evaluate(expr, valuation)
+
+
+class TestChains:
+    def test_first_operand_of_the_same_kind_is_spliced(self):
+        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        assert F.And(F.And(A, B), C) == F.And(A, B, C)
+        assert F.Or(F.Or(A, B), C).operands == (A, B, C)
+        assert F.to_text(F.And(A, B, C)) == "a * b * c"
+        assert parse_guard("a * b * c") == parse_guard("(a * b) * c") == F.And(A, B, C)
+
+    def test_later_operand_stays_nested(self):
+        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        nested = F.And(A, F.And(B, C))
+        assert nested.operands == (A, F.And(B, C))
+        assert nested != F.And(A, B, C)
+        assert F.to_text(nested) == "a * (b * c)"
+
+    def test_other_kinds_are_not_spliced(self):
+        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        assert F.And(F.Or(A, B), C).operands == (F.Or(A, B), C)
+        assert F.And(A, B) != F.Or(A, B)
+
+    def test_needs_two_operands(self):
+        with pytest.raises(F.FormulaError):
+            F.And(F.Atom(a))
+
+    def test_and_all_builds_one_node(self):
+        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        assert F.and_all([A, F.TRUE, B, C]) == F.And(A, B, C)
+        assert F.and_all([F.And(A, B), F.Or(A, C)]) == F.And(A, B, F.Or(A, C))
+        assert F.and_all([A, F.FALSE, B]) == F.FALSE
+        assert F.and_all([F.TRUE, A]) == A
+        assert F.and_all([]) == F.TRUE
+
+    def test_flat_chain_walkers_do_not_recurse_per_operand(self):
+        chain = F.Or(*(F.Atom(F.Symbol(f"x{i % 100}")) for i in range(10_000)))
+        assert F.evaluate(chain, {F.Symbol("x99")})
+        assert len(F.atoms(chain)) == 100
+        assert F.to_text(chain).count(" + ") == 9_999
+        assert list(F.conj_factors(F.And(chain, chain))) == [chain, chain]
 
 
 class TestSymbols:

@@ -217,7 +217,7 @@ class TestCtl:
             "system one { machine m { init s; state s { -> s when 1; } } }", "one.csm"
         ).system
         rg = reach.build_rg_explicit(system)
-        verdict = mc.check_ctl(rg, mc.CtlEF(mc.CtlAtom(F.Symbol("x"))))
+        verdict = mc.check_ctl(rg, mc.CtlEF(F.Atom(F.Symbol("x"))))
         assert not verdict.holds
 
     def test_non_output_ctl_atom_warns_at_parse_time(self, tlc_system):
@@ -248,12 +248,12 @@ class TestCtl:
         if not produced:
             pytest.skip("no outputs to talk about")
         for sym in produced[:3]:
-            p = mc.CtlAtom(sym)
+            p = F.Atom(sym)
             pairs = [
-                (mc.CtlAG(p), mc.CtlNot(mc.CtlEF(mc.CtlNot(p)))),
-                (mc.CtlAF(p), mc.CtlNot(mc.CtlEG(mc.CtlNot(p)))),
-                (mc.CtlAX(p), mc.CtlNot(mc.CtlEX(mc.CtlNot(p)))),
-                (mc.CtlEF(p), mc.CtlEU(mc.CtlConst(True), p)),
+                (mc.CtlAG(p), F.Not(mc.CtlEF(F.Not(p)))),
+                (mc.CtlAF(p), F.Not(mc.CtlEG(F.Not(p)))),
+                (mc.CtlAX(p), F.Not(mc.CtlEX(F.Not(p)))),
+                (mc.CtlEF(p), mc.CtlEU(F.TRUE, p)),
             ]
             for left, right in pairs:
                 assert mc.check_ctl(rg, left).holds == mc.check_ctl(rg, right).holds
@@ -265,13 +265,13 @@ class TestCtl:
         produced = sorted(system.produced_symbols(), key=lambda s: s.name)
         if len(produced) < 2:
             pytest.skip("need two outputs")
-        p, r = mc.CtlAtom(produced[0]), mc.CtlAtom(produced[1])
+        p, r = F.Atom(produced[0]), F.Atom(produced[1])
         au = mc.CtlAU(p, r)
         # A[p U r] == not (E[~r U (~p * ~r)] + EG ~r)
-        rewritten = mc.CtlNot(
-            mc.CtlOr(
-                mc.CtlEU(mc.CtlNot(r), mc.CtlAnd(mc.CtlNot(p), mc.CtlNot(r))),
-                mc.CtlEG(mc.CtlNot(r)),
+        rewritten = F.Not(
+            F.Or(
+                mc.CtlEU(F.Not(r), F.And(F.Not(p), F.Not(r))),
+                mc.CtlEG(F.Not(r)),
             )
         )
         assert mc.check_ctl(rg, au).holds == mc.check_ctl(rg, rewritten).holds
@@ -299,10 +299,10 @@ def random_ctl(rng, symbols, depth=3):
     """A random CTL formula over ``symbols`` using every operator."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.1:
-            return mc.CtlConst(rng.random() < 0.5)
-        return mc.CtlAtom(rng.choice(symbols))
-    unary = (mc.CtlNot, mc.CtlEX, mc.CtlAX, mc.CtlEF, mc.CtlAF, mc.CtlEG, mc.CtlAG)
-    binary = (mc.CtlAnd, mc.CtlOr, mc.CtlImplies, mc.CtlEU, mc.CtlAU)
+            return F.TRUE if rng.random() < 0.5 else F.FALSE
+        return F.Atom(rng.choice(symbols))
+    unary = (F.Not, mc.CtlEX, mc.CtlAX, mc.CtlEF, mc.CtlAF, mc.CtlEG, mc.CtlAG)
+    binary = (F.And, F.Or, mc.CtlImplies, mc.CtlEU, mc.CtlAU)
     op = rng.choice(unary + binary)
     if op in unary:
         return op(random_ctl(rng, symbols, depth - 1))

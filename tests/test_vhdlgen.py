@@ -83,6 +83,14 @@ class TestFragments:
         assert "((Car='1') and (TimTL='1'))" in tlc_vhdl
         assert "(not ((Car='1') and (TimTL='1')))" in tlc_vhdl
 
+    def test_chains_print_left_nested_pairs(self):
+        x, y, z = (F.Atom(F.Symbol(n)) for n in "xyz")
+        flat, nested = F.And(F.And(x, y), z), F.And(x, F.And(y, z))
+        assert vhdlgen._condition(flat) == "(((x='1') and (y='1')) and (z='1'))"
+        assert vhdlgen._condition(nested) == "((x='1') and ((y='1') and (z='1')))"
+        mixed = F.Or(F.Or(x, F.Not(y)), F.And(y, z))
+        assert vhdlgen._condition(mixed) == "(((x='1') or (not (y='1'))) or ((y='1') and (z='1')))"
+
     def test_prepared_value_variables(self, tlc_vhdl):
         assert "variable newHG : BIT;" in tlc_vhdl
         assert "HG <= newHG;" in tlc_vhdl
