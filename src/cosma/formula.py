@@ -37,13 +37,10 @@ __all__ = [
     "Symbol",
     "SymbolTable",
     "TRUE",
-    "and_",
     "and_all",
     "atoms",
     "conj_factors",
     "evaluate",
-    "not_",
-    "or_",
     "satisfiable",
     "to_text",
 ]
@@ -177,36 +174,9 @@ TRUE = ConstTrue()
 FALSE = ConstFalse()
 
 
-def not_(expr: BoolExpr) -> BoolExpr:
-    if expr == TRUE:
-        return FALSE
-    if expr == FALSE:
-        return TRUE
-    return Not(expr)
-
-
-def and_(left: BoolExpr, right: BoolExpr) -> BoolExpr:
-    if left == FALSE or right == FALSE:
-        return FALSE
-    if left == TRUE:
-        return right
-    if right == TRUE:
-        return left
-    return And(left, right)
-
-
-def or_(left: BoolExpr, right: BoolExpr) -> BoolExpr:
-    if left == TRUE or right == TRUE:
-        return TRUE
-    if left == FALSE:
-        return right
-    if right == FALSE:
-        return left
-    return Or(left, right)
-
-
 def and_all(exprs: Iterable[BoolExpr]) -> BoolExpr:
-    """``and_`` folded over ``exprs``, built as one node."""
+    """The conjunction of ``exprs`` as one node, or a constant: ``TRUE``
+    factors are dropped, and a ``FALSE`` factor makes it ``FALSE``."""
     factors = [e for e in exprs if e != TRUE]
     if FALSE in factors:
         return FALSE

@@ -2,9 +2,12 @@
 
 Two engines build the same set of global states:
 
-* an explicit breadth-first product that also records edges, each guarded
+* an explicit breadth-first search that also records edges, each guarded
   by a BDD over the environment inputs in the graph's one manager (the arc
-  guards with every produced symbol fixed by the source state), and
+  guards with every produced symbol fixed by the source state).  It merges
+  each machine's moves by target and walks the machines depth first,
+  pruning every combination whose running conjunction is ``FALSE``, and
+  numbers nodes and orders edges as the plain product of moves would; and
 * a symbolic fixpoint over a BDD-encoded transition relation, built
   bottom-up (state cubes from the last bit, machine relations conjoined
   from the last machine), whose image steps take only the states reached
@@ -17,8 +20,6 @@ of the whole pipeline.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -72,15 +73,63 @@ class ReachGraph:
         return len(self.nodes)
 
 
+def _conjunctions(m: robdd.BddManager, options):
+    """Every choice of one ``(label, guard)`` pair from each list in ``options``
+    whose guards have a satisfiable conjunction, as ``(labels, conjunction)``,
+    in lexicographic order of the choices.
+
+    Depth first with an explicit stack, not one recursion per list: each
+    prefix is conjoined once and shared by all its extensions, and a prefix
+    whose conjunction is ``FALSE`` is not extended.  A guard that is the
+    manager's ``TRUE`` object itself is taken without an AND.
+    """
+    if not options:
+        yield (), m.TRUE
+        return
+    and_, true, false = m.and_, m.TRUE, m.FALSE
+    last = len(options) - 1
+    labels = [None] * len(options)
+    conj = [true] * len(options)  # conj[d]: the choices above depth d, conjoined
+    untried = [iter(options[0])] + [None] * last  # per depth, the options not yet tried
+    depth = 0
+    while depth >= 0:
+        for label, guard in untried[depth]:
+            c = conj[depth] if guard is true else and_(conj[depth], guard)
+            if c != false:
+                break
+        else:
+            depth -= 1
+            continue
+        labels[depth] = label
+        if depth == last:
+            yield tuple(labels), c
+        else:
+            depth += 1
+            conj[depth] = c
+            untried[depth] = iter(options[depth])
+
+
 def build_rg_explicit(system: model.System) -> ReachGraph:
     """Breadth-first fixpoint over the synchronous product.
 
-    Starting from the initial vector, each frontier state contributes every
-    combination of per-machine moves whose conjoined guard is satisfiable
-    over the environment alphabet; machines whose guards leave some
-    environment valuations uncovered contribute an implicit stay move
-    guarded by the uncovered remainder.  Parallel edges between the same
-    pair of states are merged by disjunction.
+    Starting from the initial vector, each frontier state contributes one
+    edge per vector of per-machine targets whose guard is satisfiable over
+    the environment alphabet; machines whose guards leave some environment
+    valuations uncovered contribute an implicit stay move guarded by the
+    uncovered remainder.
+
+    Each machine's moves are merged by target: one group per target, in
+    order of first occurrence, guarded by the OR of its moves' guards.  The
+    groups are enumerated depth first with a running conjunction, pruned as
+    soon as it is ``FALSE``, so each leaf is one edge whose guard is the OR
+    over every combination of moves into that target vector, and machines
+    with several moves into one state add no combinations.  Edges, and so
+    the numbering of newly found nodes, come in the order of each target
+    vector's lexicographically first satisfiable combination of moves: the
+    order a plain product of moves would find them in.  When no machine
+    merged moves that is the order of the enumeration; otherwise the leaves
+    are sorted by that combination, found by the same pruned walk over the
+    leaf's own moves.
     """
     env = model.env_alphabet(system)
     ctx = F.GuardContext(model.declaration_order(system, env))
@@ -90,12 +139,14 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
     index: dict[model.GlobalState, int] = {initial: 0}
     nodes: list[model.GlobalState] = [initial]
     outputs: list[frozenset] = [model.output_valuation(system, initial)]
-    edge_guards: dict[tuple[int, int], robdd.BddRef] = {}  # in discovery order
+    edges: list[ReachEdge] = []  # in discovery order
     # a machine's moves depend only on its state and the outputs its arcs
-    # read, so they are built once per such pair, not once per node
+    # read, so they are built once per such pair, not once per node: a list
+    # of (target, OR of the guards) per target, the (move index, guard) pairs
+    # of each target, and whether any target has more than one move
     reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
               for j in range(len(machine.states))] for machine in system.machines]
-    known_moves: dict[tuple, list[tuple[int, robdd.BddRef]]] = {}
+    known_moves: dict[tuple, tuple[list, dict, bool]] = {}
 
     frontier = 0
     while frontier < len(nodes):
@@ -107,38 +158,52 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 return m.mk_var(sym.name)
             return m.TRUE if sym in valuation else m.FALSE
 
-        per_machine: list[list[tuple[int, robdd.BddRef]]] = []
+        per_machine = []
+        moves_at = []
+        merged = False
         for i, (machine, idx) in enumerate(zip(system.machines, nodes[src])):
             key = (i, idx, valuation & reads[i][idx])
-            moves = known_moves.get(key)
-            if moves is None:
-                moves = known_moves[key] = []
+            known = known_moves.get(key)
+            if known is None:
+                by_target: dict[int, list[tuple[int, robdd.BddRef]]] = {}
                 stay = m.TRUE
+                count = 0
                 for arc in machine.arcs_from(idx):
                     r = m.from_expr(arc.guard, leaf)
                     stay = m.and_(stay, m.not_(r))
                     if ctx.satisfiable(r):
-                        moves.append((machine.state_index(arc.dst), r))
+                        by_target.setdefault(machine.state_index(arc.dst), []).append((count, r))
+                        count += 1
                 if ctx.satisfiable(stay):
-                    moves.append((idx, stay))
-            per_machine.append(moves)
+                    by_target.setdefault(idx, []).append((count, stay))
+                    count += 1
+                groups = []
+                for target, moves in by_target.items():
+                    guard = moves[0][1]
+                    for _, r in moves[1:]:
+                        guard = m.or_(guard, r)
+                    # a group that always fires holds m.TRUE itself, whose AND the walk skips
+                    groups.append((target, m.TRUE if ctx.tautology(guard) else guard))
+                known = known_moves[key] = groups, by_target, len(groups) < count
+            per_machine.append(known[0])
+            moves_at.append(known[1])
+            merged = merged or known[2]
 
-        for choice in itertools.product(*per_machine):
-            guard = functools.reduce(m.and_, (r for _, r in choice), m.TRUE)
-            if not ctx.satisfiable(guard):
-                continue
-            succ = tuple(t for t, _ in choice)
+        leaves = list(_conjunctions(m, per_machine))
+        if merged and len(leaves) > 1:
+            # by the indices of each leaf's first satisfiable combination of moves
+            leaves.sort(key=lambda edge: next(_conjunctions(
+                m, [moves[t] for moves, t in zip(moves_at, edge[0])]))[0])
+        for succ, guard in leaves:
             dst = index.get(succ)
             if dst is None:
                 dst = len(nodes)
                 index[succ] = dst
                 nodes.append(succ)
                 outputs.append(model.output_valuation(system, succ))
-            merged = edge_guards.get((src, dst))
-            edge_guards[(src, dst)] = guard if merged is None else m.or_(merged, guard)
+            edges.append(ReachEdge(src, guard, dst))
         frontier += 1
 
-    edges = [ReachEdge(src, guard, dst) for (src, dst), guard in edge_guards.items()]
     edges_from: list[list[ReachEdge]] = [[] for _ in nodes]
     preds: list[list[int]] = [[] for _ in nodes]
     for edge in edges:

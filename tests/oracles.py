@@ -4,25 +4,28 @@ Everything here sticks to brute force: valuations are enumerated
 exhaustively, reachability is recomputed through the raw step semantics,
 and temporal operators are decided by path enumeration.  The only engine
 code used is ``BddManager.evaluate``, which reads an edge guard under one
-valuation at a time; apart from the symbolic fixpoint and the rescanning
-query checker below, nothing here builds or combines BDDs.  The symbolic
+valuation at a time; apart from the symbolic fixpoint, the rescanning
+query checker and the explicit engine's product loop below, nothing here
+builds or combines BDDs.  The symbolic
 fixpoint's reference is the loop the engine first ran: images of the whole
 reachable set until it stops growing.  The explicit checker's reference is
 its first labelling, which rescans every node until nothing changes.  The
 VHDL audit's reference is the audit as it was first written, with one
 regex per machine, state and symbol.  The lexer's reference is its first
 version, which walks the text one character at a time and builds a span
-for every token.
+for every token.  The explicit engine's reference is its first successor
+loop, which conjoins every combination of per-machine moves.
 """
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 
 from cosma import formula as F
-from cosma import mc, model, vhdlgen
+from cosma import mc, model, robdd, vhdlgen
 from cosma.frontend import ParseError, SourceSpan
-from cosma.reach import ReachGraph
+from cosma.reach import ReachEdge, ReachGraph
 
 
 def all_valuations(symbols):
@@ -537,3 +540,92 @@ def charwise_lex(text: str, file: str, glyphs: bool) -> list[_Token]:
         raise ParseError(f"unexpected character {ch!r}", span(1))
     tokens.append(_Token("eof", "", SourceSpan(file, line, col, 0)))
     return tokens
+
+
+# -- the explicit engine's product loop -----------------------------------------
+
+# ``reach.build_rg_explicit`` as it was before it merged moves by target,
+# verbatim apart from its name: ``itertools.product`` over every machine's
+# moves, each combination conjoined from ``TRUE``.  It fixes the node
+# numbering and edge order the engine must keep, and is exponential in the
+# number of machines with several moves into one state.
+
+
+def product_rg_explicit(system: model.System) -> ReachGraph:
+    env = model.env_alphabet(system)
+    ctx = F.GuardContext(model.declaration_order(system, env))
+    m = ctx.manager
+
+    initial = system.initial_state()
+    index: dict[model.GlobalState, int] = {initial: 0}
+    nodes: list[model.GlobalState] = [initial]
+    outputs: list[frozenset] = [model.output_valuation(system, initial)]
+    edge_guards: dict[tuple[int, int], robdd.BddRef] = {}  # in discovery order
+    reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
+              for j in range(len(machine.states))] for machine in system.machines]
+    known_moves: dict[tuple, list[tuple[int, robdd.BddRef]]] = {}
+
+    frontier = 0
+    while frontier < len(nodes):
+        src = frontier
+        valuation = outputs[src]
+
+        def leaf(sym):
+            if sym in env:
+                return m.mk_var(sym.name)
+            return m.TRUE if sym in valuation else m.FALSE
+
+        per_machine: list[list[tuple[int, robdd.BddRef]]] = []
+        for i, (machine, idx) in enumerate(zip(system.machines, nodes[src])):
+            key = (i, idx, valuation & reads[i][idx])
+            moves = known_moves.get(key)
+            if moves is None:
+                moves = known_moves[key] = []
+                stay = m.TRUE
+                for arc in machine.arcs_from(idx):
+                    r = m.from_expr(arc.guard, leaf)
+                    stay = m.and_(stay, m.not_(r))
+                    if ctx.satisfiable(r):
+                        moves.append((machine.state_index(arc.dst), r))
+                if ctx.satisfiable(stay):
+                    moves.append((idx, stay))
+            per_machine.append(moves)
+
+        for choice in itertools.product(*per_machine):
+            guard = functools.reduce(m.and_, (r for _, r in choice), m.TRUE)
+            if not ctx.satisfiable(guard):
+                continue
+            succ = tuple(t for t, _ in choice)
+            dst = index.get(succ)
+            if dst is None:
+                dst = len(nodes)
+                index[succ] = dst
+                nodes.append(succ)
+                outputs.append(model.output_valuation(system, succ))
+            merged = edge_guards.get((src, dst))
+            edge_guards[(src, dst)] = guard if merged is None else m.or_(merged, guard)
+        frontier += 1
+
+    edges = [ReachEdge(src, guard, dst) for (src, dst), guard in edge_guards.items()]
+    edges_from: list[list[ReachEdge]] = [[] for _ in nodes]
+    preds: list[list[int]] = [[] for _ in nodes]
+    for edge in edges:
+        edges_from[edge.src].append(edge)
+        preds[edge.dst].append(edge.src)
+
+    quiescent = set()
+    for i, outgoing in enumerate(edges_from):
+        assert outgoing, "implicit stay makes the step relation total"
+        if len(outgoing) == 1 and outgoing[0].dst == i and ctx.tautology(outgoing[0].guard):
+            quiescent.add(i)
+
+    return ReachGraph(
+        system=system,
+        nodes=nodes,
+        edges=edges,
+        outputs=outputs,
+        manager=m,
+        quiescent=frozenset(quiescent),
+        _edges_from=edges_from,
+        _preds=preds,
+    )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -138,6 +139,39 @@ class TestRg:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
+
+
+# SHA-256 of what the bundled models print and write: ``rg`` stdout and its
+# JSON and DOT files, and the ``check --json`` report.  Determinism alone
+# would let a change renumber nodes or reorder edges unnoticed.
+GOLDEN = {
+    "tlc": {
+        "rg": "d1b01750e3afcca9566fdf165890fae88e30e37b25c124c94ecef99cea864705",
+        "json": "33c108d8f18f4f24df89459755ab46411be7f347b3af15aff260da419161d245",
+        "dot": "04ffed320bccce0b8a9452c2008e6b51a9a88f7ab2e6db814411f72336c77509",
+        "check": "02efd02c7fe8cb1e4aba026424ec83dea84fc415494214fd487665e6cb6b8691",
+    },
+    "tlc_car": {
+        "rg": "3961876bb007df909c94b0925c3aaeb90323a1e1d2968448dfbf6750801cddf2",
+        "json": "8c0562a5688abb98b69436af4f258f5be6083fef97f81ca99cec4b81838fdccc",
+        "dot": "014adc8fff8a6abad6f32553f613423f4339bb473f67cdf70b91bb3f8755460c",
+        "check": "ad6418b12fb041433a80ba596206589d905a6ee69bfeeb3050bb1829e70f0d55",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_outputs_are_pinned(name, workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    code, rg_out, _ = run(capsys, ["rg", f"{name}.csm", "--engine", "both",
+                                   "--json", "g.json", "--dot", "g.dot"])
+    assert code == 0
+    code, check_out, _ = run(capsys, ["check", f"{name}.csm", "--queries", "tlc_queries.tq",
+                                      "--json"])
+    assert code == 0
+    outputs = {"rg": rg_out.encode(), "json": (workdir / "g.json").read_bytes(),
+               "dot": (workdir / "g.dot").read_bytes(), "check": check_out.encode()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in outputs.items()} == GOLDEN[name]
 
 
 def parallel_arcs(tmp_path, m: int):

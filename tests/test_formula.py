@@ -241,13 +241,3 @@ class TestSymbols:
             F.Symbol("2fast")
         with pytest.raises(F.FormulaError):
             F.Symbol("no-dashes")
-
-    def test_smart_constructors_fold_constants_only(self):
-        assert F.and_(F.Atom(a), F.TRUE) == F.Atom(a)
-        assert F.and_(F.Atom(a), F.FALSE) == F.FALSE
-        assert F.or_(F.Atom(a), F.FALSE) == F.Atom(a)
-        assert F.or_(F.Atom(a), F.TRUE) == F.TRUE
-        assert F.not_(F.TRUE) == F.FALSE
-        # no boolean simplification beyond constants
-        twice = F.and_(F.Atom(a), F.Atom(a))
-        assert twice == F.And(F.Atom(a), F.Atom(a))

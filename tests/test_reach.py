@@ -3,12 +3,18 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosma import frontend, model, reach, robdd
 from gensys import random_system
-from oracles import all_valuations, guard_holds, reachable_by_stepping, whole_set_reachable
+from oracles import (
+    all_valuations,
+    guard_holds,
+    product_rg_explicit,
+    reachable_by_stepping,
+    whole_set_reachable,
+)
 
 ONE_STATE = "system one { machine m { init s; state s { -> s when 1; } } }"
 
@@ -99,6 +105,64 @@ class TestExplicit:
 
     def test_tlc_is_never_quiescent(self, tlc_rg):
         assert tlc_rg.quiescent == frozenset()
+
+    # seeds 4 and 35 renumber nodes if the leaves are left in the order of
+    # the merged moves instead of that of their first satisfiable combination
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 10**6))
+    @example(seed=4)
+    @example(seed=35)
+    def test_same_graph_as_the_product_of_moves(self, seed):
+        system = random_system(random.Random(seed), max_machines=4, max_states=4, max_env=3)
+        expected, rg = product_rg_explicit(system), reach.build_rg_explicit(system)
+        assert rg.nodes == expected.nodes
+        assert [(e.src, e.dst) for e in rg.edges] == [(e.src, e.dst) for e in expected.edges]
+        assert rg.quiescent == expected.quiescent
+        assert reach.json_text(rg) == reach.json_text(expected)
+        assert reach.to_dot(rg) == reach.to_dot(expected)
+
+    def test_parallel_arcs_take_linearly_many_ands(self, monkeypatch):
+        # two complementary arcs into one state per machine: a product of
+        # moves makes 2^20 combinations of 20 ANDs each
+        n = 20
+        machines = "".join(
+            f"machine P{i} {{ init a; state a {{ -> b when y{i}; -> b when ~y{i}; }}"
+            f" state b {{ out B{i}; -> a when 1; }} }}\n"
+            for i in range(n)
+        )
+        system = frontend.parse_system(f"system Parallel {{\n{machines}}}\n", "p.csm").system
+        limit_ands(monkeypatch, 10 * n)
+        rg = reach.build_rg_explicit(system)
+        assert len(rg) == 2
+        assert [(e.src, e.dst, e.guard) for e in rg.edges] == [(0, 1, rg.manager.TRUE),
+                                                                (1, 0, rg.manager.TRUE)]
+
+    def test_more_machines_than_the_recursion_limit(self, monkeypatch):
+        # more machines than the default recursion limit of 1,000; each one's
+        # arc and implicit stay both lead back to ``s``
+        n = 1100
+        machines = "".join(f"machine M{i} {{ init s; state s {{ -> s when go; }} }}\n"
+                           for i in range(n))
+        system = frontend.parse_system(f"system Many {{\n{machines}}}\n", "many.csm").system
+        limit_ands(monkeypatch, 10 * n)
+        rg = reach.build_rg_explicit(system)
+        assert rg.nodes == [(0,) * n]
+        assert [(e.src, e.dst, e.guard) for e in rg.edges] == [(0, 0, rg.manager.TRUE)]
+        assert rg.quiescent == frozenset({0})
+
+
+def limit_ands(monkeypatch, bound: int) -> None:
+    """Make ``BddManager.and_`` fail once it has run more than ``bound`` times."""
+    and_ = robdd.BddManager.and_
+    calls = 0
+
+    def counted(manager, f, g):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, f"more than {bound} ANDs"
+        return and_(manager, f, g)
+
+    monkeypatch.setattr(robdd.BddManager, "and_", counted)
 
 
 class TestSymbolic:
