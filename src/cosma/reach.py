@@ -16,12 +16,16 @@ Two engines build the same set of global states:
 The two must always agree on the reachable set: equal sizes, and every
 explicit node in the symbolic set.  That cross-check is the central oracle
 of the whole pipeline.
+
+The explicit graph exports as DOT and as JSON.  Both print each distinct
+edge guard by the same text, made in one pass over the edges by the first
+export and kept in the graph.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string
 
 from cosma import formula as F
 from cosma import model, robdd
@@ -32,8 +36,8 @@ __all__ = [
     "SymbolicReachability",
     "build_rg_explicit",
     "build_rg_symbolic",
+    "json_text",
     "to_dot",
-    "to_json",
 ]
 
 
@@ -54,6 +58,9 @@ class ReachGraph:
     quiescent: frozenset[int] = frozenset()
     _edges_from: list[list[ReachEdge]] = field(default_factory=list, repr=False)
     _preds: list[list[int]] = field(default_factory=list, repr=False)
+    # each distinct edge guard's text by node, filled by the first export
+    _guard_text: dict[int, str] | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def out_edges(self, node: int) -> list[ReachEdge]:
         return self._edges_from[node]
@@ -382,23 +389,29 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
 # -- export --------------------------------------------------------------------
 
 
-def _guard_texts(rg: ReachGraph) -> list[str]:
-    """Each edge guard as an irredundant sum of products, literals in declaration order.
+def _guard_texts(rg: ReachGraph) -> dict[int, str]:
+    """Each distinct edge guard as an irredundant sum of products, literals in
+    declaration order, keyed by the guard's node.
 
-    Products are printed one by one and joined, never as one formula tree,
-    because a cover can have exponentially many of them.
+    The texts are computed in one pass over the edges, on the first export of
+    the graph, and kept in it, so DOT and JSON share them and each distinct
+    guard is covered and printed once.  Products are printed one by one and
+    joined, never as one formula tree, because a cover can have exponentially
+    many of them.
     """
-    texts: dict[robdd.BddRef, str] = {}
-    for edge in rg.edges:
-        if edge.guard not in texts:
-            texts[edge.guard] = " + ".join(
-                F.to_text(F.and_all(
-                    F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
-                    for name, pos in cube
-                ))
-                for cube in rg.manager.isop(edge.guard)
-            ) or "0"
-    return [texts[edge.guard] for edge in rg.edges]
+    texts = rg._guard_text
+    if texts is None:
+        texts = rg._guard_text = {}
+        for edge in rg.edges:
+            if edge.guard.node not in texts:
+                texts[edge.guard.node] = " + ".join(
+                    F.to_text(F.and_all(
+                        F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
+                        for name, pos in cube
+                    ))
+                    for cube in rg.manager.isop(edge.guard)
+                ) or "0"
+    return texts
 
 
 def to_dot(rg: ReachGraph) -> str:
@@ -410,33 +423,45 @@ def to_dot(rg: ReachGraph) -> str:
         shape = ', peripheries=2' if i == 0 else ""
         extra = ', style=dashed' if i in rg.quiescent else ""
         lines.append(f'  n{i} [label="{label}"{shape}{extra}];')
-    for edge, guard in zip(rg.edges, _guard_texts(rg)):
-        lines.append(f'  n{edge.src} -> n{edge.dst} [label="{guard}"];')
+    texts = _guard_texts(rg)
+    for edge in rg.edges:
+        lines.append(f'  n{edge.src} -> n{edge.dst} [label="{texts[edge.guard.node]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def to_json(rg: ReachGraph) -> dict:
-    """Stable-keyed dump of nodes and edges."""
-    return {
-        "system": rg.system.name,
-        "nodes": [
-            {
-                "states": [
-                    machine.states[idx].name
-                    for machine, idx in zip(rg.system.machines, rg.nodes[i])
-                ],
-                "outputs": sorted(s.name for s in rg.outputs[i]),
-                "quiescent": i in rg.quiescent,
-            }
-            for i in range(len(rg.nodes))
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "guard": guard}
-            for e, guard in zip(rg.edges, _guard_texts(rg))
-        ],
-    }
+def _json_array(items: list[str], pad: str) -> str:
+    """A JSON array of encoded ``items`` whose brackets sit at indentation ``pad``."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
 def json_text(rg: ReachGraph) -> str:
-    return json.dumps(to_json(rg), indent=2) + "\n"
+    """Stable-keyed dump of nodes and edges, as JSON text.
+
+    The text is exactly ``json.dumps(doc, indent=2)`` and a newline, ASCII
+    only, for the document ``{"system", "nodes": [{"states", "outputs",
+    "quiescent"}], "edges": [{"src", "dst", "guard"}]}``; nodes and edges are
+    in discovery order and outputs are sorted.  It is written directly:
+    every name and each distinct guard text is encoded once, by the same
+    string encoder ``json.dumps`` uses.
+    """
+    state_names = [[_json_string(state.name) for state in machine.states]
+                   for machine in rg.system.machines]
+    outputs: dict[frozenset, str] = {}
+    nodes = []
+    for i, (gstate, valuation) in enumerate(zip(rg.nodes, rg.outputs)):
+        outs = outputs.get(valuation)
+        if outs is None:
+            outs = outputs[valuation] = _json_array(
+                [_json_string(name) for name in sorted(s.name for s in valuation)], "      ")
+        states = _json_array([names[idx] for names, idx in zip(state_names, gstate)], "      ")
+        quiescent = "true" if i in rg.quiescent else "false"
+        nodes.append(f'{{\n      "states": {states},\n      "outputs": {outs},\n'
+                     f'      "quiescent": {quiescent}\n    }}')
+    guards = {node: _json_string(text) for node, text in _guard_texts(rg).items()}
+    edges = [f'{{\n      "src": {e.src},\n      "dst": {e.dst},\n'
+             f'      "guard": {guards[e.guard.node]}\n    }}' for e in rg.edges]
+    return (f'{{\n  "system": {_json_string(rg.system.name)},\n  "nodes": {_json_array(nodes, "  ")},'
+            f'\n  "edges": {_json_array(edges, "  ")}\n}}\n')

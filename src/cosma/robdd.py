@@ -12,7 +12,6 @@ The kernel is ``cosma._bddpure``, plain Python; ``BACKEND`` names it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from cosma import _bddpure
@@ -26,12 +25,31 @@ class BddError(ValueError):
     """Misuse of the BDD API (unknown variable, mixed managers, ...)."""
 
 
-@dataclass(frozen=True)
 class BddRef:
-    """Opaque handle to a Boolean function inside one manager."""
+    """Opaque handle to a Boolean function inside one manager.
 
-    manager: "BddManager"
-    node: int
+    Two handles are equal exactly when they have the same manager object and
+    the same node; they hash alike then, so handles serve as dict keys.
+    """
+
+    __slots__ = ("manager", "node")
+
+    def __init__(self, manager: "BddManager", node: int):
+        self.manager = manager
+        self.node = node
+
+    def __eq__(self, other):
+        if type(other) is not BddRef:
+            return NotImplemented
+        return self.node == other.node and self.manager is other.manager
+
+    def __ne__(self, other):
+        if type(other) is not BddRef:
+            return NotImplemented
+        return self.node != other.node or self.manager is not other.manager
+
+    def __hash__(self):
+        return hash((id(self.manager), self.node))
 
     def __and__(self, other: "BddRef") -> "BddRef":
         return self.manager.and_(self, other)
@@ -87,24 +105,31 @@ class BddManager:
     # -- operations --------------------------------------------------------
 
     def _node(self, ref: BddRef) -> int:
-        if not isinstance(ref, BddRef) or ref.manager is not self:
+        if type(ref) is not BddRef or ref.manager is not self:
             raise BddError("reference does not belong to this manager")
         return ref.node
 
-    def _wrap(self, node: int) -> BddRef:
-        return BddRef(self, node)
-
+    # not_, and_ and or_ carry the explicit engine's work, so they check
+    # ownership inline and build the result without a helper call
     def not_(self, f: BddRef) -> BddRef:
-        return self._wrap(self._k.not_(self._node(f)))
+        if type(f) is not BddRef or f.manager is not self:
+            raise BddError("reference does not belong to this manager")
+        return BddRef(self, self._k.not_(f.node))
 
     def and_(self, f: BddRef, g: BddRef) -> BddRef:
-        return self._wrap(self._k.and_(self._node(f), self._node(g)))
+        if not (type(f) is BddRef and f.manager is self and type(g) is BddRef
+                and g.manager is self):
+            raise BddError("reference does not belong to this manager")
+        return BddRef(self, self._k.and_(f.node, g.node))
 
     def or_(self, f: BddRef, g: BddRef) -> BddRef:
-        return self._wrap(self._k.or_(self._node(f), self._node(g)))
+        if not (type(f) is BddRef and f.manager is self and type(g) is BddRef
+                and g.manager is self):
+            raise BddError("reference does not belong to this manager")
+        return BddRef(self, self._k.or_(f.node, g.node))
 
     def xor_(self, f: BddRef, g: BddRef) -> BddRef:
-        return self._wrap(self._k.xor_(self._node(f), self._node(g)))
+        return BddRef(self, self._k.xor_(self._node(f), self._node(g)))
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         try:
@@ -114,17 +139,17 @@ class BddManager:
         return method(f, g)
 
     def ite(self, f: BddRef, g: BddRef, h: BddRef) -> BddRef:
-        return self._wrap(self._k.ite(self._node(f), self._node(g), self._node(h)))
+        return BddRef(self, self._k.ite(self._node(f), self._node(g), self._node(h)))
 
     def exists(self, names: Iterable[str], f: BddRef) -> BddRef:
         levels = tuple(sorted(self.level_of(n) for n in names))
-        return self._wrap(self._k.exists(self._node(f), levels))
+        return BddRef(self, self._k.exists(self._node(f), levels))
 
     def rename(self, f: BddRef, mapping: Mapping[str, str]) -> BddRef:
         pairs = tuple(
             sorted((self.level_of(src), self.level_of(dst)) for src, dst in mapping.items())
         )
-        return self._wrap(self._k.rename(self._node(f), pairs))
+        return BddRef(self, self._k.rename(self._node(f), pairs))
 
     def sat_count(self, f: BddRef, nvars: int | None = None) -> int:
         if nvars is None:

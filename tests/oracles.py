@@ -14,7 +14,10 @@ VHDL audit's reference is the audit as it was first written, with one
 regex per machine, state and symbol.  The lexer's reference is its first
 version, which walks the text one character at a time and builds a span
 for every token.  The explicit engine's reference is its first successor
-loop, which conjoins every combination of per-machine moves.
+loop, which conjoins every combination of per-machine moves.  The
+exporters' references are their first versions: guard texts keyed by
+``BddRef`` and computed anew for each export, and the JSON document as a
+dict for ``json.dumps``.
 """
 
 import functools
@@ -629,3 +632,60 @@ def product_rg_explicit(system: model.System) -> ReachGraph:
         _edges_from=edges_from,
         _preds=preds,
     )
+
+
+# -- the exporters as first written ---------------------------------------------
+
+# ``reach.to_dot`` and ``reach.to_json`` before the guard texts were kept in
+# the graph and the JSON text was written directly: each export covers every
+# distinct guard again, keyed by its ``BddRef``.
+
+
+def guard_texts(rg: ReachGraph) -> list[str]:
+    texts: dict[robdd.BddRef, str] = {}
+    for edge in rg.edges:
+        if edge.guard not in texts:
+            texts[edge.guard] = " + ".join(
+                F.to_text(F.and_all(
+                    F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
+                    for name, pos in cube
+                ))
+                for cube in rg.manager.isop(edge.guard)
+            ) or "0"
+    return [texts[edge.guard] for edge in rg.edges]
+
+
+def to_dot(rg: ReachGraph) -> str:
+    lines = ["digraph reachability {", "  rankdir=TB;", '  node [shape=ellipse, fontsize=10];']
+    for i in range(len(rg.nodes)):
+        outs = ", ".join(sorted(s.name for s in rg.outputs[i]))
+        label = rg.node_name(i) + ("\\n" + "{" + outs + "}" if outs else "")
+        shape = ', peripheries=2' if i == 0 else ""
+        extra = ', style=dashed' if i in rg.quiescent else ""
+        lines.append(f'  n{i} [label="{label}"{shape}{extra}];')
+    for edge, guard in zip(rg.edges, guard_texts(rg)):
+        lines.append(f'  n{edge.src} -> n{edge.dst} [label="{guard}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def to_json(rg: ReachGraph) -> dict:
+    """The document ``reach.json_text`` writes, for ``json.dumps(doc, indent=2)``."""
+    return {
+        "system": rg.system.name,
+        "nodes": [
+            {
+                "states": [
+                    machine.states[idx].name
+                    for machine, idx in zip(rg.system.machines, rg.nodes[i])
+                ],
+                "outputs": sorted(s.name for s in rg.outputs[i]),
+                "quiescent": i in rg.quiescent,
+            }
+            for i in range(len(rg.nodes))
+        ],
+        "edges": [
+            {"src": e.src, "dst": e.dst, "guard": guard}
+            for e, guard in zip(rg.edges, guard_texts(rg))
+        ],
+    }

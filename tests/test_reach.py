@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cosma import frontend, model, reach, robdd
+import oracles
 from gensys import random_system
 from oracles import (
     all_valuations,
@@ -285,7 +287,7 @@ class TestExport:
         assert "Car" in dot
 
     def test_json_schema(self, tlc_rg):
-        doc = reach.to_json(tlc_rg)
+        doc = json.loads(reach.json_text(tlc_rg))
         assert doc["system"] == "tlc"
         assert len(doc["nodes"]) == 13
         node = doc["nodes"][0]
@@ -295,3 +297,47 @@ class TestExport:
         edge = doc["edges"][0]
         assert set(edge) == {"src", "dst", "guard"}
         assert all(0 <= e["src"] < 13 and 0 <= e["dst"] < 13 for e in doc["edges"])
+
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 10**6))
+    def test_exports_match_the_first_exporters(self, seed):
+        system = random_system(random.Random(seed), max_machines=4, max_states=4, max_env=3)
+        assert_exports_match(reach.build_rg_explicit(system))
+
+    def test_bundled_exports_match_the_first_exporters(self, tlc_rg, tlc_car_rg, one_state_rg):
+        for rg in (tlc_rg, tlc_car_rg, one_state_rg):
+            assert_exports_match(rg)
+
+    def test_one_isop_per_distinct_guard(self, monkeypatch):
+        # four independent toggles: 16 nodes, each with an edge to every node,
+        # guarded by the 16 full cubes over the four inputs
+        machines = "".join(
+            f"machine T{i} {{ init a; state a {{ -> b when x{i}; }}"
+            f" state b {{ out B{i}; -> a when x{i}; }} }}\n"
+            for i in range(4)
+        )
+        system = frontend.parse_system(f"system Toggles {{\n{machines}}}\n", "t.csm").system
+        rg = reach.build_rg_explicit(system)
+        isop = robdd.BddManager.isop
+        covered = []
+
+        def counted(manager, f):
+            covered.append(f.node)
+            return isop(manager, f)
+
+        monkeypatch.setattr(robdd.BddManager, "isop", counted)
+        reach.to_dot(rg)
+        reach.json_text(rg)
+        assert (len(rg), len(rg.edges)) == (16, 256)
+        assert sorted(covered) == sorted({edge.guard.node for edge in rg.edges})
+        assert len(covered) == 16
+
+
+def assert_exports_match(rg) -> None:
+    """Both exports of ``rg`` equal those of the first exporters, before and
+    after the graph keeps its guard texts."""
+    text = json.dumps(oracles.to_json(rg), indent=2) + "\n"
+    dot = oracles.to_dot(rg)
+    assert reach.json_text(rg) == text
+    assert reach.to_dot(rg) == dot
+    assert reach.json_text(rg) == text

@@ -54,8 +54,46 @@ class TestBasics:
     def test_mixing_managers_rejected(self):
         m1 = robdd.BddManager(["x"])
         m2 = robdd.BddManager(["x"])
-        with pytest.raises(robdd.BddError):
-            m1.and_(m1.mk_var("x"), m2.mk_var("x"))
+        own, foreign = m1.mk_var("x"), m2.mk_var("x")
+        for op in (m1.and_, m1.or_, m1.xor_):
+            for f, g in ((own, foreign), (foreign, own), (foreign, foreign),
+                         (own, own.node), (own.node, own), (own, None)):
+                with pytest.raises(robdd.BddError):
+                    op(f, g)
+        for f in (foreign, m2.TRUE, own.node, None):
+            with pytest.raises(robdd.BddError):
+                m1.not_(f)
+
+
+class TestHandles:
+    def test_same_node_in_two_managers_is_unequal(self):
+        m1, m2 = robdd.BddManager(["x"]), robdd.BddManager(["x"])
+        x1, x2 = m1.mk_var("x"), m2.mk_var("x")
+        assert x1.node == x2.node
+        assert x1 != x2
+        assert not x1 == x2
+        assert m1.TRUE != m2.TRUE
+
+    def test_equal_handles_hash_equal_and_work_as_keys(self):
+        m = robdd.BddManager(["x", "y"])
+        x, y = m.mk_var("x"), m.mk_var("y")
+        f = m.and_(x, y)
+        g = m.not_(m.or_(m.not_(x), m.not_(y)))
+        assert f is not g
+        assert f == g
+        assert not f != g
+        assert hash(f) == hash(g)
+        table = {f: "x*y", m.TRUE: "1"}
+        assert table[g] == "x*y"
+        assert table[m.or_(x, m.TRUE)] == "1"
+        assert m.FALSE not in table
+        assert robdd.BddManager(["x", "y"]).TRUE not in table
+
+    def test_handles_never_equal_other_types(self):
+        m = robdd.BddManager()
+        assert m.TRUE != 1
+        assert m.FALSE != 0
+        assert m.TRUE != None  # noqa: E711
 
 
 class TestTruthTables:
