@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the BDD kernel on four workloads, each checking its own answer.
+"""Time the BDD manager on four workloads, each checking its own answer.
 
-* ``queens``   the n-queens constraint function built on the bare kernel
-               (no manager wrapper): pure apply/unique-table traffic.
+* ``queens``   the n-queens constraint function, built with and_/or_/not_
+               alone: pure apply/unique-table traffic.
 * ``guards``   random guard formulas over 14 variables, built and combined
                pairwise through the manager API.
 * ``counter``  reachability fixpoint of an n-bit binary counter, the
@@ -19,7 +19,7 @@ import argparse
 import random
 import time
 
-from cosma import _bddpure, assets, frontend, reach, robdd
+from cosma import assets, frontend, reach, robdd
 from cosma import formula as F
 
 
@@ -37,28 +37,28 @@ _SOLUTIONS = {4: 2, 5: 10, 6: 4, 7: 40, 8: 92}
 
 
 def bench_queens(n: int) -> float:
-    kernel = _bddpure.BddKernel()
-    cell = [[kernel.var(kernel.add_var()) for _ in range(n)] for _ in range(n)]
+    manager = robdd.BddManager()
+    cell = [[manager.mk_var(f"q{i}_{j}") for j in range(n)] for i in range(n)]
     started = time.perf_counter()
-    board = 1  # TRUE
+    board = manager.TRUE
     for i in range(n):
-        row = 0  # FALSE
+        row = manager.FALSE
         for j in range(n):
             placed = cell[i][j]
             for jj in range(n):
                 if jj != j:
-                    placed = kernel.and_(placed, kernel.not_(cell[i][jj]))
+                    placed = manager.and_(placed, manager.not_(cell[i][jj]))
             for ii in range(n):
                 if ii != i:
-                    placed = kernel.and_(placed, kernel.not_(cell[ii][j]))
+                    placed = manager.and_(placed, manager.not_(cell[ii][j]))
             for d in range(1, n):
                 for di, dj in ((d, d), (d, -d), (-d, d), (-d, -d)):
                     ii, jj = i + di, j + dj
                     if 0 <= ii < n and 0 <= jj < n:
-                        placed = kernel.and_(placed, kernel.not_(cell[ii][jj]))
-            row = kernel.or_(row, placed)
-        board = kernel.and_(board, row)
-    count = kernel.sat_count(board, n * n)
+                        placed = manager.and_(placed, manager.not_(cell[ii][jj]))
+            row = manager.or_(row, placed)
+        board = manager.and_(board, row)
+    count = manager.sat_count(board, n * n)
     if n in _SOLUTIONS:
         assert count == _SOLUTIONS[n], count
     return time.perf_counter() - started

@@ -53,12 +53,28 @@ def _print_diagnostics(diagnostics, errors_only: bool = False) -> None:
         print(f"{where}{label}: {diag.message}", file=sys.stderr)
 
 
+def _cannot(verb: str, path, exc: OSError) -> int:
+    """Report a file that cannot be read or written; an input error."""
+    print(f"{_style('error', '31')}: cannot {verb} {path}: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
+def _write(path, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure report it and return False."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        _cannot("write", path, exc)
+        return False
+    return True
+
+
 def _load_system(path: str) -> frontend.ParseResult:
     """Parse and validate a model file; the result's system is None on error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"{_style('error', '31')}: cannot read {path}: {exc}", file=sys.stderr)
+        _cannot("read", path, exc)
         return frontend.ParseResult(None)
     return frontend.parse_system(text, filename=path)
 
@@ -128,10 +144,12 @@ def cmd_rg(args) -> int:
         if graph is None:
             graph = reach.build_rg_explicit(system)
         if args.dot:
-            Path(args.dot).write_text(reach.to_dot(graph), encoding="utf-8")
+            if not _write(args.dot, reach.to_dot(graph)):
+                return EXIT_INPUT_ERROR
             print(f"wrote {args.dot}")
         if args.json:
-            Path(args.json).write_text(reach.json_text(graph), encoding="utf-8")
+            if not _write(args.json, reach.json_text(graph)):
+                return EXIT_INPUT_ERROR
             print(f"wrote {args.json}")
     return EXIT_OK
 
@@ -146,8 +164,7 @@ def cmd_check(args) -> int:
         qtext = Path(args.queries).read_text(encoding="utf-8")
     except OSError as exc:
         _print_diagnostics(diagnostics, errors_only=True)
-        print(f"{_style('error', '31')}: cannot read {args.queries}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _cannot("read", args.queries, exc)
     qresult = frontend.parse_queries(qtext, system=system, filename=args.queries)
     _print_diagnostics(diagnostics, errors_only=True)
     _print_diagnostics(qresult.diagnostics)
@@ -215,14 +232,14 @@ def cmd_vhdl(args) -> int:
     if system is None:
         return EXIT_INPUT_ERROR
     encoding, width = args.state_encoding
-    opts = vhdlgen.CodegenOptions(
-        state_encoding=encoding,
-        explicit_width=width,
-        delay_ns=args.delay_ns,
-        clock=args.clock,
-        entity_name=args.entity,
-    )
     try:
+        opts = vhdlgen.CodegenOptions(
+            state_encoding=encoding,
+            explicit_width=width,
+            delay_ns=args.delay_ns,
+            clock=args.clock,
+            entity_name=args.entity,
+        )
         text = vhdlgen.generate(system, opts, report=loaded.report)
     except vhdlgen.VhdlGenError as exc:
         print(f"{_style('error', '31')}: {exc}", file=sys.stderr)
@@ -233,7 +250,8 @@ def cmd_vhdl(args) -> int:
             print(f"{_style('audit failure', '31')}: {problem}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        if not _write(args.output, text):
+            return EXIT_INPUT_ERROR
         noun = "process" if audit.process_count == 1 else "processes"
         print(f"wrote {args.output} ({audit.process_count} {noun})")
     else:
@@ -247,10 +265,14 @@ def cmd_examples(args) -> int:
             print(name)
         return EXIT_OK
     target = Path(args.emit)
-    target.mkdir(parents=True, exist_ok=True)
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot("write", target, exc)
     for name in assets.NAMES:
         path = target / name
-        path.write_text(assets.text(name), encoding="utf-8")
+        if not _write(path, assets.text(name)):
+            return EXIT_INPUT_ERROR
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -41,7 +41,6 @@ __all__ = [
     "atoms",
     "conj_factors",
     "evaluate",
-    "satisfiable",
     "to_text",
 ]
 
@@ -283,12 +282,3 @@ class GuardContext:
 
     def tautology(self, guard: robdd.BddRef) -> bool:
         return guard == self.manager.TRUE
-
-
-def satisfiable(expr: BoolExpr, alphabet: Iterable[Symbol]) -> bool:
-    """True iff some valuation over ``alphabet`` makes ``expr`` true."""
-    ctx = GuardContext(alphabet)
-    try:
-        return ctx.satisfiable(ctx.manager.from_expr(expr))
-    except robdd.BddError as exc:
-        raise FormulaError(f"formula outside the alphabet: {exc}") from None

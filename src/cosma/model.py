@@ -89,12 +89,6 @@ class System:
         self.machines = tuple(machines)
         self.symbols = symbols
 
-    def machine_index(self, name: str) -> int:
-        for i, m in enumerate(self.machines):
-            if m.name == name:
-                return i
-        raise KeyError(f"no machine named {name!r}")
-
     def initial_state(self) -> GlobalState:
         return tuple(m.initial_index for m in self.machines)
 

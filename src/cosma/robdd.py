@@ -1,12 +1,16 @@
-"""Reduced ordered BDD manager with named variables.
+"""Reduced ordered BDD manager with named variables, in plain Python.
 
-The manager wraps a kernel that stores nodes in a unique table, so handles
-are canonical: two references are equal exactly when they denote the same
-Boolean function under the manager's variable order.  A manager is
-single-owner; distinct managers may be used concurrently but their
-references must never be mixed.
+``BddManager`` owns the node store.  Nodes are ints, the terminals are 0
+(false) and 1 (true), and each internal node is a ``(level, low, high)``
+triple; a smaller level sits closer to the root, and every child carries a
+strictly larger level than its parent.  The unique table keeps one node per
+triple, so handles are canonical: two references are equal exactly when
+they denote the same Boolean function under the manager's variable order.
+A node is appended after its children, so children have smaller ids.
 
-The kernel is ``cosma._bddpure``, plain Python; ``BACKEND`` names it.
+A manager is single-owner; distinct managers may be used concurrently but
+their references must never be mixed.  ``BACKEND`` names the
+implementation, recorded with benchmark results.
 """
 
 from __future__ import annotations
@@ -14,11 +18,11 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Mapping
 
-from cosma import _bddpure
-
 __all__ = ["BACKEND", "BddError", "BddManager", "BddRef"]
 
-BACKEND = "python"  # the kernel's name, recorded with benchmark results
+BACKEND = "python"  # the implementation's name, recorded with benchmark results
+
+TERMINAL_LEVEL = 1 << 30  # the level of both terminals, below every variable
 
 
 class BddError(ValueError):
@@ -68,10 +72,21 @@ class BddRef:
 
 
 class BddManager:
-    """A variable order, a unique node store, and the logical operations."""
+    """A variable order, a unique node store, and the logical operations.
+
+    The public methods take and give ``BddRef`` handles and check that they
+    belong to this manager; the private ones (``_make``, ``_ite``,
+    ``_exists``, ``_rename``) work on node ids and levels.
+    """
 
     def __init__(self, variables: Iterable[str] = ()):
-        self._k = _bddpure.BddKernel()
+        # node id -> (level, low, high); ids 0 and 1 are the terminals
+        self._nodes = [(TERMINAL_LEVEL, 0, 0), (TERMINAL_LEVEL, 1, 1)]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        # the computed table, one dict per operation so keys cannot collide
+        self._ite_cache: dict[tuple[int, int, int], int] = {}
+        self._exists_cache: dict[tuple[int, tuple], int] = {}
+        self._rename_cache: dict[tuple[int, tuple], int] = {}
         self._levels: dict[str, int] = {}
         self._names: list[str] = []
         self.FALSE = BddRef(self, 0)
@@ -85,13 +100,10 @@ class BddManager:
         """The function of a single variable; declares it on first use."""
         level = self._levels.get(name)
         if level is None:
-            level = self._k.add_var()
+            level = len(self._names)
             self._levels[name] = level
             self._names.append(name)
-        return BddRef(self, self._k.var(level))
-
-    def var_order(self) -> tuple[str, ...]:
-        return tuple(self._names)
+        return BddRef(self, self._make(level, 0, 1))
 
     def level_of(self, name: str) -> int:
         try:
@@ -100,7 +112,115 @@ class BddManager:
             raise BddError(f"undeclared variable {name!r}") from None
 
     def __len__(self) -> int:
-        return len(self._k)
+        return len(self._nodes)
+
+    # -- node store --------------------------------------------------------
+
+    def _make(self, level: int, low: int, high: int) -> int:
+        if low == high:
+            return low
+        key = (level, low, high)
+        found = self._unique.get(key)
+        if found is not None:
+            return found
+        ref = len(self._nodes)
+        self._nodes.append(key)
+        self._unique[key] = ref
+        return ref
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        if f == 1:
+            return g
+        if f == 0:
+            return h
+        if g == h:
+            return g
+        if g == 1 and h == 0:
+            return f
+        if f == g:
+            g = 1
+        if f == h:
+            h = 0
+        key = (f, g, h)
+        cached = self._ite_cache.get(key)
+        if cached is not None:
+            return cached
+        nodes = self._nodes
+        fv, f0, f1 = nodes[f]
+        gv, g0, g1 = nodes[g]
+        hv, h0, h1 = nodes[h]
+        top = fv
+        if gv < top:
+            top = gv
+        if hv < top:
+            top = hv
+        # cofactors at the top level; a function not rooted there is its own
+        if fv != top:
+            f0 = f1 = f
+        if gv != top:
+            g0 = g1 = g
+        if hv != top:
+            h0 = h1 = h
+        result = self._make(top, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
+        self._ite_cache[key] = result
+        return result
+
+    def _exists(self, f: int, levels: tuple) -> int:
+        """Quantify the sorted ``levels`` out of ``f``."""
+        if f <= 1 or not levels:
+            return f
+        key = (f, levels)
+        cached = self._exists_cache.get(key)
+        if cached is not None:
+            return cached
+        lv, low, high = self._nodes[f]
+        i = 0
+        n = len(levels)
+        while i < n and levels[i] < lv:
+            i += 1  # quantified variable above the root: not in the support
+        rest = levels[i:]
+        if not rest:
+            result = f
+        elif rest[0] == lv:
+            low, high = self._exists(low, rest[1:]), self._exists(high, rest[1:])
+            if low > high:
+                low, high = high, low
+            result = self._ite(low, 1, high)
+        else:
+            result = self._make(lv, self._exists(low, rest), self._exists(high, rest))
+        self._exists_cache[key] = result
+        return result
+
+    def _rename(self, f: int, table: dict[int, int], pairs: tuple) -> int:
+        if f <= 1:
+            return f
+        key = (f, pairs)
+        cached = self._rename_cache.get(key)
+        if cached is not None:
+            return cached
+        lv, low, high = self._nodes[f]
+        target = table.get(lv)
+        if target is None:
+            raise BddError(f"rename mapping misses support level {lv}")
+        result = self._make(
+            target, self._rename(low, table, pairs), self._rename(high, table, pairs)
+        )
+        self._rename_cache[key] = result
+        return result
+
+    def _below(self, root: int) -> set[int]:
+        """The internal nodes reachable from ``root``, itself included."""
+        nodes = self._nodes
+        seen = set()
+        stack = [root]
+        while stack:
+            ref = stack.pop()
+            if ref > 1 and ref not in seen:
+                seen.add(ref)
+                _, low, high = nodes[ref]
+                stack.append(low)
+                stack.append(high)
+        return seen
 
     # -- operations --------------------------------------------------------
 
@@ -110,26 +230,35 @@ class BddManager:
         return ref.node
 
     # not_, and_ and or_ carry the explicit engine's work, so they check
-    # ownership inline and build the result without a helper call
+    # ownership inline and call _ite without a helper in between
     def not_(self, f: BddRef) -> BddRef:
         if type(f) is not BddRef or f.manager is not self:
             raise BddError("reference does not belong to this manager")
-        return BddRef(self, self._k.not_(f.node))
+        return BddRef(self, self._ite(f.node, 0, 1))
 
     def and_(self, f: BddRef, g: BddRef) -> BddRef:
         if not (type(f) is BddRef and f.manager is self and type(g) is BddRef
                 and g.manager is self):
             raise BddError("reference does not belong to this manager")
-        return BddRef(self, self._k.and_(f.node, g.node))
+        f, g = f.node, g.node
+        if f > g:
+            f, g = g, f
+        return BddRef(self, self._ite(f, g, 0))
 
     def or_(self, f: BddRef, g: BddRef) -> BddRef:
         if not (type(f) is BddRef and f.manager is self and type(g) is BddRef
                 and g.manager is self):
             raise BddError("reference does not belong to this manager")
-        return BddRef(self, self._k.or_(f.node, g.node))
+        f, g = f.node, g.node
+        if f > g:
+            f, g = g, f
+        return BddRef(self, self._ite(f, 1, g))
 
     def xor_(self, f: BddRef, g: BddRef) -> BddRef:
-        return BddRef(self, self._k.xor_(self._node(f), self._node(g)))
+        f, g = self._node(f), self._node(g)
+        if f > g:
+            f, g = g, f
+        return BddRef(self, self._ite(f, self._ite(g, 0, 1), g))
 
     def apply(self, op: str, f: BddRef, g: BddRef) -> BddRef:
         try:
@@ -139,35 +268,73 @@ class BddManager:
         return method(f, g)
 
     def ite(self, f: BddRef, g: BddRef, h: BddRef) -> BddRef:
-        return BddRef(self, self._k.ite(self._node(f), self._node(g), self._node(h)))
+        return BddRef(self, self._ite(self._node(f), self._node(g), self._node(h)))
 
     def exists(self, names: Iterable[str], f: BddRef) -> BddRef:
         levels = tuple(sorted(self.level_of(n) for n in names))
-        return BddRef(self, self._k.exists(self._node(f), levels))
+        return BddRef(self, self._exists(self._node(f), levels))
 
     def rename(self, f: BddRef, mapping: Mapping[str, str]) -> BddRef:
+        """Relabel variables per ``mapping``, which must cover the support of ``f``.
+
+        The mapping must also be monotone (sources and targets both in
+        increasing variable order), as the primed-to-unprimed shift of image
+        computation is; the result is then rebuilt without reordering.
+        """
         pairs = tuple(
             sorted((self.level_of(src), self.level_of(dst)) for src, dst in mapping.items())
         )
-        return BddRef(self, self._k.rename(self._node(f), pairs))
+        for (s1, d1), (s2, d2) in zip(pairs, pairs[1:]):
+            if s1 >= s2 or d1 >= d2:
+                raise BddError("rename mapping must be strictly monotone")
+        return BddRef(self, self._rename(self._node(f), dict(pairs), pairs))
 
     def sat_count(self, f: BddRef, nvars: int | None = None) -> int:
+        """Number of satisfying assignments over the first ``nvars`` variables."""
+        root = self._node(f)
         if nvars is None:
             nvars = len(self._names)
-        return self._k.sat_count(self._node(f), nvars)
+        elif not 0 <= nvars <= len(self._names):
+            raise BddError(f"nvars {nvars} out of range")
+        nodes = self._nodes
+        # count[ref]: assignments over the levels from ref's own to nvars; a
+        # terminal's level counts as nvars, and children come before parents
+        count = {0: 0, 1: 1}
+        for ref in sorted(self._below(root)):
+            lv, low, high = nodes[ref]
+            if lv >= nvars:
+                raise BddError("support extends beyond the counted variables")
+            low_lv = nvars if low <= 1 else nodes[low][0]
+            high_lv = nvars if high <= 1 else nodes[high][0]
+            count[ref] = (count[low] << (low_lv - lv - 1)) + (count[high] << (high_lv - lv - 1))
+        return count[root] << (nvars if root <= 1 else nodes[root][0])
 
     def support(self, f: BddRef) -> tuple[str, ...]:
-        return tuple(self._names[lv] for lv in self._k.support(self._node(f)))
+        nodes = self._nodes
+        levels = {nodes[ref][0] for ref in self._below(self._node(f))}
+        return tuple(self._names[lv] for lv in sorted(levels))
 
     def evaluate(self, f: BddRef, true_names: Iterable[str]) -> bool:
         levels = {self.level_of(n) for n in true_names}
-        return self._k.evaluate(self._node(f), levels)
+        node = self._node(f)
+        nodes = self._nodes
+        while node > 1:
+            lv, low, high = nodes[node]
+            node = high if lv in levels else low
+        return node == 1
 
     def some_assignment(self, f: BddRef) -> dict[str, bool] | None:
-        solution = self._k.some_solution(self._node(f))
-        if solution is None:
+        """A satisfying partial assignment, or None for FALSE."""
+        node = self._node(f)
+        if node == 0:
             return None
-        return {self._names[lv]: value for lv, value in solution.items()}
+        nodes = self._nodes
+        out = {}
+        while node != 1:
+            lv, low, high = nodes[node]
+            out[self._names[lv]] = low == 0
+            node = high if low == 0 else low
+        return out
 
     def from_expr(self, expr, leaf: Callable | None = None) -> BddRef:
         """Translate a formula tree; ``leaf(symbol)`` gives each atom's function.
@@ -204,7 +371,7 @@ class BddManager:
         variable the cubes of its negative cofactor come first, then those
         of its positive cofactor, then those shared by both.
         """
-        k = self._k
+        nodes, ite = self._nodes, self._ite
         memo: dict[tuple[int, int], tuple[tuple, int]] = {}
 
         def cover(lower: int, upper: int) -> tuple[tuple, int]:
@@ -214,17 +381,18 @@ class BddManager:
             if upper == 1:
                 return ((),), 1
             if (lower, upper) not in memo:
-                (lv, l0, l1), (uv, u0, u1) = k.node(lower), k.node(upper)
+                (lv, l0, l1), (uv, u0, u1) = nodes[lower], nodes[upper]
                 level = min(lv, uv)
                 l0, l1 = (l0, l1) if lv == level else (lower, lower)
                 u0, u1 = (u0, u1) if uv == level else (upper, upper)
-                c0, g0 = cover(k.and_(l0, k.not_(u1)), u0)
-                c1, g1 = cover(k.and_(l1, k.not_(u0)), u1)
-                rest = k.or_(k.and_(l0, k.not_(g0)), k.and_(l1, k.not_(g1)))
-                cs, gs = cover(rest, k.and_(u0, u1))
+                # ite(a, 0, b) is b AND NOT a, ite(a, 1, b) is a OR b
+                c0, g0 = cover(ite(u1, 0, l0), u0)
+                c1, g1 = cover(ite(u0, 0, l1), u1)
+                cs, gs = cover(ite(ite(g0, 0, l0), 1, ite(g1, 0, l1)), ite(u0, u1, 0))
                 cubes = tuple(((level, False),) + c for c in c0)
                 cubes += tuple(((level, True),) + c for c in c1) + cs
-                memo[(lower, upper)] = cubes, k.or_(k.ite(k.var(level), g1, g0), gs)
+                # g0 and g1 lie below the level, so they are its cofactors
+                memo[(lower, upper)] = cubes, ite(self._make(level, g0, g1), 1, gs)
             return memo[(lower, upper)]
 
         node = self._node(f)
@@ -232,4 +400,19 @@ class BddManager:
 
     def audit(self) -> list[str]:
         """Structural re-check of reduction and unique-table invariants."""
-        return self._k.audit()
+        nodes = self._nodes
+        problems = []
+        seen_keys = set()
+        for ref in range(2, len(nodes)):
+            key = lv, low, high = nodes[ref]
+            if low == high:
+                problems.append(f"node {ref}: low == high")
+            for child in (low, high):
+                if child > 1 and nodes[child][0] <= lv:
+                    problems.append(f"node {ref}: child level not below parent")
+            if key in seen_keys:
+                problems.append(f"node {ref}: duplicate (var, low, high) triple")
+            seen_keys.add(key)
+            if self._unique.get(key) != ref:
+                problems.append(f"node {ref}: unique table disagrees")
+        return problems

@@ -179,11 +179,11 @@ def test_6_vhdl_generation(tlc_system):
 
     # one-cycle interpreter vs the machine semantics, all states x env inputs
     env = model.env_alphabet(tlc_system)
-    for machine in tlc_system.machines:
+    for position, machine in enumerate(tlc_system.machines):
         process = ProcessModel(text, machine.name)
         for gstate in itertools.product(*(range(len(m.states)) for m in tlc_system.machines)):
             base = model.output_valuation(tlc_system, gstate)
-            idx = gstate[tlc_system.machine_index(machine.name)]
+            idx = gstate[position]
             for env_val in all_valuations(env):
                 names = {s.name for s in (base | env_val)}
                 got_code, _ = process.step(vhdlgen._encode(idx, 3, False), names)

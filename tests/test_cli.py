@@ -106,6 +106,14 @@ class TestRg:
         doc = json.loads(js.read_text())
         assert len(doc["nodes"]) == 13
 
+    def test_unwritable_output_paths_are_input_errors(self, workdir, capsys):
+        # a missing directory, and a regular file in the place of one
+        for bad in (workdir / "missing" / "g.out", workdir / "tlc.csm" / "g.out"):
+            for flag in ("--dot", "--json"):
+                code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), flag, str(bad)])
+                assert code == 2, (flag, bad, err)
+                assert err.startswith(f"error: cannot write {bad}: "), err
+
     def test_engine_mismatch_is_internal_error(self, workdir, capsys, monkeypatch):
         class Fake:
             count = 999
@@ -408,6 +416,19 @@ class TestVhdl:
         assert code == 2
         assert "at most" in err
 
+    def test_bad_option_values_are_input_errors(self, workdir, capsys):
+        for option in (["--state-encoding", "width:0"], ["--delay-ns", "-1"]):
+            code, out, err = run(capsys, ["vhdl", str(workdir / "tlc.csm"), *option])
+            assert code == 2, (option, err)
+            assert err.startswith("error: ") and "internal" not in err, err
+            assert out == ""
+
+    def test_unwritable_output_path_is_input_error(self, workdir, capsys):
+        bad = workdir / "missing" / "tlc.vhd"
+        code, out, err = run(capsys, ["vhdl", str(workdir / "tlc.csm"), "-o", str(bad)])
+        assert code == 2, err
+        assert err.startswith(f"error: cannot write {bad}: "), err
+
     def test_audit_failure_is_internal_error(self, workdir, capsys, monkeypatch):
         original = cli.vhdlgen.generate
         monkeypatch.setattr(
@@ -432,6 +453,17 @@ class TestExamples:
     def test_emitted_files_parse(self, workdir):
         for name in ("tlc.csm", "tlc_car.csm", "tlc_queries.tq"):
             assert (workdir / name).exists()
+
+    def test_unwritable_targets_are_input_errors(self, tmp_path, capsys):
+        # a regular file in the place of the directory, then a directory in
+        # the place of one of the files
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "tlc.csm").mkdir(parents=True)
+        for emit, bad in ((tmp_path / "file" / "ex", tmp_path / "file" / "ex"),
+                          (tmp_path / "dir", tmp_path / "dir" / "tlc.csm")):
+            code, out, err = run(capsys, ["examples", "--emit", str(emit)])
+            assert code == 2, err
+            assert err.startswith(f"error: cannot write {bad}: "), err
 
 
 class TestColor:

@@ -112,30 +112,36 @@ class TestResidual:
         assert not (set(m.support(ref)) & {s.name for s in fixed})
 
 
+def satisfiable(expr, alphabet) -> bool:
+    """True iff some valuation over ``alphabet`` makes ``expr`` true, by BDD."""
+    m = robdd.BddManager(sorted(s.name for s in alphabet))
+    return m.from_expr(expr) != m.FALSE
+
+
 class TestSatisfiable:
     def test_contradiction(self):
-        assert not F.satisfiable(F.And(F.Atom(a), F.Not(F.Atom(a))), {a})
+        assert not satisfiable(F.And(F.Atom(a), F.Not(F.Atom(a))), {a})
 
     def test_const_true_over_empty_alphabet(self):
-        assert F.satisfiable(F.TRUE, set())
-        assert not F.satisfiable(F.FALSE, set())
+        assert satisfiable(F.TRUE, set())
+        assert not satisfiable(F.FALSE, set())
 
     def test_car_and_not_timtl(self):
         car, tautl, timtl = F.Symbol("Car"), F.Symbol("tauTL"), F.Symbol("TimTL")
         guard = F.And(F.Atom(car), F.Not(F.Atom(timtl)))
         alphabet = {car, tautl, timtl}
         assert brute_satisfiable(guard, alphabet)  # 8 valuations
-        assert F.satisfiable(guard, alphabet)
+        assert satisfiable(guard, alphabet)
 
     def test_atom_outside_alphabet_rejected(self):
-        with pytest.raises(F.FormulaError):
-            F.satisfiable(F.Atom(a), {b})
+        with pytest.raises(robdd.BddError):
+            satisfiable(F.Atom(a), {b})
 
     @settings(deadline=None)
     @given(expr=exprs([a, b, c, d, e]))
     def test_matches_brute_force(self, expr):
         alphabet = {a, b, c, d, e}
-        assert F.satisfiable(expr, alphabet) == brute_satisfiable(expr, alphabet)
+        assert satisfiable(expr, alphabet) == brute_satisfiable(expr, alphabet)
 
     def test_ten_symbol_alphabet_matches_brute_force(self):
         syms = [F.Symbol(f"s{i}") for i in range(10)]
@@ -143,9 +149,9 @@ class TestSatisfiable:
             F.Or(F.Atom(syms[0]), F.Not(F.Atom(syms[9]))),
             F.Or(F.Atom(syms[4]), F.Atom(syms[7])),
         )
-        assert F.satisfiable(expr, syms) == brute_satisfiable(expr, syms)
+        assert satisfiable(expr, syms) == brute_satisfiable(expr, syms)
         contradiction = F.And(expr, F.Not(expr))
-        assert F.satisfiable(contradiction, syms) == brute_satisfiable(contradiction, syms)
+        assert satisfiable(contradiction, syms) == brute_satisfiable(contradiction, syms)
 
 
 class TestText:

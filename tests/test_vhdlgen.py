@@ -362,13 +362,13 @@ class TestOneCycleEquivalence:
         env = model.env_alphabet(system)
         widths = vhdlgen._widths(system, opts)
         onehot = opts.state_encoding == "onehot"
-        for machine, width in zip(system.machines, widths):
+        for position, (machine, width) in enumerate(zip(system.machines, widths)):
             process = ProcessModel(text, machine.name)
             mine = sorted({s for st in machine.states for s in st.outputs},
                           key=lambda s: s.name)
             for gstate in itertools.product(*(range(len(m.states)) for m in system.machines)):
                 base = model.output_valuation(system, gstate)
-                idx = gstate[system.machine_index(machine.name)]
+                idx = gstate[position]
                 for env_val in all_valuations(env):
                     valuation = base | env_val
                     names = {s.name for s in valuation}
