@@ -53,9 +53,10 @@ def _print_diagnostics(diagnostics, errors_only: bool = False) -> None:
         print(f"{where}{label}: {diag.message}", file=sys.stderr)
 
 
-def _cannot(verb: str, path, exc: OSError) -> int:
-    """Report a file that cannot be read or written; an input error."""
-    print(f"{_style('error', '31')}: cannot {verb} {path}: {exc}", file=sys.stderr)
+def _input_error(message: str) -> int:
+    """Report a problem with the user's input, such as a file that cannot be
+    read or written."""
+    print(f"{_style('error', '31')}: {message}", file=sys.stderr)
     return EXIT_INPUT_ERROR
 
 
@@ -64,7 +65,7 @@ def _write(path, text: str) -> bool:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        _cannot("write", path, exc)
+        _input_error(f"cannot write {path}: {exc}")
         return False
     return True
 
@@ -74,7 +75,7 @@ def _load_system(path: str) -> frontend.ParseResult:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        _cannot("read", path, exc)
+        _input_error(f"cannot read {path}: {exc}")
         return frontend.ParseResult(None)
     return frontend.parse_system(text, filename=path)
 
@@ -164,7 +165,7 @@ def cmd_check(args) -> int:
         qtext = Path(args.queries).read_text(encoding="utf-8")
     except OSError as exc:
         _print_diagnostics(diagnostics, errors_only=True)
-        return _cannot("read", args.queries, exc)
+        return _input_error(f"cannot read {args.queries}: {exc}")
     qresult = frontend.parse_queries(qtext, system=system, filename=args.queries)
     _print_diagnostics(diagnostics, errors_only=True)
     _print_diagnostics(qresult.diagnostics)
@@ -175,8 +176,7 @@ def cmd_check(args) -> int:
     try:
         results = mc.check_suite(graph, qresult.queries)
     except mc.QueryError as exc:
-        print(f"{_style('error', '31')}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
 
     failures = [name for name, verdict in results if not verdict.holds]
     if args.json:
@@ -232,6 +232,11 @@ def cmd_vhdl(args) -> int:
     if system is None:
         return EXIT_INPUT_ERROR
     encoding, width = args.state_encoding
+    # the options' own checks, worded for the command line
+    if encoding == "width" and width < 1:
+        return _input_error(f"--state-encoding width:{width}: the width must be at least 1")
+    if args.delay_ns < 0:
+        return _input_error(f"--delay-ns {args.delay_ns}: the delay must be nonnegative")
     try:
         opts = vhdlgen.CodegenOptions(
             state_encoding=encoding,
@@ -242,8 +247,7 @@ def cmd_vhdl(args) -> int:
         )
         text = vhdlgen.generate(system, opts, report=loaded.report)
     except vhdlgen.VhdlGenError as exc:
-        print(f"{_style('error', '31')}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _input_error(str(exc))
     audit = vhdlgen.structural_audit(text, system)
     if not audit.ok:
         for problem in audit.problems:
@@ -268,7 +272,7 @@ def cmd_examples(args) -> int:
     try:
         target.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        return _cannot("write", target, exc)
+        return _input_error(f"cannot write {target}: {exc}")
     for name in assets.NAMES:
         path = target / name
         if not _write(path, assets.text(name)):

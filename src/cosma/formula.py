@@ -266,16 +266,11 @@ def _render(expr: BoolExpr, min_prec: int) -> str:
 class GuardContext:
     """One BDD manager over a fixed alphabet; guards are its ``BddRef`` values.
 
-    An ordered ``alphabet`` (list or tuple) fixes the variable order, so
-    callers can pass symbols in declaration order; an unordered one is
-    sorted by name.
+    The order of ``alphabet`` is the variable order.
     """
 
     def __init__(self, alphabet: Iterable[Symbol]):
-        symbols = list(alphabet)
-        if isinstance(alphabet, (set, frozenset)):
-            symbols.sort(key=lambda s: s.name)
-        self.manager = robdd.BddManager(s.name for s in symbols)
+        self.manager = robdd.BddManager(s.name for s in alphabet)
 
     def satisfiable(self, guard: robdd.BddRef) -> bool:
         return guard != self.manager.FALSE

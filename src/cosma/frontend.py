@@ -116,10 +116,11 @@ _GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
 # Deepest formula the parsers accept, in parentheses, negations and CTL
 # operators.  A level costs at most 5 Python frames in the parser (a
 # parenthesised operand: _parse_unary, nested, _parse_implies, _parse_or,
-# _parse_and) and at most 2 in the walkers that run later
-# (BddManager.from_expr, evaluate, to_text, vhdlgen._condition, the CTL
-# checker), so 150 levels take at most 750 of Python's default 1000 frames
-# and leave the rest to the CLI and its callers.
+# _parse_and) and at most 2 in the guard walkers that run later
+# (BddManager.from_expr, evaluate, to_text, vhdlgen._condition), so 150
+# levels take at most 750 of Python's default 1000 frames and leave the rest
+# to the CLI and its callers.  The CTL checker walks its formulas with an
+# explicit stack, so the deeper trees that the A-operators build cost it none.
 MAX_NESTING = 150
 _SYSTEM_KEYWORDS = frozenset({"system", "machine", "init", "state", "out", "when"})
 _QUERY_KEYWORDS = frozenset({"always", "next", "eventually", "exists", "ctl", "not"})
@@ -427,14 +428,17 @@ def parse_queries(
 
     When ``system`` is given, atoms that name no symbol of the system are
     reported as warnings (they may well be environment inputs, so they are
-    not errors).
+    not errors), and an implication query that cannot be checked against
+    the system (``mc.split_query``) is an error at the query's name.
     """
     result = QueryParseResult()
     reserved = _QUERY_KEYWORDS
     try:
         cur = _Cursor(_lex(text, filename, glyphs=True))
         seen_names: set[str] = set()
+        first_tokens: list[_Token] = []  # per entry; an implication query's name
         while cur.tok.kind != "eof":
+            first_tokens.append(cur.tok)
             if cur.at("ctl"):
                 entry = _parse_ctl_query(cur, reserved)
             else:
@@ -451,7 +455,7 @@ def parse_queries(
 
     if system is not None:
         produced = system.produced_symbols()
-        for entry in result.queries:
+        for entry, first in zip(result.queries, first_tokens):
             if isinstance(entry, mc.Query):
                 used = F.atoms(entry.antecedent) | F.atoms(entry.consequent)
                 unknown = sorted(s.name for s in used if s not in system.symbols)
@@ -464,6 +468,10 @@ def parse_queries(
                             None,
                         )
                     )
+                try:
+                    mc.split_query(entry, produced)
+                except mc.QueryError as exc:
+                    result.diagnostics.append(ParseDiagnostic("error", str(exc), first.span))
             else:
                 # CTL atoms are read against node outputs only
                 foreign = sorted(s.name for s in mc.ctl_atoms(entry.formula) - produced)

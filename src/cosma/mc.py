@@ -7,9 +7,9 @@ Two requirement styles are supported:
 * general CTL formulas over output symbols, evaluated at the initial state.
 
 A CTL formula's Boolean part is built from ``formula``'s nodes (constants,
-atoms, ``Not`` and the n-ary ``And``/``Or``), whose operands may be the
-nodes defined here; only implication and the temporal operators are this
-module's own.
+atoms, ``Not`` and the n-ary ``And``/``Or``).  Its temporal part has three
+nodes of this module's own, ``CtlEX``, ``CtlEU`` and ``CtlEG``; the other
+operators and ``=>`` are functions that build their existential forms.
 
 Antecedent atoms may name machine outputs or environment inputs.  Graph
 nodes carry no environment valuation, so environment atoms condition the
@@ -22,22 +22,24 @@ that produces the signal, which the test-suite checks explicitly.
 consequent must be hit on all paths.  The ``exists`` variant asks for one
 path instead.
 
-Both styles rest on three fixpoints, each linear in the size of the graph:
-EX as a union of predecessor lists, EU as a backward search, and EG by
-counting each node's successors inside the region.
+Both styles rest on one labeller, ``_label``, with three fixpoints, each
+linear in the size of the graph: EX as a union of predecessor lists, EU as
+a backward search, and EG by counting each node's successors inside the
+region.  An ``eventually`` query labels EG of its negated consequent
+(universal) or AG of it (``exists``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from cosma import formula as F
 from cosma.reach import ReachGraph
 
 __all__ = [
     "CtlAF", "CtlAG", "CtlAU", "CtlAX", "CtlEF", "CtlEG", "CtlEU", "CtlEX",
-    "CtlFormula", "CtlImplies", "CtlQuery", "Query", "QueryError", "TraceStep",
-    "Verdict", "check_ctl", "check_query", "check_suite", "ctl_atoms",
+    "CtlImplies", "CtlQuery", "Query", "QueryError", "TraceStep", "Verdict",
+    "check_ctl", "check_query", "check_suite", "ctl_atoms", "split_query",
 ]
 
 
@@ -64,60 +66,55 @@ class Query:
 
 
 # -- CTL ASTs ------------------------------------------------------------------
-
-
-class CtlFormula(F.BoolExpr):
-    """A node of CTL's own: implication or a temporal operator."""
-
-    __slots__ = ()
+# EX, EU and EG are a basis of CTL (Clarke, Emerson and Sistla 1986); the
+# functions below build the other operators, sharing the nodes they repeat.
 
 
 @dataclass(frozen=True)
-class CtlImplies(CtlFormula):
+class CtlEX(F.BoolExpr):
+    sub: F.BoolExpr
+
+
+@dataclass(frozen=True)
+class CtlEU(F.BoolExpr):
     left: F.BoolExpr
     right: F.BoolExpr
 
 
 @dataclass(frozen=True)
-class CtlEX(CtlFormula):
+class CtlEG(F.BoolExpr):
     sub: F.BoolExpr
 
 
-@dataclass(frozen=True)
-class CtlAX(CtlFormula):
-    sub: F.BoolExpr
+def CtlImplies(left: F.BoolExpr, right: F.BoolExpr) -> F.BoolExpr:
+    """``left => right`` as ``~left + right``."""
+    return F.Or(F.Not(left), right)
 
 
-@dataclass(frozen=True)
-class CtlEF(CtlFormula):
-    sub: F.BoolExpr
+def CtlAX(sub: F.BoolExpr) -> F.BoolExpr:
+    """AX p as ~EX ~p."""
+    return F.Not(CtlEX(F.Not(sub)))
 
 
-@dataclass(frozen=True)
-class CtlAF(CtlFormula):
-    sub: F.BoolExpr
+def CtlEF(sub: F.BoolExpr) -> F.BoolExpr:
+    """EF p as E[1 U p]."""
+    return CtlEU(F.TRUE, sub)
 
 
-@dataclass(frozen=True)
-class CtlEG(CtlFormula):
-    sub: F.BoolExpr
+def CtlAF(sub: F.BoolExpr) -> F.BoolExpr:
+    """AF p as ~EG ~p."""
+    return F.Not(CtlEG(F.Not(sub)))
 
 
-@dataclass(frozen=True)
-class CtlAG(CtlFormula):
-    sub: F.BoolExpr
+def CtlAG(sub: F.BoolExpr) -> F.BoolExpr:
+    """AG p as ~E[1 U ~p]."""
+    return F.Not(CtlEU(F.TRUE, F.Not(sub)))
 
 
-@dataclass(frozen=True)
-class CtlEU(CtlFormula):
-    left: F.BoolExpr
-    right: F.BoolExpr
-
-
-@dataclass(frozen=True)
-class CtlAU(CtlFormula):
-    left: F.BoolExpr
-    right: F.BoolExpr
+def CtlAU(left: F.BoolExpr, right: F.BoolExpr) -> F.BoolExpr:
+    """A[p U r] as ~(E[~r U ~p * ~r] + EG ~r)."""
+    not_right = F.Not(right)
+    return F.Not(F.Or(CtlEU(not_right, F.And(F.Not(left), not_right)), CtlEG(not_right)))
 
 
 @dataclass(frozen=True)
@@ -126,18 +123,42 @@ class CtlQuery:
     formula: F.BoolExpr
 
 
-def ctl_atoms(f: F.BoolExpr) -> frozenset[F.Symbol]:
-    if isinstance(f, F.Atom):
-        return frozenset({f.symbol})
-    if isinstance(f, F.Not):
-        return ctl_atoms(f.operand)
+def _children(f: F.BoolExpr) -> tuple:
     if isinstance(f, (F.And, F.Or)):
-        return frozenset.union(*map(ctl_atoms, f.operands))
-    if isinstance(f, (CtlEX, CtlAX, CtlEF, CtlAF, CtlEG, CtlAG)):
-        return ctl_atoms(f.sub)
-    if isinstance(f, (CtlImplies, CtlEU, CtlAU)):
-        return ctl_atoms(f.left) | ctl_atoms(f.right)
-    return frozenset()
+        return f.operands
+    if isinstance(f, F.Not):
+        return (f.operand,)
+    if isinstance(f, (CtlEX, CtlEG)):
+        return (f.sub,)
+    if isinstance(f, CtlEU):
+        return (f.left, f.right)
+    return ()
+
+
+def _nodes(f: F.BoolExpr) -> list[F.BoolExpr]:
+    """The nodes of ``f``, each once by identity, every child before its parents.
+
+    Depth first over an explicit stack, so the depth of ``f`` costs no
+    Python frames; a node that a built form shares is visited once.
+    """
+    order: list[F.BoolExpr] = []
+    seen = {id(f)}
+    stack = [(f, iter(_children(f)))]
+    while stack:
+        node, rest = stack[-1]
+        for child in rest:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append((child, iter(_children(child))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def ctl_atoms(f: F.BoolExpr) -> frozenset[F.Symbol]:
+    return frozenset(e.symbol for e in _nodes(f) if isinstance(e, F.Atom))
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -179,15 +200,15 @@ class Verdict:
 # -- query checking ------------------------------------------------------------
 
 
-def split_antecedent(antecedent: F.BoolExpr, produced: frozenset) -> tuple[F.BoolExpr, F.BoolExpr]:
-    """Split a conjunction into its output part and its environment part.
+def split_query(query: Query, produced: frozenset) -> tuple[F.BoolExpr, F.BoolExpr]:
+    """The output part and the environment part of ``query``'s antecedent.
 
-    Each top-level factor must be purely over produced symbols or purely
-    over other symbols; a mixed factor has no unique reading and is
-    rejected.
+    Each top-level factor must be purely over ``produced`` symbols or purely
+    over other symbols, and the consequent may name produced symbols only.
+    A query that breaks either rule cannot be checked: ``QueryError``.
     """
     state_part, env_part = [], []
-    for factor in F.conj_factors(antecedent):
+    for factor in F.conj_factors(query.antecedent):
         used = F.atoms(factor)
         if not used or used <= produced:
             state_part.append(factor)
@@ -198,6 +219,12 @@ def split_antecedent(antecedent: F.BoolExpr, produced: frozenset) -> tuple[F.Boo
             )
         else:
             env_part.append(factor)
+    bad_consequent = sorted(s.name for s in F.atoms(query.consequent) - produced)
+    if bad_consequent:
+        raise QueryError(
+            f"query {query.name!r}: consequent uses non-output symbols "
+            f"{', '.join(bad_consequent)}"
+        )
     return F.and_all(state_part), F.and_all(env_part)
 
 
@@ -286,16 +313,7 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
     failing verdict carries a trace replaying under the step semantics; a
     query whose output part matches no reachable state holds vacuously.
     """
-    system = rg.system
-    produced = system.produced_symbols()
-    state_part, env_part = split_antecedent(query.antecedent, produced)
-
-    bad_consequent = sorted(s.name for s in F.atoms(query.consequent) - produced)
-    if bad_consequent:
-        raise QueryError(
-            f"query {query.name!r}: consequent uses non-output symbols "
-            f"{', '.join(bad_consequent)}"
-        )
+    state_part, env_part = split_query(query, rg.system.produced_symbols())
 
     # conditioning alphabet: the true environment plus any antecedent symbol
     # the system never mentions (unconstrained, hence also environmental,
@@ -307,15 +325,13 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
     if not matching:
         return Verdict(holds=True, vacuous=True)
 
-    everything = set(range(len(rg.nodes)))
-    goal = {i for i in everything if F.evaluate(query.consequent, rg.outputs[i])}
     if query.mode == "eventually":
         # nodes from which the consequent can be missed forever (universal:
-        # EG not consequent) or is out of reach (exists: not EF consequent)
-        if query.universal:
-            bad_region = _stay(rg, everything - goal)
-        else:
-            bad_region = everything - _until(rg, everything, goal)
+        # EG not consequent) or is out of reach (exists: AG not consequent)
+        avoid = F.Not(query.consequent)
+        bad_region = _label(rg, CtlEG(avoid) if query.universal else CtlAG(avoid))
+    else:
+        goal = {i for i in range(len(rg.nodes)) if F.evaluate(query.consequent, rg.outputs[i])}
 
     for node in matching:
         conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
@@ -354,48 +370,28 @@ def _label(rg: ReachGraph, formula_: F.BoolExpr) -> frozenset[int]:
     """
     n = len(rg.nodes)
     everything = frozenset(range(n))
-    memo: dict[F.BoolExpr, frozenset[int]] = {}
-
-    def sat(f: F.BoolExpr) -> frozenset[int]:
-        found = memo.get(f)
-        if found is not None:
-            return found
+    sat: dict[int, frozenset[int]] = {}  # by node identity, never hashing a subtree
+    for f in _nodes(formula_):
         if isinstance(f, (F.ConstTrue, F.ConstFalse)):
-            result = everything if f == F.TRUE else frozenset()
+            result = everything if isinstance(f, F.ConstTrue) else frozenset()
         elif isinstance(f, F.Atom):
-            result = frozenset(i for i in range(n) if f.symbol in rg.outputs[i])
+            result = frozenset(i for i, out in enumerate(rg.outputs) if f.symbol in out)
         elif isinstance(f, F.Not):
-            result = everything - sat(f.operand)
+            result = everything - sat[id(f.operand)]
         elif isinstance(f, F.And):
-            result = frozenset.intersection(*map(sat, f.operands))
+            result = frozenset.intersection(*[sat[id(e)] for e in f.operands])
         elif isinstance(f, F.Or):
-            result = frozenset.union(*map(sat, f.operands))
-        elif isinstance(f, CtlImplies):
-            result = (everything - sat(f.left)) | sat(f.right)
+            result = frozenset.union(*[sat[id(e)] for e in f.operands])
         elif isinstance(f, CtlEX):
-            result = frozenset(_pre(rg, sat(f.sub)))
-        elif isinstance(f, CtlAX):
-            result = everything - _pre(rg, everything - sat(f.sub))
+            result = frozenset(_pre(rg, sat[id(f.sub)]))
         elif isinstance(f, CtlEU):
-            result = frozenset(_until(rg, sat(f.left), sat(f.right)))
-        elif isinstance(f, CtlEF):
-            result = frozenset(_until(rg, everything, sat(f.sub)))
+            result = frozenset(_until(rg, sat[id(f.left)], sat[id(f.right)]))
         elif isinstance(f, CtlEG):
-            result = frozenset(_stay(rg, sat(f.sub)))
-        elif isinstance(f, CtlAF):
-            result = everything - _stay(rg, everything - sat(f.sub))
-        elif isinstance(f, CtlAG):
-            result = everything - _until(rg, everything, everything - sat(f.sub))
-        elif isinstance(f, CtlAU):
-            left, right = sat(f.left), sat(f.right)
-            not_right = everything - right
-            result = everything - (_until(rg, not_right, not_right - left) | _stay(rg, not_right))
+            result = frozenset(_stay(rg, sat[id(f.sub)]))
         else:
-            raise QueryError(f"not a CTL node: {f!r}")
-        memo[f] = result
-        return result
-
-    return sat(formula_)
+            raise QueryError(f"not a CTL node: {type(f).__name__}")
+        sat[id(f)] = result
+    return sat[id(formula_)]
 
 
 # -- suites --------------------------------------------------------------------

@@ -18,6 +18,9 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Mapping
 
+# formula imports this module too; each uses the other only inside functions
+from cosma import formula
+
 __all__ = ["BACKEND", "BddError", "BddManager", "BddRef"]
 
 BACKEND = "python"  # the implementation's name, recorded with benchmark results
@@ -54,18 +57,6 @@ class BddRef:
 
     def __hash__(self):
         return hash((id(self.manager), self.node))
-
-    def __and__(self, other: "BddRef") -> "BddRef":
-        return self.manager.and_(self, other)
-
-    def __or__(self, other: "BddRef") -> "BddRef":
-        return self.manager.or_(self, other)
-
-    def __xor__(self, other: "BddRef") -> "BddRef":
-        return self.manager.xor_(self, other)
-
-    def __invert__(self) -> "BddRef":
-        return self.manager.not_(self)
 
     def __repr__(self):
         return f"BddRef({self.node})"
@@ -341,28 +332,26 @@ class BddManager:
 
         By default an atom is the declared variable named after its symbol.
         """
-        from cosma import formula  # noqa: PLC0415 (avoids an import cycle)
+        return self._build(expr, leaf)
 
-        def build(e) -> BddRef:
-            if isinstance(e, formula.Atom):
-                if leaf is not None:
-                    return leaf(e.symbol)
-                if e.symbol.name not in self._levels:
-                    raise BddError(f"atom {e.symbol.name!r} has no manager variable")
-                return self.mk_var(e.symbol.name)
-            if isinstance(e, formula.Not):
-                return self.not_(build(e.operand))
-            if isinstance(e, (formula.And, formula.Or)):
-                # left to right, the operations a left-deep chain would make
-                op = self.and_ if isinstance(e, formula.And) else self.or_
-                return functools.reduce(op, map(build, e.operands))
-            if isinstance(e, formula.ConstTrue):
-                return self.TRUE
-            if isinstance(e, formula.ConstFalse):
-                return self.FALSE
-            raise BddError(f"not a formula node: {e!r}")
-
-        return build(expr)
+    def _build(self, e, leaf: Callable | None) -> BddRef:
+        if isinstance(e, formula.Atom):
+            if leaf is not None:
+                return leaf(e.symbol)
+            if e.symbol.name not in self._levels:
+                raise BddError(f"atom {e.symbol.name!r} has no manager variable")
+            return self.mk_var(e.symbol.name)
+        if isinstance(e, formula.Not):
+            return self.not_(self._build(e.operand, leaf))
+        if isinstance(e, (formula.And, formula.Or)):
+            # left to right, the operations a left-deep chain would make
+            op = self.and_ if isinstance(e, formula.And) else self.or_
+            return functools.reduce(op, (self._build(o, leaf) for o in e.operands))
+        if isinstance(e, formula.ConstTrue):
+            return self.TRUE
+        if isinstance(e, formula.ConstFalse):
+            return self.FALSE
+        raise BddError(f"not a formula node: {e!r}")
 
     def isop(self, f: BddRef) -> list[list[tuple[str, bool]]]:
         """An irredundant sum of products of ``f`` (Minato 1992), as cubes.
@@ -371,32 +360,34 @@ class BddManager:
         variable the cubes of its negative cofactor come first, then those
         of its positive cofactor, then those shared by both.
         """
-        nodes, ite = self._nodes, self._ite
-        memo: dict[tuple[int, int], tuple[tuple, int]] = {}
-
-        def cover(lower: int, upper: int) -> tuple[tuple, int]:
-            # cubes and their union g, with lower <= g <= upper
-            if lower == 0:
-                return (), 0
-            if upper == 1:
-                return ((),), 1
-            if (lower, upper) not in memo:
-                (lv, l0, l1), (uv, u0, u1) = nodes[lower], nodes[upper]
-                level = min(lv, uv)
-                l0, l1 = (l0, l1) if lv == level else (lower, lower)
-                u0, u1 = (u0, u1) if uv == level else (upper, upper)
-                # ite(a, 0, b) is b AND NOT a, ite(a, 1, b) is a OR b
-                c0, g0 = cover(ite(u1, 0, l0), u0)
-                c1, g1 = cover(ite(u0, 0, l1), u1)
-                cs, gs = cover(ite(ite(g0, 0, l0), 1, ite(g1, 0, l1)), ite(u0, u1, 0))
-                cubes = tuple(((level, False),) + c for c in c0)
-                cubes += tuple(((level, True),) + c for c in c1) + cs
-                # g0 and g1 lie below the level, so they are its cofactors
-                memo[(lower, upper)] = cubes, ite(self._make(level, g0, g1), 1, gs)
-            return memo[(lower, upper)]
-
         node = self._node(f)
-        return [[(self._names[lv], pos) for lv, pos in cube] for cube in cover(node, node)[0]]
+        cubes = self._cover(node, node, {})[0]
+        return [[(self._names[lv], pos) for lv, pos in cube] for cube in cubes]
+
+    def _cover(self, lower: int, upper: int, memo: dict) -> tuple[tuple, int]:
+        """ISOP's cubes between ``lower`` and ``upper``, with their union g:
+        lower <= g <= upper."""
+        if lower == 0:
+            return (), 0
+        if upper == 1:
+            return ((),), 1
+        found = memo.get((lower, upper))
+        if found is not None:
+            return found
+        nodes, ite = self._nodes, self._ite
+        (lv, l0, l1), (uv, u0, u1) = nodes[lower], nodes[upper]
+        level = min(lv, uv)
+        l0, l1 = (l0, l1) if lv == level else (lower, lower)
+        u0, u1 = (u0, u1) if uv == level else (upper, upper)
+        # ite(a, 0, b) is b AND NOT a, ite(a, 1, b) is a OR b
+        c0, g0 = self._cover(ite(u1, 0, l0), u0, memo)
+        c1, g1 = self._cover(ite(u0, 0, l1), u1, memo)
+        cs, gs = self._cover(ite(ite(g0, 0, l0), 1, ite(g1, 0, l1)), ite(u0, u1, 0), memo)
+        cubes = tuple(((level, False),) + c for c in c0)
+        cubes += tuple(((level, True),) + c for c in c1) + cs
+        # g0 and g1 lie below the level, so they are its cofactors
+        found = memo[(lower, upper)] = cubes, ite(self._make(level, g0, g1), 1, gs)
+        return found
 
     def audit(self) -> list[str]:
         """Structural re-check of reduction and unique-table invariants."""

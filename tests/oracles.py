@@ -85,7 +85,7 @@ def reachable_by_stepping(system):
 def next_query_oracle(system, query):
     """(holds, vacuous) for a NEXT-mode query, by direct enumeration."""
     produced = system.produced_symbols()
-    state_part, env_part = mc.split_antecedent(query.antecedent, produced)
+    state_part, env_part = mc.split_query(query, produced)
     env = model.env_alphabet(system) | (F.atoms(env_part) - produced)
 
     states = sorted(reachable_by_stepping(system))
@@ -150,7 +150,7 @@ def eventually_query_oracle(rg, query):
     """(holds, vacuous) for an EVENTUALLY-mode query via path enumeration."""
     system = rg.system
     produced = system.produced_symbols()
-    state_part, env_part = mc.split_antecedent(query.antecedent, produced)
+    state_part, env_part = mc.split_query(query, produced)
     env = model.env_alphabet(system) | (F.atoms(env_part) - produced)
 
     matching = [
@@ -224,7 +224,8 @@ def whole_set_reachable(sym, system):
 # primitives, verbatim: each rescans nodes until nothing changes, which is
 # quadratic on a long cycle.  ``rescanning_check_query`` and
 # ``rescanning_ctl_sat`` are the checkers that called them, unchanged
-# apart from naming ``mc``'s helpers and returning the labelled set.
+# apart from naming ``mc``'s helpers, returning the labelled set and, for
+# CTL, reading a spec of every operator rather than ``mc``'s nodes.
 
 
 def _eg_region(rg: ReachGraph, region: set[int]) -> set[int]:
@@ -275,14 +276,7 @@ def rescanning_check_query(rg, query):
     """
     system = rg.system
     produced = system.produced_symbols()
-    state_part, env_part = mc.split_antecedent(query.antecedent, produced)
-
-    bad_consequent = sorted(s.name for s in F.atoms(query.consequent) - produced)
-    if bad_consequent:
-        raise mc.QueryError(
-            f"query {query.name!r}: consequent uses non-output symbols "
-            f"{', '.join(bad_consequent)}"
-        )
+    state_part, env_part = mc.split_query(query, produced)
 
     # conditioning alphabet: the true environment plus any antecedent symbol
     # the system never mentions (unconstrained, hence also environmental,
@@ -323,8 +317,14 @@ def rescanning_check_query(rg, query):
     return mc.Verdict(holds=True)
 
 
-def rescanning_ctl_sat(rg, formula_):
-    """Standard fixpoint labeling: the set of nodes where ``formula_`` holds.
+def rescanning_ctl_sat(rg, spec):
+    """Standard fixpoint labeling: the set of nodes where ``spec`` holds.
+
+    ``spec`` is a constant or an atom of ``formula``, or a tuple
+    ``(op, *operands)`` whose ``op`` is any CTL operator: ``"~"``, ``"*"``,
+    ``"+"``, ``"=>"``, ``"EX"``, ``"AX"``, ``"EF"``, ``"AF"``, ``"EG"``,
+    ``"AG"``, ``"EU"`` or ``"AU"``.  Each operator has its own loop here,
+    whereas ``mc`` builds the universal ones and ``EF`` from EX, EU and EG.
 
     Atoms are read against node outputs; a symbol no machine produces is
     false at every node (the requirement parser warns about such atoms).
@@ -344,46 +344,47 @@ def rescanning_ctl_sat(rg, formula_):
         found = memo.get(f)
         if found is not None:
             return found
+        op = f[0] if isinstance(f, tuple) else None
         if isinstance(f, F.ConstTrue):
             result = everything
         elif isinstance(f, F.ConstFalse):
             result = frozenset()
         elif isinstance(f, F.Atom):
             result = frozenset(i for i in range(n) if f.symbol in rg.outputs[i])
-        elif isinstance(f, F.Not):
-            result = everything - sat(f.operand)
-        elif isinstance(f, F.And):
-            result = frozenset.intersection(*map(sat, f.operands))
-        elif isinstance(f, F.Or):
-            result = frozenset.union(*map(sat, f.operands))
-        elif isinstance(f, mc.CtlImplies):
-            result = (everything - sat(f.left)) | sat(f.right)
-        elif isinstance(f, mc.CtlEX):
-            result = pre_exists(sat(f.sub))
-        elif isinstance(f, mc.CtlAX):
-            result = everything - pre_exists(everything - sat(f.sub))
-        elif isinstance(f, mc.CtlEU):
-            result = _lfp_until(rg, sat(f.left), sat(f.right), pre_exists)
-        elif isinstance(f, mc.CtlEF):
-            result = _lfp_until(rg, everything, sat(f.sub), pre_exists)
-        elif isinstance(f, mc.CtlEG):
-            result = frozenset(_eg_region(rg, set(sat(f.sub))))
-        elif isinstance(f, mc.CtlAF):
-            result = everything - frozenset(_eg_region(rg, set(everything - sat(f.sub))))
-        elif isinstance(f, mc.CtlAG):
-            result = everything - _lfp_until(rg, everything, everything - sat(f.sub), pre_exists)
-        elif isinstance(f, mc.CtlAU):
-            left, right = sat(f.left), sat(f.right)
+        elif op == "~":
+            result = everything - sat(f[1])
+        elif op == "*":
+            result = sat(f[1]) & sat(f[2])
+        elif op == "+":
+            result = sat(f[1]) | sat(f[2])
+        elif op == "=>":
+            result = (everything - sat(f[1])) | sat(f[2])
+        elif op == "EX":
+            result = pre_exists(sat(f[1]))
+        elif op == "AX":
+            result = everything - pre_exists(everything - sat(f[1]))
+        elif op == "EU":
+            result = _lfp_until(rg, sat(f[1]), sat(f[2]), pre_exists)
+        elif op == "EF":
+            result = _lfp_until(rg, everything, sat(f[1]), pre_exists)
+        elif op == "EG":
+            result = frozenset(_eg_region(rg, set(sat(f[1]))))
+        elif op == "AF":
+            result = everything - frozenset(_eg_region(rg, set(everything - sat(f[1]))))
+        elif op == "AG":
+            result = everything - _lfp_until(rg, everything, everything - sat(f[1]), pre_exists)
+        elif op == "AU":
+            left, right = sat(f[1]), sat(f[2])
             not_right = everything - right
             eu = _lfp_until(rg, not_right, not_right - left, pre_exists)
             eg = frozenset(_eg_region(rg, set(not_right)))
             result = everything - (eu | eg)
         else:
-            raise mc.QueryError(f"not a CTL node: {f!r}")
+            raise ValueError(f"not a CTL spec: {f!r}")
         memo[f] = result
         return result
 
-    return sat(formula_)
+    return sat(spec)
 
 
 def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import re
+import types
 
 import pytest
 
@@ -93,6 +95,13 @@ class TestRg:
         assert code == 0 and "symbolic" not in out
         code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "bdd"])
         assert code == 0 and "explicit" not in out
+        # the symbolic engine alone still exports the explicit graph
+        for engine in ("bdd", "explicit"):
+            js = workdir / f"{engine}.json"
+            code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", engine,
+                                          "--json", str(js)])
+            assert code == 0, err
+        assert (workdir / "bdd.json").read_bytes() == (workdir / "explicit.json").read_bytes()
 
     def test_dot_and_json_outputs(self, workdir, capsys):
         dot = workdir / "g.dot"
@@ -275,6 +284,46 @@ def test_flat_chains_have_no_length_limit(tmp_path, capsys, op):
         assert {q["name"]: q["holds"] for q in json.loads(out)["queries"]} == expected
 
 
+def test_deepest_ctl_nests_are_checked(workdir, capsys):
+    # the A-operators are built from EX, EU and EG, several node levels per
+    # parsed level, and a right-nested until repeats its right operand three
+    # times; the checker walks the shared tree with an explicit stack
+    n = frontend.MAX_NESTING
+    nests = [
+        "A [ " * n + "HG" + " U HY ]" * n,
+        "A [ HG U " * n + "HY" + " ]" * n,
+        *(op * n + "HG" for op in ("AG ", "AF ", "AX ")),
+        "~ AG " * (n // 2) + "HG",
+    ]
+    queries = workdir / "deep.tq"
+    for nest in nests:
+        queries.write_text(f"ctl c: {nest};\n")
+        code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(queries)])
+        assert code in (0, 1), (nest[:20], err)
+
+
+def test_commands_leave_no_cosma_function_in_cyclic_garbage(workdir, capsys):
+    # a self-referencing closure holds what it captures (a BDD manager, a
+    # graph) until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        tlc = str(workdir / "tlc.csm")
+        assert cli.main(["rg", tlc, "--json", str(workdir / "g.json"),
+                         "--dot", str(workdir / "g.dot")]) == 0
+        assert cli.main(["check", tlc, "--queries", str(workdir / "tlc_queries.tq")]) == 0
+        gc.collect()
+        leaked = sorted({f"{o.__module__}.{o.__qualname__}" for o in gc.garbage
+                         if isinstance(o, types.FunctionType) and o.__module__.startswith("cosma")})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert leaked == []
+
+
 def test_non_ascii_symbol_names_are_input_errors(tmp_path, workdir, capsys):
     # the lexer takes "é" for a letter, but a symbol name is ASCII
     fine = tmp_path / "fine.tq"
@@ -354,6 +403,21 @@ class TestCheck:
             )
             assert code == 2
             assert re.search(r"broken\.tq:1:\d+: error: formula nested more than", err)
+        # queries that parse but cannot be checked against the model
+        for text, message in (
+            ("q: always (HG => next Car);", "query 'q': consequent uses non-output symbols Car"),
+            ("m: always ((HG + Car) => next HY);", "antecedent factor 'HG + Car' mixes"),
+        ):
+            broken.write_text("ok: always (HG => next HY);\n" + text + "\n")
+            code, out, err = run(
+                capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)]
+            )
+            assert code == 2
+            assert f"broken.tq:2:1: error: {message}" in err, err
+        code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"),
+                                      "--queries", str(workdir / "missing.tq")])
+        assert code == 2
+        assert err.startswith(f"error: cannot read {workdir / 'missing.tq'}: "), err
         # the costliest level the parser accepts: a parenthesised CTL operand
         broken.write_text("ctl c: " + "(" * n + "HG" + ")" * n + ";\n")
         code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)])
@@ -404,9 +468,10 @@ class TestVhdl:
         assert "wait until Clk'event" in out
 
     def test_bad_encoding_argument(self, workdir, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["vhdl", str(workdir / "tlc.csm"), "--state-encoding", "gray"])
-        capsys.readouterr()
+        for encoding in ("gray", "width:x"):
+            with pytest.raises(SystemExit):
+                cli.main(["vhdl", str(workdir / "tlc.csm"), "--state-encoding", encoding])
+            assert "bad state encoding" in capsys.readouterr().err
 
     def test_width_overflow_is_input_error(self, workdir, capsys):
         code, out, err = run(
@@ -421,6 +486,7 @@ class TestVhdl:
             code, out, err = run(capsys, ["vhdl", str(workdir / "tlc.csm"), *option])
             assert code == 2, (option, err)
             assert err.startswith("error: ") and "internal" not in err, err
+            assert err.startswith(f"error: {' '.join(option)}: "), err
             assert out == ""
 
     def test_unwritable_output_path_is_input_error(self, workdir, capsys):

@@ -185,9 +185,9 @@ class TestQueryParsing:
     def test_ctl_implication_and_nesting(self):
         res = frontend.parse_queries("ctl i: AG (Car => EF FG);")
         assert res.ok
-        inner = res.queries[0].formula
-        assert isinstance(inner, mc.CtlAG)
-        assert inner.sub == mc.CtlImplies(F.Atom(F.Symbol("Car")), mc.CtlEF(F.Atom(F.Symbol("FG"))))
+        assert res.queries[0].formula == mc.CtlAG(
+            mc.CtlImplies(F.Atom(F.Symbol("Car")), mc.CtlEF(F.Atom(F.Symbol("FG"))))
+        )
 
     def test_ctl_boolean_part_is_the_guard_grammar(self):
         text = "~x * (y + not z) + 1 + x * y * 0"
@@ -287,6 +287,9 @@ SYSTEM_ERRORS = [
     # names the lexer takes for identifiers but that are no symbol names
     "system s { machine M { init a; state a { out é; -> a when 1; } } }",
     "system s { machine M { init a; state a { out o; -> a when xé; } } }",
+    # no machines, a machine without states
+    "system x { }",
+    "system x { machine m { init a; } }",
 ]
 QUERY_ERRORS = [
     "e: always (HG => exists next FG);",
@@ -300,6 +303,13 @@ QUERY_ERRORS = [
     # names the lexer takes for identifiers but that are no symbol names
     "q: always (é => next HY);",
     "ctl c: EF é;",
+    # an until without U, a keyword as an atom, a missing mode
+    "ctl c: A [ HG HY ];",
+    "ctl c: EF next;",
+    "q: always (HG => HY);",
+    # parsed, but not checkable against the system
+    "q: always (HG => next Car);",
+    "m: always ((HG + Car) => next HY);",
 ]
 
 

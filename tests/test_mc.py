@@ -182,7 +182,7 @@ class TestOracleAgreement:
         verdict = mc.check_query(rg, query)
         assert not verdict.holds
         here, there = (rg.nodes[step.node] for step in verdict.trace)
-        _, env_part = mc.split_antecedent(query.antecedent, system.produced_symbols())
+        _, env_part = mc.split_query(query, system.produced_symbols())
         env = model.env_alphabet(system) | {F.Symbol("extra")}
         expected = first_step_env(system, here, there, env, env_part)
         assert verdict.trace[0].env == expected
@@ -249,14 +249,15 @@ class TestCtl:
             pytest.skip("no outputs to talk about")
         for sym in produced[:3]:
             p = F.Atom(sym)
+            # the oracle's own loop for each operator against its dual
             pairs = [
-                (mc.CtlAG(p), F.Not(mc.CtlEF(F.Not(p)))),
-                (mc.CtlAF(p), F.Not(mc.CtlEG(F.Not(p)))),
-                (mc.CtlAX(p), F.Not(mc.CtlEX(F.Not(p)))),
-                (mc.CtlEF(p), mc.CtlEU(F.TRUE, p)),
+                (("AG", p), F.Not(mc.CtlEF(F.Not(p)))),
+                (("AF", p), F.Not(mc.CtlEG(F.Not(p)))),
+                (("AX", p), F.Not(mc.CtlEX(F.Not(p)))),
+                (("EF", p), mc.CtlEU(F.TRUE, p)),
             ]
-            for left, right in pairs:
-                assert mc.check_ctl(rg, left).holds == mc.check_ctl(rg, right).holds
+            for spec, dual in pairs:
+                assert rescanning_ctl_sat(rg, spec) == mc._label(rg, dual)
 
     def test_au_definition_on_random_graphs(self):
         rng = random.Random(4)
@@ -266,15 +267,14 @@ class TestCtl:
         if len(produced) < 2:
             pytest.skip("need two outputs")
         p, r = F.Atom(produced[0]), F.Atom(produced[1])
-        au = mc.CtlAU(p, r)
-        # A[p U r] == not (E[~r U (~p * ~r)] + EG ~r)
+        # A[p U r] == not (E[~r U (~p * ~r)] + EG ~r), against the oracle's own loop
         rewritten = F.Not(
             F.Or(
                 mc.CtlEU(F.Not(r), F.And(F.Not(p), F.Not(r))),
                 mc.CtlEG(F.Not(r)),
             )
         )
-        assert mc.check_ctl(rg, au).holds == mc.check_ctl(rg, rewritten).holds
+        assert rescanning_ctl_sat(rg, ("AU", p, r)) == mc._label(rg, rewritten)
 
 
 class TestEdgeConditioningConsistency:
@@ -295,18 +295,33 @@ class TestEdgeConditioningConsistency:
         assert isinstance(doc["trace"][0]["env"], list)
 
 
+CTL_UNARY = ("~", "EX", "AX", "EF", "AF", "EG", "AG")
+CTL_BINARY = ("*", "+", "=>", "EU", "AU")
+CTL_CONSTRUCTORS = {
+    "~": F.Not, "*": F.And, "+": F.Or, "=>": mc.CtlImplies, "EX": mc.CtlEX, "AX": mc.CtlAX,
+    "EF": mc.CtlEF, "AF": mc.CtlAF, "EG": mc.CtlEG, "AG": mc.CtlAG, "EU": mc.CtlEU,
+    "AU": mc.CtlAU,
+}
+
+
 def random_ctl(rng, symbols, depth=3):
-    """A random CTL formula over ``symbols`` using every operator."""
+    """A random spec for ``oracles.rescanning_ctl_sat`` over ``symbols``, using
+    every operator."""
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.1:
             return F.TRUE if rng.random() < 0.5 else F.FALSE
         return F.Atom(rng.choice(symbols))
-    unary = (F.Not, mc.CtlEX, mc.CtlAX, mc.CtlEF, mc.CtlAF, mc.CtlEG, mc.CtlAG)
-    binary = (F.And, F.Or, mc.CtlImplies, mc.CtlEU, mc.CtlAU)
-    op = rng.choice(unary + binary)
-    if op in unary:
-        return op(random_ctl(rng, symbols, depth - 1))
-    return op(random_ctl(rng, symbols, depth - 1), random_ctl(rng, symbols, depth - 1))
+    op = rng.choice(CTL_UNARY + CTL_BINARY)
+    arity = 1 if op in CTL_UNARY else 2
+    return (op, *(random_ctl(rng, symbols, depth - 1) for _ in range(arity)))
+
+
+def ctl_formula(spec):
+    """The ``mc`` formula of a spec, built through the public constructors."""
+    if not isinstance(spec, tuple):
+        return spec
+    op, *operands = spec
+    return CTL_CONSTRUCTORS[op](*map(ctl_formula, operands))
 
 
 def random_implication(rng, system):
@@ -338,8 +353,9 @@ class TestFixpointCore:
             return
         symbols = produced + [F.Symbol("dark")]  # an atom false everywhere
         for _ in range(8):
-            formula_ = random_ctl(rng, symbols)
-            expected = rescanning_ctl_sat(rg, formula_)
+            spec = random_ctl(rng, symbols)
+            expected = rescanning_ctl_sat(rg, spec)
+            formula_ = ctl_formula(spec)
             assert mc._label(rg, formula_) == expected
             assert mc.check_ctl(rg, formula_).holds == (0 in expected)
         for _ in range(6):
