@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the BDD manager on four workloads, each checking its own answer.
+"""Time the BDD manager on five workloads, each checking its own answer.
 
 * ``queens``   the n-queens constraint function, built with and_/or_/not_
                alone: pure apply/unique-table traffic.
@@ -9,18 +9,26 @@
                classic slow-frontier case: one new state per image step.
 * ``pipeline`` symbolic reachability of the bundled intersection model,
                end to end through the public API.
+* ``ring``     symbolic reachability of the benchmark's token ring of N
+               machines (``perfbench/families.py``): one image step per
+               token position, each over the whole N-machine relation.
 
-Run:  python benchmarks/bench_bdd.py [--repeat N] [--counter-bits N] [--queens N]
+Run:  python benchmarks/bench_bdd.py [--repeat N] [--counter-bits N] [--queens N] [--ring N]
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
 from cosma import assets, frontend, reach, robdd
 from cosma import formula as F
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402  (read only: the ring model's text and answer)
 
 
 def random_formula(rng, symbols, depth):
@@ -120,11 +128,21 @@ def bench_pipeline(repeat: int) -> float:
     return time.perf_counter() - started
 
 
+def bench_ring(m: int) -> float:
+    spec = families.ring(families.Namer(0), m)
+    system = frontend.parse_system(spec.text, f"{spec.key}.csm").system
+    started = time.perf_counter()
+    sym = reach.build_rg_symbolic(system)
+    assert sym.count == m, sym.count
+    return time.perf_counter() - started
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=30, help="pipeline repetitions")
     parser.add_argument("--counter-bits", type=int, default=9)
     parser.add_argument("--queens", type=int, default=7)
+    parser.add_argument("--ring", type=int, default=100, help="machines in the token ring")
     args = parser.parse_args()
 
     workloads = [
@@ -132,6 +150,7 @@ def main() -> int:
         ("guards", bench_guards),
         ("counter", lambda: bench_counter(args.counter_bits)),
         ("pipeline", lambda: bench_pipeline(args.repeat)),
+        ("ring", lambda: bench_ring(args.ring)),
     ]
 
     width = max(len(n) for n, _ in workloads)

@@ -274,13 +274,16 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
     current state bits, so the relation realizes the same synchronous step
     semantics as the explicit engine, output feedback included.
 
-    Every state cube is built once, from its last bit up, so each AND adds
-    one node above the ones already built.  The per-machine relations are
-    conjoined from the last machine to the first: each AND then puts a
-    machine above a product of machines whose variables all lie below it,
-    instead of rebuilding the whole product as a left-to-right fold does.
+    Every state cube is built once by ``BddManager.cube``, one node per bit
+    from the last bit up.  The per-machine relations are conjoined from the
+    last machine to the first: each AND then puts a machine above a product
+    of machines whose variables all lie below it, instead of rebuilding the
+    whole product as a left-to-right fold does.
     The fixpoint takes the image of the newly reached states only, one
-    ``exists`` per breadth-first level plus the one that finds nothing new.
+    ``exists`` per breadth-first level plus the one that finds nothing new;
+    the quantified set and the renaming are the same arguments on every
+    step, so the manager prepares them once.  AND-NOT is a single ``ite``
+    (``ite(a, FALSE, b)`` is b AND NOT a), with no copy of NOT a.
     """
     env = model.declaration_order(system, model.env_alphabet(system))
     manager = robdd.BddManager()
@@ -308,15 +311,9 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
         env_vars[sym] = name
 
     def cubes(names: list[str], nstates: int) -> list[robdd.BddRef]:
-        """The cube of each state index over ``names``, ANDed from the last bit up."""
-        bits = [manager.mk_var(var) for var in names]
-        out = []
-        for j in range(nstates):
-            ref = manager.TRUE
-            for k in reversed(range(len(bits))):
-                ref = manager.and_(ref, bits[k] if (j >> k) & 1 else manager.not_(bits[k]))
-            out.append(ref)
-        return out
+        """The cube of each state index over ``names``, bit k of the index on names[k]."""
+        return [manager.cube([(var, (j >> k) & 1 == 1) for k, var in enumerate(names)])
+                for j in range(nstates)]
 
     here = [cubes(bits, len(m.states)) for bits, m in zip(current_bits, system.machines)]
     there = [cubes(bits, len(m.states)) for bits, m in zip(next_bits, system.machines)]
@@ -346,7 +343,7 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
                 g = manager.from_expr(arc.guard, leaf)
                 union = manager.or_(union, g)
                 moves = manager.or_(moves, manager.and_(g, there[i][machine.state_index(arc.dst)]))
-            stay = manager.and_(manager.not_(union), there[i][j])
+            stay = manager.ite(union, manager.FALSE, there[i][j])
             relation = manager.or_(relation, manager.and_(here[i][j], manager.or_(moves, stay)))
         transition = manager.and_(relation, transition)
 
@@ -365,7 +362,7 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
     while frontier != manager.FALSE:
         image = manager.rename(manager.exists(quantified, manager.and_(frontier, transition)),
                                renaming)
-        frontier = manager.and_(image, manager.not_(reachable))
+        frontier = manager.ite(reachable, manager.FALSE, image)
         reachable = manager.or_(reachable, frontier)
 
     # reachable holds valid codes only (the initial state and every next-state

@@ -8,6 +8,15 @@ triple, so handles are canonical: two references are equal exactly when
 they denote the same Boolean function under the manager's variable order.
 A node is appended after its children, so children have smaller ids.
 
+The computed table keys each entry by its operands alone: ``ite`` by its
+three nodes, ``exists`` and ``rename`` by ``(node, sid)``.  A sid is a small
+int naming one prepared argument, the level set to quantify (with its
+deepest level) or the level-to-level table to rename by; each operation
+prepares a distinct argument once per manager and keeps it in a dict of its
+own, so a step costs what its nodes cost, not nodes times levels.  ``cube``
+builds a conjunction of literals from its deepest variable up, one node per
+literal.
+
 A manager is single-owner; distinct managers may be used concurrently but
 their references must never be mixed.  ``BACKEND`` names the
 implementation, recorded with benchmark results.
@@ -67,7 +76,10 @@ class BddManager:
 
     The public methods take and give ``BddRef`` handles and check that they
     belong to this manager; the private ones (``_make``, ``_ite``,
-    ``_exists``, ``_rename``) work on node ids and levels.
+    ``_exists``, ``_rename``) work on node ids and levels.  ``exists`` and
+    ``rename`` resolve the names of an argument they have not seen before,
+    check it and number it with a sid; a repeated argument is one dict
+    lookup, and an argument that fails its check is not kept.
     """
 
     def __init__(self, variables: Iterable[str] = ()):
@@ -76,8 +88,12 @@ class BddManager:
         self._unique: dict[tuple[int, int, int], int] = {}
         # the computed table, one dict per operation so keys cannot collide
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        self._exists_cache: dict[tuple[int, tuple], int] = {}
-        self._rename_cache: dict[tuple[int, tuple], int] = {}
+        # keyed by (node, sid): sid numbers the prepared argument of each
+        # distinct exists or rename call, kept in a dict of its own per operation
+        self._exists_cache: dict[tuple[int, int], int] = {}
+        self._rename_cache: dict[tuple[int, int], int] = {}
+        self._exists_args: dict[tuple, tuple[frozenset, int, int]] = {}
+        self._rename_args: dict[tuple, tuple[dict[int, int], int]] = {}
         self._levels: dict[str, int] = {}
         self._names: list[str] = []
         self.FALSE = BddRef(self, 0)
@@ -156,36 +172,41 @@ class BddManager:
         self._ite_cache[key] = result
         return result
 
-    def _exists(self, f: int, levels: tuple) -> int:
-        """Quantify the sorted ``levels`` out of ``f``."""
-        if f <= 1 or not levels:
+    def _exists(self, f: int, quant: frozenset, last: int, sid: int) -> int:
+        """Quantify the levels in ``quant``, the deepest of them ``last``, out of ``f``.
+
+        ``sid`` names ``quant`` in the computed table, so a key is two ints.
+        """
+        if f <= 1:
             return f
-        key = (f, levels)
+        lv, low, high = self._nodes[f]
+        if lv > last:
+            return f  # every quantified level lies above this node
+        key = (f, sid)
         cached = self._exists_cache.get(key)
         if cached is not None:
             return cached
-        lv, low, high = self._nodes[f]
-        i = 0
-        n = len(levels)
-        while i < n and levels[i] < lv:
-            i += 1  # quantified variable above the root: not in the support
-        rest = levels[i:]
-        if not rest:
-            result = f
-        elif rest[0] == lv:
-            low, high = self._exists(low, rest[1:]), self._exists(high, rest[1:])
-            if low > high:
-                low, high = high, low
-            result = self._ite(low, 1, high)
+        if lv in quant:
+            low = self._exists(low, quant, last, sid)
+            if low == 1:
+                result = 1
+            else:
+                high = self._exists(high, quant, last, sid)
+                if low > high:
+                    low, high = high, low
+                result = self._ite(low, 1, high)
         else:
-            result = self._make(lv, self._exists(low, rest), self._exists(high, rest))
+            result = self._make(
+                lv, self._exists(low, quant, last, sid), self._exists(high, quant, last, sid)
+            )
         self._exists_cache[key] = result
         return result
 
-    def _rename(self, f: int, table: dict[int, int], pairs: tuple) -> int:
+    def _rename(self, f: int, table: dict[int, int], sid: int) -> int:
+        """Relabel ``f``'s levels through ``table``, which ``sid`` names."""
         if f <= 1:
             return f
-        key = (f, pairs)
+        key = (f, sid)
         cached = self._rename_cache.get(key)
         if cached is not None:
             return cached
@@ -194,7 +215,7 @@ class BddManager:
         if target is None:
             raise BddError(f"rename mapping misses support level {lv}")
         result = self._make(
-            target, self._rename(low, table, pairs), self._rename(high, table, pairs)
+            target, self._rename(low, table, sid), self._rename(high, table, sid)
         )
         self._rename_cache[key] = result
         return result
@@ -262,8 +283,13 @@ class BddManager:
         return BddRef(self, self._ite(self._node(f), self._node(g), self._node(h)))
 
     def exists(self, names: Iterable[str], f: BddRef) -> BddRef:
-        levels = tuple(sorted(self.level_of(n) for n in names))
-        return BddRef(self, self._exists(self._node(f), levels))
+        names = tuple(names)
+        prepared = self._exists_args.get(names)
+        if prepared is None:
+            quant = frozenset(self.level_of(n) for n in names)
+            prepared = (quant, max(quant, default=-1), len(self._exists_args))
+            self._exists_args[names] = prepared
+        return BddRef(self, self._exists(self._node(f), *prepared))
 
     def rename(self, f: BddRef, mapping: Mapping[str, str]) -> BddRef:
         """Relabel variables per ``mapping``, which must cover the support of ``f``.
@@ -272,13 +298,33 @@ class BddManager:
         increasing variable order), as the primed-to-unprimed shift of image
         computation is; the result is then rebuilt without reordering.
         """
-        pairs = tuple(
-            sorted((self.level_of(src), self.level_of(dst)) for src, dst in mapping.items())
-        )
-        for (s1, d1), (s2, d2) in zip(pairs, pairs[1:]):
-            if s1 >= s2 or d1 >= d2:
-                raise BddError("rename mapping must be strictly monotone")
-        return BddRef(self, self._rename(self._node(f), dict(pairs), pairs))
+        items = tuple(mapping.items())
+        prepared = self._rename_args.get(items)
+        if prepared is None:
+            pairs = sorted((self.level_of(src), self.level_of(dst)) for src, dst in items)
+            for (s1, d1), (s2, d2) in zip(pairs, pairs[1:]):
+                if s1 >= s2 or d1 >= d2:
+                    raise BddError("rename mapping must be strictly monotone")
+            prepared = (dict(pairs), len(self._rename_args))
+            self._rename_args[items] = prepared
+        return BddRef(self, self._rename(self._node(f), *prepared))
+
+    def cube(self, literals: Iterable[tuple[str, bool]]) -> BddRef:
+        """The conjunction of ``(name, polarity)`` literals over distinct variables.
+
+        The literals may come in any order; the cube is built from its
+        deepest variable up, one node per literal.
+        """
+        ordered = sorted(((self.level_of(name), bool(pos)) for name, pos in literals),
+                         reverse=True)
+        node = 1
+        below = TERMINAL_LEVEL
+        for level, positive in ordered:
+            if level == below:
+                raise BddError(f"variable {self._names[level]!r} repeated in cube")
+            node = self._make(level, 0, node) if positive else self._make(level, node, 0)
+            below = level
+        return BddRef(self, node)
 
     def sat_count(self, f: BddRef, nvars: int | None = None) -> int:
         """Number of satisfying assignments over the first ``nvars`` variables."""

@@ -306,3 +306,95 @@ class TestStructure:
         assert solution == {"a": True, "b": False}
         assert m.some_assignment(m.FALSE) is None
 
+
+
+class TestPreparedArguments:
+    """``exists`` and ``rename`` prepare each distinct argument once per manager."""
+
+    NAMES = ["x0", "y0", "x1", "y1", "x2", "y2"]
+
+    def test_interleaved_calls_agree_with_enumeration(self, kernel):
+        from gensys import random_guard
+
+        rng = random.Random(11)
+        syms = {n: F.Symbol(n) for n in self.NAMES}
+        m = robdd.BddManager(self.NAMES)
+        valuations = [frozenset(s.name for s in v) for v in all_valuations(syms.values())]
+
+        def functions(pool_names, count):
+            pool = [syms[n] for n in pool_names]
+            out = []
+            for _ in range(count):
+                expr = random_guard(rng, pool, depth=3)
+                table = {v: F.evaluate(expr, {syms[n] for n in v}) for v in valuations}
+                out.append((m.from_expr(expr), table))
+            return out
+
+        constants = [(m.TRUE, dict.fromkeys(valuations, True)),
+                     (m.FALSE, dict.fromkeys(valuations, False))]
+        over_x01 = functions(["x0", "x1"], 6) + constants
+        shared = functions(self.NAMES, 8) + over_x01
+        ops = [("exists", names, shared) for names in
+               ([], self.NAMES, ["x0", "x2"], ["x2", "x0"], ["y1"], ["x1", "y0", "y2"])]
+        ops += [
+            ("rename", {"x0": "y0", "x1": "y1"}, over_x01),
+            ("rename", {"x0": "y1", "x1": "y2"}, over_x01),
+            ("rename", {}, constants),
+        ]
+        for _ in range(3):
+            rng.shuffle(ops)
+            for kind, arg, funcs in ops:
+                for ref, table in funcs:
+                    if kind == "exists":
+                        got = m.exists(arg, ref)
+                        free = frozenset(arg)
+                        expect = {v: any(table[(v - free) | w] for w in valuations if w <= free)
+                                  for v in valuations}
+                    else:
+                        got = m.rename(ref, arg)
+                        expect = {v: table[frozenset(s for s, d in arg.items() if d in v)]
+                                  for v in valuations}
+                    for v in valuations:
+                        assert m.evaluate(got, v) == expect[v], (kind, arg, sorted(v))
+        assert m.audit() == []
+
+    def test_bad_arguments_raise_on_every_call(self, kernel):
+        m = robdd.BddManager(["a", "b", "c"])
+        a, b, c = (m.mk_var(n) for n in "abc")
+        f = m.and_(b, c)
+        for _ in range(2):
+            with pytest.raises(robdd.BddError):
+                m.exists(["a", "nope"], f)
+            with pytest.raises(robdd.BddError):
+                m.rename(f, {"b": "c", "c": "a"})
+            with pytest.raises(robdd.BddError):
+                m.rename(f, {"b": "a", "c": "nope"})
+        assert m.exists(["b"], f) == c
+        assert m.rename(f, {"b": "a", "c": "b"}) == m.and_(a, b)
+
+
+class TestCube:
+    NAMES = [f"c{i}" for i in range(8)]
+
+    def test_equals_the_and_not_fold(self, kernel):
+        rng = random.Random(5)
+        m = robdd.BddManager(self.NAMES)
+        assert m.cube([]) == m.TRUE
+        for _ in range(200):
+            names = rng.sample(self.NAMES, rng.randint(1, len(self.NAMES)))
+            literals = [(name, rng.random() < 0.5) for name in names]
+            fold = m.TRUE
+            for name, positive in literals:
+                var = m.mk_var(name)
+                fold = m.and_(fold, var if positive else m.not_(var))
+            assert m.cube(literals) == fold
+        assert m.audit() == []
+
+    def test_rejects_undeclared_and_repeated_variables(self, kernel):
+        m = robdd.BddManager(self.NAMES)
+        for literals in ([("c0", True), ("nope", False)],
+                         [("c1", True), ("c3", False), ("c1", True)],
+                         [("c2", False), ("c2", True)]):
+            with pytest.raises(robdd.BddError):
+                m.cube(literals)
+        assert m.audit() == []
