@@ -13,6 +13,11 @@
                machines (``perfbench/families.py``): one image step per
                token position, each over the whole N-machine relation.
 
+Each time is the best of three runs.  The machine's speed drifts, so the
+reference loop of ``perfbench/run.py`` is timed just before and just after
+each best-of-3, and the scaled column reads the time as seconds on a
+machine that runs that loop in ``REF_S``, as ``perfbench/run.py`` does.
+
 Run:  python benchmarks/bench_bdd.py [--repeat N] [--counter-bits N] [--queens N] [--ring N]
 """
 
@@ -29,6 +34,7 @@ from cosma import formula as F
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (read only: the ring model's text and answer)
+from run import REF_S, reference_loop  # noqa: E402  (read only: the drift correction)
 
 
 def random_formula(rng, symbols, depth):
@@ -154,12 +160,16 @@ def main() -> int:
     ]
 
     width = max(len(n) for n, _ in workloads)
-    header = f"{'workload':<{width}}  {'seconds':>12}"
+    header = f"{'workload':<{width}}  {'seconds':>12}  {'scaled':>12}"
     print(header)
     print("-" * len(header))
     for name, fn in workloads:
         fn()  # warm-up
-        print(f"{name:<{width}}  {min(fn() for _ in range(3)):>11.4f}s")
+        before = reference_loop()
+        best = min(fn() for _ in range(3))
+        after = reference_loop()
+        scaled = best * 2 * REF_S / (before + after)
+        print(f"{name:<{width}}  {best:>11.4f}s  {scaled:>11.4f}s")
     return 0
 
 

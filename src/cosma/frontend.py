@@ -340,7 +340,8 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     """
     diagnostics: list[ParseDiagnostic] = []
     # the name token of the system, each machine and each state; a span is
-    # built only for the validation findings that point at one
+    # built only for the validation findings that point at one, and a
+    # repeated name keeps its last token, so a duplicate is placed there
     spans: dict[tuple, _Token] = {}
     try:
         cur = _Cursor(_lex(text, filename, glyphs=False))

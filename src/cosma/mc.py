@@ -176,7 +176,7 @@ class Verdict:
     vacuous: bool = False
     trace: list[TraceStep] | None = None
 
-    def as_json(self, rg: ReachGraph | None = None) -> dict:
+    def as_json(self, rg: ReachGraph) -> dict:
         doc: dict = {"holds": self.holds, "vacuous": self.vacuous}
         if self.trace is None:
             doc["trace"] = None
@@ -184,12 +184,7 @@ class Verdict:
             doc["trace"] = [
                 {
                     "node": step.node,
-                    "states": [
-                        m.states[i].name
-                        for m, i in zip(rg.system.machines, rg.nodes[step.node])
-                    ]
-                    if rg is not None
-                    else None,
+                    "states": rg.state_names(step.node),
                     "env": sorted(s.name for s in step.env) if step.env is not None else None,
                 }
                 for step in self.trace
@@ -309,9 +304,13 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
 
     At each state whose outputs satisfy the antecedent's output part, the
     edges consistent with its environment part must exist and lead only to
-    (``next``) or inevitably reach (``eventually``) the consequent.  A
-    failing verdict carries a trace replaying under the step semantics; a
-    query whose output part matches no reachable state holds vacuously.
+    (``next``) or inevitably reach (``eventually``) the consequent: none may
+    enter the bad set, the nodes where the consequent fails (``next``) or
+    can be missed forever (``eventually``; on every path for the ``exists``
+    variant).  A failing verdict carries a trace replaying under the step
+    semantics: the first such edge, then one step (``next``) or a lasso
+    inside the bad set (``eventually``).  A query whose output part matches
+    no reachable state holds vacuously.
     """
     state_part, env_part = split_query(query, rg.system.produced_symbols())
 
@@ -325,30 +324,25 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
     if not matching:
         return Verdict(holds=True, vacuous=True)
 
-    if query.mode == "eventually":
+    if query.mode == "next":
+        # nodes where the consequent fails
+        bad = {i for i in range(len(rg.nodes)) if not F.evaluate(query.consequent, rg.outputs[i])}
+    else:
         # nodes from which the consequent can be missed forever (universal:
         # EG not consequent) or is out of reach (exists: AG not consequent)
         avoid = F.Not(query.consequent)
-        bad_region = _label(rg, CtlEG(avoid) if query.universal else CtlAG(avoid))
-    else:
-        goal = {i for i in range(len(rg.nodes)) if F.evaluate(query.consequent, rg.outputs[i])}
+        bad = _label(rg, CtlEG(avoid) if query.universal else CtlAG(avoid))
 
     for node in matching:
         conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
         conditioned = [(e, guard) for e, guard in conditioned if guard != m.FALSE]
         if not conditioned:
             return Verdict(holds=False, trace=[TraceStep(node, None)])
-        if query.mode == "next":
-            for edge, guard in conditioned:
-                if edge.dst not in goal:
-                    trace = [TraceStep(node, _find_env(m, guard)), TraceStep(edge.dst, None)]
-                    return Verdict(holds=False, trace=trace)
-        else:
-            for edge, guard in conditioned:
-                if edge.dst in bad_region:
-                    first = TraceStep(node, _find_env(m, guard))
-                    tail = _pre_closure_lasso(rg, edge.dst, bad_region)
-                    return Verdict(holds=False, trace=[first, *tail])
+        for edge, guard in conditioned:
+            if edge.dst in bad:
+                tail = ([TraceStep(edge.dst, None)] if query.mode == "next"
+                        else _pre_closure_lasso(rg, edge.dst, bad))
+                return Verdict(holds=False, trace=[TraceStep(node, _find_env(m, guard)), *tail])
     return Verdict(holds=True)
 
 

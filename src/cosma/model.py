@@ -228,7 +228,8 @@ def validate(system: System) -> LintReport:
     seen_machines = set()
     for machine in system.machines:
         if machine.name in seen_machines:
-            report.add("error", "duplicate-machine", f"duplicate machine name {machine.name!r}")
+            report.add("error", "duplicate-machine", f"duplicate machine name {machine.name!r}",
+                       machine=machine.name)
         seen_machines.add(machine.name)
 
     produced_by: dict = {}

@@ -17,14 +17,17 @@ The two must always agree on the reachable set: equal sizes, and every
 explicit node in the symbolic set.  That cross-check is the central oracle
 of the whole pipeline.
 
-The explicit graph exports as DOT and as JSON.  Both print each distinct
-edge guard by the same text, made in one pass over the edges by the first
-export and kept in the graph.
+A graph is built from what the explicit engine finds: its nodes, its
+edges in discovery order, each node's outputs and the manager of the edge
+guards.  It derives the rest itself: each node's out-edges and
+predecessors, the quiescent nodes, and each distinct edge guard's text,
+which the DOT and JSON exports share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 
 from cosma import formula as F
@@ -50,17 +53,35 @@ class ReachEdge:
 
 @dataclass
 class ReachGraph:
+    """The explicit graph, made of what an engine finds.
+
+    Construction derives the views the checker and the exports read: each
+    node's out-edges (in edge order) and predecessors, in one pass over the
+    edges, and ``quiescent``, the nodes whose only edge is a self-loop that
+    always fires.  It asserts that every node has an out-edge, since the
+    implicit stay makes the step relation total.  The guard texts are made
+    on the first export.
+    """
+
     system: model.System
     nodes: list[model.GlobalState]  # index 0 is the initial state
-    edges: list[ReachEdge]
+    edges: list[ReachEdge]  # in discovery order
     outputs: list[frozenset]  # per-node output valuation
     manager: robdd.BddManager  # holds every edge guard; variables are env symbols
-    quiescent: frozenset[int] = frozenset()
-    _edges_from: list[list[ReachEdge]] = field(default_factory=list, repr=False)
-    _preds: list[list[int]] = field(default_factory=list, repr=False)
-    # each distinct edge guard's text by node, filled by the first export
-    _guard_text: dict[int, str] | None = field(default=None, init=False, repr=False,
-                                               compare=False)
+
+    def __post_init__(self):
+        edges_from: list[list[ReachEdge]] = [[] for _ in self.nodes]
+        preds: list[list[int]] = [[] for _ in self.nodes]
+        for edge in self.edges:
+            edges_from[edge.src].append(edge)
+            preds[edge.dst].append(edge.src)
+        assert all(edges_from), "implicit stay makes the step relation total"
+        true = self.manager.TRUE
+        self.quiescent = frozenset(
+            i for i, out in enumerate(edges_from)
+            if len(out) == 1 and out[0].dst == i and out[0].guard == true
+        )
+        self._edges_from, self._preds = edges_from, preds
 
     def out_edges(self, node: int) -> list[ReachEdge]:
         return self._edges_from[node]
@@ -69,12 +90,35 @@ class ReachGraph:
         """Sources of the edges into ``node``, each once."""
         return self._preds[node]
 
+    def state_names(self, node: int) -> list[str]:
+        """The name of each machine's state at ``node``, in machine order."""
+        return [machine.states[idx].name
+                for machine, idx in zip(self.system.machines, self.nodes[node])]
+
     def node_name(self, node: int) -> str:
-        parts = (
-            machine.states[idx].name
-            for machine, idx in zip(self.system.machines, self.nodes[node])
-        )
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(self.state_names(node)) + ")"
+
+    @functools.cached_property
+    def _guard_texts(self) -> dict[int, str]:
+        """Each distinct edge guard as an irredundant sum of products, literals
+        in declaration order, keyed by the guard's node.
+
+        Made in one pass over the edges by the first export, so DOT and JSON
+        share them and each distinct guard is covered and printed once.
+        Products are printed one by one and joined, never as one formula
+        tree, because a cover can have exponentially many of them.
+        """
+        texts: dict[int, str] = {}
+        for edge in self.edges:
+            if edge.guard.node not in texts:
+                texts[edge.guard.node] = " + ".join(
+                    F.to_text(F.and_all(
+                        F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
+                        for name, pos in cube
+                    ))
+                    for cube in self.manager.isop(edge.guard)
+                ) or "0"
+        return texts
 
     def __len__(self):
         return len(self.nodes)
@@ -211,28 +255,7 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
             edges.append(ReachEdge(src, guard, dst))
         frontier += 1
 
-    edges_from: list[list[ReachEdge]] = [[] for _ in nodes]
-    preds: list[list[int]] = [[] for _ in nodes]
-    for edge in edges:
-        edges_from[edge.src].append(edge)
-        preds[edge.dst].append(edge.src)
-
-    quiescent = set()
-    for i, outgoing in enumerate(edges_from):
-        assert outgoing, "implicit stay makes the step relation total"
-        if len(outgoing) == 1 and outgoing[0].dst == i and ctx.tautology(outgoing[0].guard):
-            quiescent.add(i)
-
-    return ReachGraph(
-        system=system,
-        nodes=nodes,
-        edges=edges,
-        outputs=outputs,
-        manager=m,
-        quiescent=frozenset(quiescent),
-        _edges_from=edges_from,
-        _preds=preds,
-    )
+    return ReachGraph(system=system, nodes=nodes, edges=edges, outputs=outputs, manager=m)
 
 
 # -- symbolic engine -----------------------------------------------------------
@@ -386,31 +409,6 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
 # -- export --------------------------------------------------------------------
 
 
-def _guard_texts(rg: ReachGraph) -> dict[int, str]:
-    """Each distinct edge guard as an irredundant sum of products, literals in
-    declaration order, keyed by the guard's node.
-
-    The texts are computed in one pass over the edges, on the first export of
-    the graph, and kept in it, so DOT and JSON share them and each distinct
-    guard is covered and printed once.  Products are printed one by one and
-    joined, never as one formula tree, because a cover can have exponentially
-    many of them.
-    """
-    texts = rg._guard_text
-    if texts is None:
-        texts = rg._guard_text = {}
-        for edge in rg.edges:
-            if edge.guard.node not in texts:
-                texts[edge.guard.node] = " + ".join(
-                    F.to_text(F.and_all(
-                        F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
-                        for name, pos in cube
-                    ))
-                    for cube in rg.manager.isop(edge.guard)
-                ) or "0"
-    return texts
-
-
 def to_dot(rg: ReachGraph) -> str:
     """Graphviz rendering; deterministic (discovery order, sorted outputs)."""
     lines = ["digraph reachability {", "  rankdir=TB;", '  node [shape=ellipse, fontsize=10];']
@@ -420,7 +418,7 @@ def to_dot(rg: ReachGraph) -> str:
         shape = ', peripheries=2' if i == 0 else ""
         extra = ', style=dashed' if i in rg.quiescent else ""
         lines.append(f'  n{i} [label="{label}"{shape}{extra}];')
-    texts = _guard_texts(rg)
+    texts = rg._guard_texts
     for edge in rg.edges:
         lines.append(f'  n{edge.src} -> n{edge.dst} [label="{texts[edge.guard.node]}"];')
     lines.append("}")
@@ -457,7 +455,7 @@ def json_text(rg: ReachGraph) -> str:
         quiescent = "true" if i in rg.quiescent else "false"
         nodes.append(f'{{\n      "states": {states},\n      "outputs": {outs},\n'
                      f'      "quiescent": {quiescent}\n    }}')
-    guards = {node: _json_string(text) for node, text in _guard_texts(rg).items()}
+    guards = {node: _json_string(text) for node, text in rg._guard_texts.items()}
     edges = [f'{{\n      "src": {e.src},\n      "dst": {e.dst},\n'
              f'      "guard": {guards[e.guard.node]}\n    }}' for e in rg.edges]
     return (f'{{\n  "system": {_json_string(rg.system.name)},\n  "nodes": {_json_array(nodes, "  ")},'

@@ -326,12 +326,10 @@ class BddManager:
             below = level
         return BddRef(self, node)
 
-    def sat_count(self, f: BddRef, nvars: int | None = None) -> int:
+    def sat_count(self, f: BddRef, nvars: int) -> int:
         """Number of satisfying assignments over the first ``nvars`` variables."""
         root = self._node(f)
-        if nvars is None:
-            nvars = len(self._names)
-        elif not 0 <= nvars <= len(self._names):
+        if not 0 <= nvars <= len(self._names):
             raise BddError(f"nvars {nvars} out of range")
         nodes = self._nodes
         # count[ref]: assignments over the levels from ref's own to nvars; a

@@ -611,28 +611,7 @@ def product_rg_explicit(system: model.System) -> ReachGraph:
         frontier += 1
 
     edges = [ReachEdge(src, guard, dst) for (src, dst), guard in edge_guards.items()]
-    edges_from: list[list[ReachEdge]] = [[] for _ in nodes]
-    preds: list[list[int]] = [[] for _ in nodes]
-    for edge in edges:
-        edges_from[edge.src].append(edge)
-        preds[edge.dst].append(edge.src)
-
-    quiescent = set()
-    for i, outgoing in enumerate(edges_from):
-        assert outgoing, "implicit stay makes the step relation total"
-        if len(outgoing) == 1 and outgoing[0].dst == i and ctx.tautology(outgoing[0].guard):
-            quiescent.add(i)
-
-    return ReachGraph(
-        system=system,
-        nodes=nodes,
-        edges=edges,
-        outputs=outputs,
-        manager=m,
-        quiescent=frozenset(quiescent),
-        _edges_from=edges_from,
-        _preds=preds,
-    )
+    return ReachGraph(system=system, nodes=nodes, edges=edges, outputs=outputs, manager=m)
 
 
 # -- the exporters as first written ---------------------------------------------

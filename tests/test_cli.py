@@ -68,6 +68,15 @@ class TestLint:
         code, out, err = run(capsys, ["lint", "no/such/file.csm"])
         assert code == 2
 
+    def test_duplicate_machine_name_is_placed_at_the_repeat(self, tmp_path, capsys):
+        path = tmp_path / "dup.csm"
+        path.write_text(
+            "system s { machine A { init a; state a { } } machine A { init b; state b { } } }\n"
+        )
+        code, out, err = run(capsys, ["lint", str(path)])
+        assert code == 2
+        assert err == f"{path}:1:54: error: duplicate machine name 'A'\n"
+
 
 class TestRg:
     def test_both_engines_on_bundled_model(self, workdir, capsys):
@@ -467,6 +476,22 @@ class TestVhdl:
         assert code == 0
         assert "wait until Clk'event" in out
 
+    def test_clock_flag_on_a_model_that_produces_clk(self, tmp_path, capsys):
+        path = tmp_path / "clk.csm"
+        path.write_text("system c { machine M { init a; state a { out Clk; -> a when 1; } } }\n")
+        code, out, err = run(capsys, ["vhdl", str(path), "--clock"])
+        assert code == 2
+        assert err == "error: clock mode reserves the port name 'Clk'\n"
+        assert out == ""
+
+    def test_illegal_output_name_gets_a_suggestion(self, tmp_path, capsys):
+        path = tmp_path / "ux.csm"
+        path.write_text("system u { machine M { init a; state a { out _x; -> a when 1; } } }\n")
+        code, out, err = run(capsys, ["vhdl", str(path)])
+        assert code == 2
+        assert err == ("error: symbol '_x' is not a legal VHDL identifier; "
+                       "rename it (for example to 'x')\n")
+
     def test_bad_encoding_argument(self, workdir, capsys):
         for encoding in ("gray", "width:x"):
             with pytest.raises(SystemExit):
@@ -508,6 +533,16 @@ class TestVhdl:
         assert code == 3
         assert "audit failure" in err
         assert not out_path.exists()
+
+
+def test_unexpected_exception_is_internal_error(workdir, capsys, monkeypatch):
+    def broken(system):
+        raise RuntimeError("engine broke")
+
+    monkeypatch.setattr(reach, "build_rg_symbolic", broken)
+    code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "bdd"])
+    assert code == 3
+    assert err == "internal error: engine broke\n"
 
 
 class TestExamples:

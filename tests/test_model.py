@@ -158,6 +158,13 @@ class TestValidate:
         report = model.validate(model.System("sys", [machine], table))
         assert any(e.code == "duplicate-state" for e in report.errors)
 
+    def test_empty_machine(self):
+        # the parser rejects a machine without states, so only the API builds one
+        table = F.SymbolTable()
+        table.freeze()
+        report = model.validate(model.System("sys", [model.Machine("m", [], "s", [])], table))
+        assert [(e.code, e.machine) for e in report.errors] == [("empty-machine", "m")]
+
     def test_full_coverage_has_no_gap_warning(self, tlc_system):
         # sHG's pair Car*TimTL / ~(Car*TimTL) covers everything
         report = model.validate(tlc_system)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -107,6 +108,20 @@ class TestExplicit:
 
     def test_tlc_is_never_quiescent(self, tlc_rg):
         assert tlc_rg.quiescent == frozenset()
+
+    def test_graph_is_built_from_five_fields(self, tlc_rg):
+        fields = [f.name for f in dataclasses.fields(reach.ReachGraph)]
+        assert fields == ["system", "nodes", "edges", "outputs", "manager"]
+        rebuilt = reach.ReachGraph(**{name: getattr(tlc_rg, name) for name in fields})
+        for i in range(len(tlc_rg)):
+            assert rebuilt.out_edges(i) == [e for e in tlc_rg.edges if e.src == i]
+            assert rebuilt.predecessors(i) == [e.src for e in tlc_rg.edges if e.dst == i]
+
+    def test_node_without_out_edges_fails_the_totality_check(self, tlc_rg):
+        # node 0's out-edges dropped: the step relation is no longer total
+        edges = [e for e in tlc_rg.edges if e.src != 0]
+        with pytest.raises(AssertionError, match="total"):
+            reach.ReachGraph(tlc_rg.system, tlc_rg.nodes, edges, tlc_rg.outputs, tlc_rg.manager)
 
     # seeds 4 and 35 renumber nodes if the leaves are left in the order of
     # the merged moves instead of that of their first satisfiable combination

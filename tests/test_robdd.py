@@ -201,6 +201,12 @@ class TestCounting:
         with pytest.raises(ValueError):
             m.sat_count(m.mk_var("y"), 1)
 
+    def test_nvars_out_of_range_rejected(self):
+        m = robdd.BddManager(["x", "y"])
+        for nvars in (-1, 3):
+            with pytest.raises(robdd.BddError, match="out of range"):
+                m.sat_count(m.TRUE, nvars)
+
     def test_big_counts_are_exact(self, kernel):
         names = [f"x{i}" for i in range(80)]
         m = robdd.BddManager(names)
@@ -293,6 +299,12 @@ class TestStructure:
         f = m.and_(m.mk_var("b"), m.mk_var("c"))
         with pytest.raises(ValueError):
             m.rename(f, {"b": "c", "c": "a"})
+
+    def test_rename_requires_the_whole_support(self):
+        m = robdd.BddManager(["a", "a2", "b", "b2"])
+        f = m.and_(m.mk_var("a2"), m.mk_var("b2"))
+        with pytest.raises(robdd.BddError, match="misses support"):
+            m.rename(f, {"a2": "a"})
 
     def test_support(self, kernel):
         m = robdd.BddManager(["a", "b", "c"])

@@ -317,6 +317,12 @@ class TestOptionsAndErrors:
         with pytest.raises(vhdlgen.VhdlGenError):
             vhdlgen.CodegenOptions(state_encoding="gray")
 
+    def test_invalid_width_and_delay_options(self):
+        with pytest.raises(vhdlgen.VhdlGenError, match="needs explicit_width"):
+            vhdlgen.CodegenOptions(state_encoding="width")
+        with pytest.raises(vhdlgen.VhdlGenError, match="nonnegative"):
+            vhdlgen.CodegenOptions(delay_ns=-1)
+
     def test_silent_system_has_no_port_clause(self):
         system = first_machine_system([((), [(0, F.TRUE)])])
         text = vhdlgen.generate(system)
