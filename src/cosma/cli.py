@@ -336,7 +336,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 (invariant violations surface as code 3)
-        print(f"{_style('internal error', '31')}: {exc}", file=sys.stderr)
+        # the type names an exception without a message, such as a bare assert
+        what = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"{_style('internal error', '31')}: {what}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -176,9 +176,13 @@ FALSE = ConstFalse()
 def and_all(exprs: Iterable[BoolExpr]) -> BoolExpr:
     """The conjunction of ``exprs`` as one node, or a constant: ``TRUE``
     factors are dropped, and a ``FALSE`` factor makes it ``FALSE``."""
-    factors = [e for e in exprs if e != TRUE]
-    if FALSE in factors:
-        return FALSE
+    factors = []
+    for e in exprs:
+        # the constants have no fields, so their type is their value
+        if type(e) is ConstFalse:
+            return FALSE
+        if type(e) is not ConstTrue:
+            factors.append(e)
     if len(factors) < 2:
         return factors[0] if factors else TRUE
     return And(*factors)

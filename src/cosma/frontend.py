@@ -39,6 +39,7 @@ from __future__ import annotations
 import bisect
 import functools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from cosma import formula as F
@@ -115,8 +116,8 @@ _GLYPHS = {"⇒": "=>", "○": "next", "◇": "eventually"}
 
 # Deepest formula the parsers accept, in parentheses, negations and CTL
 # operators.  A level costs at most 5 Python frames in the parser (a
-# parenthesised operand: _parse_unary, nested, _parse_implies, _parse_or,
-# _parse_and) and at most 2 in the guard walkers that run later
+# parenthesised operand: _parse_unary, _Parser.nested, _parse_implies,
+# _parse_or, _parse_and) and at most 2 in the guard walkers that run later
 # (BddManager.from_expr, evaluate, to_text, vhdlgen._condition), so 150
 # levels take at most 750 of Python's default 1000 frames and leave the rest
 # to the CLI and its callers.  The CTL checker walks its formulas with an
@@ -125,22 +126,34 @@ MAX_NESTING = 150
 _SYSTEM_KEYWORDS = frozenset({"system", "machine", "init", "state", "out", "when"})
 _QUERY_KEYWORDS = frozenset({"always", "next", "eventually", "exists", "ctl", "not"})
 
-# One match: the blanks and line comments before a token, then the token.
-# ``\w`` is exactly ``str.isalnum()`` plus "_"; numbers and words that start
-# outside ASCII are sorted out by ``str.isalpha``/``isdigit`` in ``_lex``.
+# One match: the blanks and line comments before a token, then the token as
+# the only group: punctuation, a word, a run of decimal digits, the end of the
+# input (after a last comment that no newline ends) or any other character.
+# ``\w`` is exactly ``str.isalnum()`` plus "_", so a word starts with a
+# letter, with "_" or with a character such as "²" or "½" that ``_lex`` rejects.
 _TOKEN = re.compile(
     r"""(?: [ \t\r\n]+ | //[^\n]*\n )*
-    (?: (?P<punct> -> | => | [{};:,()*+~!\[\]] ) | (?P<ident> [A-Za-z_]\w* ) | (?P<const> \d+ )
-      | (?P<word> [^\W\d]\w* ) | (?P<eof> (?://[^\n]*)? \Z ) | (?P<other> . ) )""",
+    ( -> | => | [{};:,()*+~!\[\]] | [^\W\d]\w* | \d+ | (?://[^\n]*)?\Z | . )""",
     re.VERBOSE,
 )
 _NEWLINE = re.compile("\n")
+_PUNCT = frozenset({"->", "=>", "{", "}", ";", ":", ",", "(", ")", "*", "+", "~", "!", "[", "]"})
+# once an input has lexed, every word outside these is a name; "" ends the input
+_NOT_NAMES = _PUNCT | {"0", "1", ""}
 
 
-@dataclass
 class _Source:
-    file: str
-    text: str
+    """Locates the tokens of one input by index.
+
+    Their offsets come from ``_TOKEN.finditer``, which runs only as far as
+    the furthest token asked for; lines come from the newlines' offsets.
+    """
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._matches = _TOKEN.finditer(text)
+        self._located: list[tuple[int, int]] = []  # (offset, length) of the first tokens
 
     @functools.cached_property
     def line_starts(self) -> list[int]:
@@ -150,106 +163,114 @@ class _Source:
         line = bisect.bisect_right(self.line_starts, start)
         return SourceSpan(self.file, line, start - self.line_starts[line - 1] + 1, length)
 
+    def locate(self, index: int) -> SourceSpan:
+        located = self._located
+        while len(located) <= index:
+            match = next(self._matches)
+            word = match.group(1)
+            # the end of input has no length, also when a last comment is its text
+            located.append((match.start(1), 0 if word[:2] in ("", "//") else len(word)))
+        return self.span(*located[index])
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # "ident" | "punct" | "const" | "eof"
-    text: str
-    start: int  # offset in the source text
-    length: int
-    source: _Source
+    def raise_first_error(self, bad: set[str]):
+        """Raise the error at the first token whose text is in ``bad``, or
+        at a "0" or "1" before it that runs on in digits outside ``\\d``
+        (such as the "1" of "1²", whose "²" starts a bad token)."""
+        text = self.text
+        for match in _TOKEN.finditer(text):
+            word = match.group(1)
+            if word in bad or word == "0" or word == "1":
+                start = match.start(1)
+                if not word[0].isdigit():
+                    raise ParseError(f"unexpected character {word[0]!r}", self.span(start, 1))
+                end = start + 1
+                while end < len(text) and text[end].isdigit():
+                    end += 1
+                number = text[start:end]
+                if number not in ("0", "1"):
+                    message = f"unexpected number {number!r} (only 0 and 1 are formulas)"
+                    raise ParseError(message, self.span(start, end - start))
 
-    @property
-    def span(self) -> SourceSpan:
-        return self.source.span(self.start, self.length)
 
+def _lex(text: str, file: str, glyphs: bool) -> tuple[list[str], Callable[[int], SourceSpan]]:
+    """The token texts of ``text`` and a function from a token's index to its span.
 
-def _lex(text: str, file: str, glyphs: bool) -> list[_Token]:
+    The last text is "", the end of input.  With ``glyphs``, a glyph comes
+    as the text it stands for.  A character or number outside the language
+    is an error at the first one, found before any parsing starts.
+    """
+    words = _TOKEN.findall(text)
+    # the match that reaches the end of the input may be followed by an empty one
+    if len(words) > 1 and words[-2][:2] in ("", "//"):
+        words.pop()
+    words[-1] = ""
     source = _Source(file, text)
-    tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        start = match.start(kind)
-        word = match.group(kind)
-        if kind == "ident" or kind == "punct":
-            tokens.append(_Token(kind, word, start, len(word), source))
-        elif kind == "eof":
-            tokens.append(_Token(kind, "", start, 0, source))
-            break
-        elif glyphs and word in _GLYPHS:
-            alias = _GLYPHS[word]
-            tokens.append(_Token("punct" if alias == "=>" else "ident", alias, start, 1, source))
-        elif word[0].isalpha():
-            tokens.append(_Token("ident", word, start, len(word), source))
-        elif word[0].isdigit():
-            end = start
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            word = text[start:end]
-            if word not in ("0", "1"):
-                message = f"unexpected number {word!r} (only 0 and 1 are formulas)"
-                raise ParseError(message, source.span(start, end - start))
-            tokens.append(_Token("const", word, start, 1, source))
-        else:
-            raise ParseError(f"unexpected character {word[0]!r}", source.span(start, 1))
-    return tokens
+    unknown = set(words).difference(_NOT_NAMES)
+    if glyphs and not unknown.isdisjoint(_GLYPHS):
+        words = [_GLYPHS.get(word, word) for word in words]
+        unknown.difference_update(_GLYPHS)
+    bad = {word for word in unknown if not (word[0].isalpha() or word[0] == "_")}
+    if bad:
+        source.raise_first_error(bad)
+    return words, source.locate
 
 
-# -- shared token cursor -------------------------------------------------------
+# -- shared parser state ---------------------------------------------------------
 
 
-class _Cursor:
-    """Walks the tokens; ``tok`` is the current one and stays on the eof token."""
+class _Parser:
+    """The token texts of one input and the index ``pos`` of the current one.
 
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._pos = 0
-        self._depth = 0
-        self.tok = tokens[0]
+    ``pos`` stops at the last text, "", because the parser takes no text
+    that it has not compared with a word or a name first.
+    """
 
-    def take(self) -> _Token:
-        tok = self.tok
-        if tok.kind != "eof":
-            self._pos += 1
-            self.tok = self._tokens[self._pos]
-        return tok
+    __slots__ = ("words", "pos", "depth", "locate")
 
-    def at(self, text: str) -> bool:
-        # no caller asks for "", the eof token's text
-        return self.tok.text == text
+    def __init__(self, words: list[str], locate: Callable[[int], SourceSpan]):
+        self.words = words
+        self.pos = 0
+        self.depth = 0
+        self.locate = locate
 
-    def accept(self, text: str) -> bool:
-        if self.tok.text == text:
-            self.take()
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """An input error at the token ``index``, by default the current one."""
+        return ParseError(message, self.locate(self.pos if index is None else index))
+
+    def found(self) -> str:
+        word = self.words[self.pos]
+        return repr(word) if word else "end of input"
+
+    def accept(self, word: str) -> bool:
+        if self.words[self.pos] == word:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str, what: str | None = None) -> _Token:
-        tok = self.tok
-        if tok.text != text:
-            expected = what or f"'{text}'"
-            found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-            raise ParseError(f"expected {expected}, found {found}", tok.span)
-        return self.take()
+    def expect(self, word: str) -> None:
+        if self.words[self.pos] != word:
+            raise self.error(f"expected {word!r}, found {self.found()}")
+        self.pos += 1
+
+    def name(self, what: str, reserved: frozenset[str]) -> int:
+        """Take the current token as a name and return its index."""
+        index = self.pos
+        word = self.words[index]
+        if word in _NOT_NAMES:
+            raise self.error(f"expected {what}, found {self.found()}")
+        if word in reserved:
+            raise self.error(f"keyword {word!r} cannot be used as {what}")
+        self.pos = index + 1
+        return index
 
     def nested(self, parse, *args):
         """``parse(self, *args)`` one formula level deeper; too deep is an input error."""
-        if self._depth == MAX_NESTING:
-            message = f"formula nested more than {MAX_NESTING} levels deep"
-            raise ParseError(message, self.tok.span)
-        self._depth += 1
+        if self.depth == MAX_NESTING:
+            raise self.error(f"formula nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
         result = parse(self, *args)
-        self._depth -= 1
+        self.depth -= 1
         return result
-
-    def expect_ident(self, what: str, reserved: frozenset[str]) -> _Token:
-        tok = self.tok
-        if tok.kind != "ident":
-            found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-            raise ParseError(f"expected {what}, found {found}", tok.span)
-        if tok.text in reserved:
-            raise ParseError(f"keyword {tok.text!r} cannot be used as {what}", tok.span)
-        return self.take()
 
 
 # -- formulas ------------------------------------------------------------------
@@ -259,32 +280,32 @@ class _Cursor:
 # temporal forms and "=>".
 
 
-def _symbol(make, tok: _Token) -> F.Symbol:
-    """``make(tok.text)``; a word that is no valid symbol name is an input error."""
+def _symbol(make, p: _Parser, index: int) -> F.Symbol:
+    """``make`` of the text at ``index``; a word that is no valid symbol name is an input error."""
     try:
-        return make(tok.text)
+        return make(p.words[index])
     except F.FormulaError as exc:
-        raise ParseError(str(exc), tok.span) from None
+        raise p.error(str(exc), index) from None
 
 
-def _parse_implies(cur, make, reserved, ctl):
-    left = _parse_or(cur, make, reserved, ctl)
-    if ctl and cur.accept("=>"):
-        return mc.CtlImplies(left, cur.nested(_parse_implies, make, reserved, ctl))
+def _parse_implies(p, make, reserved, ctl):
+    left = _parse_or(p, make, reserved, ctl)
+    if ctl and p.accept("=>"):
+        return mc.CtlImplies(left, p.nested(_parse_implies, make, reserved, ctl))
     return left
 
 
-def _parse_or(cur, make, reserved, ctl):
-    operands = [_parse_and(cur, make, reserved, ctl)]
-    while cur.accept("+"):
-        operands.append(_parse_and(cur, make, reserved, ctl))
+def _parse_or(p, make, reserved, ctl):
+    operands = [_parse_and(p, make, reserved, ctl)]
+    while p.accept("+"):
+        operands.append(_parse_and(p, make, reserved, ctl))
     return F.Or(*operands) if len(operands) > 1 else operands[0]
 
 
-def _parse_and(cur, make, reserved, ctl):
-    operands = [_parse_unary(cur, make, reserved, ctl)]
-    while cur.accept("*"):
-        operands.append(_parse_unary(cur, make, reserved, ctl))
+def _parse_and(p, make, reserved, ctl):
+    operands = [_parse_unary(p, make, reserved, ctl)]
+    while p.accept("*"):
+        operands.append(_parse_unary(p, make, reserved, ctl))
     return F.And(*operands) if len(operands) > 1 else operands[0]
 
 
@@ -292,40 +313,37 @@ _TEMPORAL = {"AX": mc.CtlAX, "EX": mc.CtlEX, "AF": mc.CtlAF,
              "EF": mc.CtlEF, "AG": mc.CtlAG, "EG": mc.CtlEG}
 
 
-def _parse_unary(cur, make, reserved, ctl):
-    tok = cur.tok
-    if tok.text in ("!", "~") or (tok.text == "not" and "not" in reserved):
-        cur.take()
-        return F.Not(cur.nested(_parse_unary, make, reserved, ctl))
-    if tok.text == "(":
-        cur.take()
-        expr = cur.nested(_parse_implies, make, reserved, ctl)
-        cur.expect(")")
+def _parse_unary(p, make, reserved, ctl):
+    index = p.pos
+    word = p.words[index]
+    if word == "!" or word == "~" or (word == "not" and "not" in reserved):
+        p.pos = index + 1
+        return F.Not(p.nested(_parse_unary, make, reserved, ctl))
+    if word == "(":
+        p.pos = index + 1
+        expr = p.nested(_parse_implies, make, reserved, ctl)
+        p.expect(")")
         return expr
-    if tok.kind == "const":
-        cur.take()
-        return F.TRUE if tok.text == "1" else F.FALSE
-    if ctl and tok.text in _TEMPORAL:
-        cur.take()
-        return _TEMPORAL[tok.text](cur.nested(_parse_unary, make, reserved, ctl))
-    if ctl and tok.text in ("A", "E") and cur._tokens[cur._pos + 1].text == "[":
-        cur.take()
-        cur.expect("[")
-        left = cur.nested(_parse_implies, make, reserved, ctl)
-        until_tok = cur.tok
-        if until_tok.kind != "ident" or until_tok.text != "U":
-            raise ParseError("expected 'U' in the until form", until_tok.span)
-        cur.take()
-        right = cur.nested(_parse_implies, make, reserved, ctl)
-        cur.expect("]")
-        return (mc.CtlAU if tok.text == "A" else mc.CtlEU)(left, right)
-    if tok.kind == "ident":
-        if tok.text in reserved:
-            raise ParseError(f"keyword {tok.text!r} cannot be a symbol", tok.span)
-        cur.take()
-        return F.Atom(_symbol(make, tok))
-    found = "end of input" if tok.kind == "eof" else f"{tok.text!r}"
-    raise ParseError(f"expected {'a CTL formula' if ctl else 'a formula'}, found {found}", tok.span)
+    if word == "1" or word == "0":
+        p.pos = index + 1
+        return F.TRUE if word == "1" else F.FALSE
+    if ctl and word in _TEMPORAL:
+        p.pos = index + 1
+        return _TEMPORAL[word](p.nested(_parse_unary, make, reserved, ctl))
+    if ctl and (word == "A" or word == "E") and p.words[index + 1] == "[":
+        p.pos = index + 2
+        left = p.nested(_parse_implies, make, reserved, ctl)
+        if not p.accept("U"):
+            raise p.error("expected 'U' in the until form")
+        right = p.nested(_parse_implies, make, reserved, ctl)
+        p.expect("]")
+        return (mc.CtlAU if word == "A" else mc.CtlEU)(left, right)
+    if word not in _NOT_NAMES:
+        if word in reserved:
+            raise p.error(f"keyword {word!r} cannot be a symbol")
+        p.pos = index + 1
+        return F.Atom(_symbol(make, p, index))
+    raise p.error(f"expected {'a CTL formula' if ctl else 'a formula'}, found {p.found()}")
 
 
 # -- system files --------------------------------------------------------------
@@ -339,84 +357,85 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     no error diagnostics is safe to analyze.
     """
     diagnostics: list[ParseDiagnostic] = []
-    # the name token of the system, each machine and each state; a span is
-    # built only for the validation findings that point at one, and a
-    # repeated name keeps its last token, so a duplicate is placed there
-    spans: dict[tuple, _Token] = {}
+    # the index of the name token of each machine and each state (the
+    # system's is name_at); a span is built only for the validation findings
+    # that point at one, and a repeated name keeps its last token, so a
+    # duplicate is placed there
+    spans: dict[tuple, int] = {}
     try:
-        cur = _Cursor(_lex(text, filename, glyphs=False))
+        words, locate = _lex(text, filename, glyphs=False)
+        p = _Parser(words, locate)
         table = F.SymbolTable()
         reserved = _SYSTEM_KEYWORDS
-        cur.expect("system")
-        name_tok = cur.expect_ident("a system name", reserved)
-        spans[("system",)] = name_tok
-        cur.expect("{")
+        p.expect("system")
+        name_at = p.name("a system name", reserved)
+        p.expect("{")
         machines: list[model.Machine] = []
-        while not cur.accept("}"):
-            machines.append(_parse_machine(cur, table, spans, reserved))
-        tail = cur.tok
-        if tail.kind != "eof":
-            raise ParseError(f"unexpected {tail.text!r} after the system", tail.span)
+        while not p.accept("}"):
+            machines.append(_parse_machine(p, table, spans, reserved))
+        if words[p.pos]:
+            raise p.error(f"unexpected {words[p.pos]!r} after the system")
         if not machines:
-            raise ParseError("a system needs at least one machine", name_tok.span)
+            raise p.error("a system needs at least one machine", name_at)
         table.freeze()
-        system = model.System(name_tok.text, machines, table)
+        system = model.System(words[name_at], machines, table)
     except ParseError as exc:
         diagnostics.append(ParseDiagnostic("error", exc.message, exc.span))
         return ParseResult(None, diagnostics)
 
     report = model.validate(system)
-    fallback = spans[("system",)]
     for entry in report.entries:
-        tok = (
-            spans.get(("state", entry.machine, entry.state))
-            or spans.get(("machine", entry.machine))
-            or fallback
-        )
-        diagnostics.append(ParseDiagnostic(entry.severity, entry.message, tok.span))
+        index = spans.get(("state", entry.machine, entry.state))
+        if index is None:
+            index = spans.get(("machine", entry.machine), name_at)
+        diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
     if report.errors:
         return ParseResult(None, diagnostics, report)
     return ParseResult(system, diagnostics, report)
 
 
-def _parse_machine(cur, table, spans, reserved) -> model.Machine:
-    cur.expect("machine")
-    name_tok = cur.expect_ident("a machine name", reserved)
-    spans[("machine", name_tok.text)] = name_tok
-    cur.expect("{")
-    cur.expect("init")
-    init_tok = cur.expect_ident("the initial state name", reserved)
-    cur.expect(";")
+def _parse_machine(p, table, spans, reserved) -> model.Machine:
+    words = p.words
+    p.expect("machine")
+    name_at = p.name("a machine name", reserved)
+    name = words[name_at]
+    spans[("machine", name)] = name_at
+    p.expect("{")
+    p.expect("init")
+    initial = words[p.name("the initial state name", reserved)]
+    p.expect(";")
     states: list[model.State] = []
     arcs: list[model.Arc] = []
-    while not cur.accept("}"):
-        if not cur.at("state"):
-            raise ParseError("expected 'state' or '}'", cur.tok.span)
-        _parse_state(cur, table, spans, reserved, name_tok.text, states, arcs)
+    while not p.accept("}"):
+        if words[p.pos] != "state":
+            raise p.error("expected 'state' or '}'")
+        _parse_state(p, table, spans, reserved, name, states, arcs)
     if not states:
-        raise ParseError(f"machine {name_tok.text!r} has no states", name_tok.span)
-    return model.Machine(name_tok.text, states, init_tok.text, arcs)
+        raise p.error(f"machine {name!r} has no states", name_at)
+    return model.Machine(name, states, initial, arcs)
 
 
-def _parse_state(cur, table, spans, reserved, machine_name, states, arcs):
-    cur.expect("state")
-    name_tok = cur.expect_ident("a state name", reserved)
-    spans[("state", machine_name, name_tok.text)] = name_tok
-    cur.expect("{")
+def _parse_state(p, table, spans, reserved, machine_name, states, arcs):
+    words = p.words
+    p.expect("state")
+    name_at = p.name("a state name", reserved)
+    name = words[name_at]
+    spans[("state", machine_name, name)] = name_at
+    p.expect("{")
     outputs: list[F.Symbol] = []
-    if cur.accept("out"):
-        outputs.append(_symbol(table.intern, cur.expect_ident("an output symbol", reserved)))
-        while cur.accept(","):
-            outputs.append(_symbol(table.intern, cur.expect_ident("an output symbol", reserved)))
-        cur.expect(";")
-    while cur.accept("->"):
-        dst_tok = cur.expect_ident("a target state name", reserved)
-        cur.expect("when")
-        guard = _parse_or(cur, table.intern, reserved, False)
-        cur.expect(";")
-        arcs.append(model.Arc(name_tok.text, dst_tok.text, guard))
-    cur.expect("}")
-    states.append(model.State(name_tok.text, frozenset(outputs)))
+    if p.accept("out"):
+        outputs.append(_symbol(table.intern, p, p.name("an output symbol", reserved)))
+        while p.accept(","):
+            outputs.append(_symbol(table.intern, p, p.name("an output symbol", reserved)))
+        p.expect(";")
+    while p.accept("->"):
+        dst = words[p.name("a target state name", reserved)]
+        p.expect("when")
+        guard = _parse_or(p, table.intern, reserved, False)
+        p.expect(";")
+        arcs.append(model.Arc(name, dst, guard))
+    p.expect("}")
+    states.append(model.State(name, frozenset(outputs)))
 
 
 # -- requirement files ---------------------------------------------------------
@@ -435,15 +454,16 @@ def parse_queries(
     result = QueryParseResult()
     reserved = _QUERY_KEYWORDS
     try:
-        cur = _Cursor(_lex(text, filename, glyphs=True))
+        words, locate = _lex(text, filename, glyphs=True)
+        p = _Parser(words, locate)
         seen_names: set[str] = set()
-        first_tokens: list[_Token] = []  # per entry; an implication query's name
-        while cur.tok.kind != "eof":
-            first_tokens.append(cur.tok)
-            if cur.at("ctl"):
-                entry = _parse_ctl_query(cur, reserved)
+        starts: list[int] = []  # per entry, its first token: an implication query's name
+        while words[p.pos]:
+            starts.append(p.pos)
+            if words[p.pos] == "ctl":
+                entry = _parse_ctl_query(p, reserved)
             else:
-                entry = _parse_always_query(cur, reserved)
+                entry = _parse_always_query(p, reserved)
             if entry.name in seen_names:
                 result.diagnostics.append(
                     ParseDiagnostic("warning", f"duplicate query name {entry.name!r}", None)
@@ -456,7 +476,7 @@ def parse_queries(
 
     if system is not None:
         produced = system.produced_symbols()
-        for entry, first in zip(result.queries, first_tokens):
+        for entry, start in zip(result.queries, starts):
             if isinstance(entry, mc.Query):
                 used = F.atoms(entry.antecedent) | F.atoms(entry.consequent)
                 unknown = sorted(s.name for s in used if s not in system.symbols)
@@ -472,7 +492,7 @@ def parse_queries(
                 try:
                     mc.split_query(entry, produced)
                 except mc.QueryError as exc:
-                    result.diagnostics.append(ParseDiagnostic("error", str(exc), first.span))
+                    result.diagnostics.append(ParseDiagnostic("error", str(exc), locate(start)))
             else:
                 # CTL atoms are read against node outputs only
                 foreign = sorted(s.name for s in mc.ctl_atoms(entry.formula) - produced)
@@ -488,44 +508,42 @@ def parse_queries(
     return result
 
 
-def _parse_always_query(cur: _Cursor, reserved) -> mc.Query:
-    name_tok = cur.expect_ident("a query name", reserved)
-    cur.expect(":")
-    cur.expect("always")
-    cur.expect("(")
-    antecedent = _parse_or(cur, F.Symbol, reserved, False)
-    cur.expect("=>")
+def _parse_always_query(p: _Parser, reserved) -> mc.Query:
+    words = p.words
+    name = words[p.name("a query name", reserved)]
+    p.expect(":")
+    p.expect("always")
+    p.expect("(")
+    antecedent = _parse_or(p, F.Symbol, reserved, False)
+    p.expect("=>")
     # the mode keyword may sit inside its own parentheses: "=> (next HY)"
-    wrapped = False
-    if cur.at("(") and cur._tokens[cur._pos + 1].text in ("next", "eventually", "exists"):
-        cur.take()
-        wrapped = True
-    universal = True
-    if cur.accept("exists"):
-        universal = False
-    if cur.accept("next"):
+    wrapped = words[p.pos] == "(" and words[p.pos + 1] in ("next", "eventually", "exists")
+    if wrapped:
+        p.pos += 1
+    universal = not p.accept("exists")
+    if p.accept("next"):
         mode = "next"
-    elif cur.accept("eventually"):
+    elif p.accept("eventually"):
         mode = "eventually"
     else:
-        raise ParseError("expected 'next' or 'eventually' after '=>'", cur.tok.span)
+        raise p.error("expected 'next' or 'eventually' after '=>'")
     if not universal and mode != "eventually":
-        raise ParseError("'exists' applies to 'eventually' only", cur.tok.span)
-    consequent = _parse_or(cur, F.Symbol, reserved, False)
+        raise p.error("'exists' applies to 'eventually' only")
+    consequent = _parse_or(p, F.Symbol, reserved, False)
     if wrapped:
-        cur.expect(")")
-    cur.expect(")")
-    cur.expect(";")
-    return mc.Query(name_tok.text, antecedent, mode, consequent, universal=universal)
+        p.expect(")")
+    p.expect(")")
+    p.expect(";")
+    return mc.Query(name, antecedent, mode, consequent, universal=universal)
 
 
-def _parse_ctl_query(cur: _Cursor, reserved) -> mc.CtlQuery:
-    cur.expect("ctl")
-    name_tok = cur.expect_ident("a requirement name", reserved)
-    cur.expect(":")
-    formula_ = _parse_implies(cur, F.Symbol, reserved, True)
-    cur.expect(";")
-    return mc.CtlQuery(name_tok.text, formula_)
+def _parse_ctl_query(p: _Parser, reserved) -> mc.CtlQuery:
+    p.expect("ctl")
+    name = p.words[p.name("a requirement name", reserved)]
+    p.expect(":")
+    formula_ = _parse_implies(p, F.Symbol, reserved, True)
+    p.expect(";")
+    return mc.CtlQuery(name, formula_)
 
 
 # -- pretty printing -----------------------------------------------------------

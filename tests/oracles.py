@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from cosma import formula as F
 from cosma import mc, model, robdd, vhdlgen
-from cosma.frontend import ParseError, SourceSpan
+from cosma.frontend import _NOT_NAMES, ParseError, SourceSpan
 from cosma.reach import ReachEdge, ReachGraph
 
 
@@ -544,6 +544,16 @@ def charwise_lex(text: str, file: str, glyphs: bool) -> list[_Token]:
         raise ParseError(f"unexpected character {ch!r}", span(1))
     tokens.append(_Token("eof", "", SourceSpan(file, line, col, 0)))
     return tokens
+
+
+def charwise_words(text: str, file: str, glyphs: bool):
+    """``charwise_lex`` in the shape of ``frontend._lex``: the token texts and
+    a function from a token's index to its span.  The parser tells names from
+    the other tokens by text alone, which the oracle's kinds must bear out."""
+    tokens = charwise_lex(text, file, glyphs)
+    for tok in tokens:
+        assert (tok.kind == "ident") == (tok.text not in _NOT_NAMES), tok
+    return [tok.text for tok in tokens], lambda index: tokens[index].span
 
 
 # -- the explicit engine's product loop -----------------------------------------

@@ -535,14 +535,26 @@ class TestVhdl:
         assert not out_path.exists()
 
 
-def test_unexpected_exception_is_internal_error(workdir, capsys, monkeypatch):
+def break_symbolic_engine(monkeypatch, exc):
     def broken(system):
-        raise RuntimeError("engine broke")
+        raise exc
 
     monkeypatch.setattr(reach, "build_rg_symbolic", broken)
+
+
+def test_unexpected_exception_is_internal_error(workdir, capsys, monkeypatch):
+    break_symbolic_engine(monkeypatch, RuntimeError("engine broke"))
     code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "bdd"])
     assert code == 3
-    assert err == "internal error: engine broke\n"
+    assert err == "internal error: RuntimeError: engine broke\n"
+
+
+def test_internal_error_without_message_names_its_type(workdir, capsys, monkeypatch):
+    # what a bare assert raises
+    break_symbolic_engine(monkeypatch, AssertionError())
+    code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "bdd"])
+    assert code == 3
+    assert err == "internal error: AssertionError\n"
 
 
 class TestExamples:

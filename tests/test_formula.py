@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cosma import formula as F
 from cosma import frontend, robdd
-from oracles import all_valuations, brute_satisfiable
+from oracles import all_valuations, brute_satisfiable, charwise_words
 
 a, b, c, d, e, f = (F.Symbol(n) for n in "abcdef")
 
@@ -26,10 +26,12 @@ def exprs(symbols, max_leaves=12):
 
 
 def parse_guard(text):
-    """``text`` read by the guard parser alone."""
-    cur = frontend._Cursor(frontend._lex(text, "<guard>", glyphs=False))
-    expr = frontend._parse_or(cur, F.Symbol, frontend._SYSTEM_KEYWORDS, False)
-    assert cur.tok.kind == "eof", text
+    """``text`` read by the guard parser alone, lexed as the oracle lexes it."""
+    words, locate = frontend._lex(text, "<guard>", glyphs=False)
+    assert words == charwise_words(text, "<guard>", glyphs=False)[0], text
+    p = frontend._Parser(words, locate)
+    expr = frontend._parse_or(p, F.Symbol, frontend._SYSTEM_KEYWORDS, False)
+    assert p.words[p.pos] == "", text
     return expr
 
 
@@ -217,6 +219,16 @@ class TestChains:
         assert F.and_all([A, F.FALSE, B]) == F.FALSE
         assert F.and_all([F.TRUE, A]) == A
         assert F.and_all([]) == F.TRUE
+
+    def test_and_all_reads_fresh_constants_as_the_shared_ones(self):
+        A, B = F.Atom(a), F.Atom(b)
+        for true, false in ((F.TRUE, F.FALSE), (F.ConstTrue(), F.ConstFalse())):
+            assert F.and_all([A, true, B]) == F.And(A, B)
+            assert F.and_all([true, A]) == A
+            assert F.and_all([true, true]) == F.TRUE
+            assert F.and_all([A, false, B]) == F.FALSE
+            assert F.and_all([false]) == F.FALSE
+            assert F.and_all([true, false]) == F.FALSE
 
     def test_flat_chain_walkers_do_not_recurse_per_operand(self):
         chain = F.Or(*(F.Atom(F.Symbol(f"x{i % 100}")) for i in range(10_000)))

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from cosma import assets, frontend, mc
 from cosma import formula as F
 from cosma import model
 from gensys import random_system
-from oracles import charwise_lex
+from oracles import charwise_words
 
 TINY = """
 system tiny {
@@ -234,19 +235,22 @@ LEX_PIECES = [
 
 
 def lex_outcome(lex, text, glyphs):
-    """Every token as (kind, text, location, length), or the error raised."""
+    """Every token as (text, location, length), or the error raised.  The
+    middle token is located first, so that later lookups go back as well."""
     try:
-        tokens = lex(text, "t.csm", glyphs)
+        words, locate = lex(text, "t.csm", glyphs)
     except frontend.ParseError as exc:
         return ("error", str(exc), exc.span.length)
-    return [(t.kind, t.text, str(t.span), t.span.length) for t in tokens]
+    locate(len(words) // 2)
+    spans = [locate(i) for i in range(len(words))]
+    return [(word, str(span), span.length) for word, span in zip(words, spans)]
 
 
 @settings(max_examples=400, deadline=None)
 @given(pieces=st.lists(st.sampled_from(LEX_PIECES), max_size=30), glyphs=st.booleans())
 def test_lexer_agrees_with_charwise_oracle(pieces, glyphs):
     text = "".join(pieces)
-    assert lex_outcome(frontend._lex, text, glyphs) == lex_outcome(charwise_lex, text, glyphs)
+    assert lex_outcome(frontend._lex, text, glyphs) == lex_outcome(charwise_words, text, glyphs)
 
 
 LEX_TRAPS = ["", "//", "x // end", "x\n// end", "\r\n\t_", "a²", "1²", "²1", "1٣", "٣", "1a",
@@ -260,7 +264,7 @@ def numbered(cases):
 @numbered(LEX_TRAPS)
 @pytest.mark.parametrize("glyphs", [False, True])
 def test_lexer_traps(text, glyphs):
-    assert lex_outcome(frontend._lex, text, glyphs) == lex_outcome(charwise_lex, text, glyphs)
+    assert lex_outcome(frontend._lex, text, glyphs) == lex_outcome(charwise_words, text, glyphs)
 
 
 def diagnostics_text(result):
@@ -316,15 +320,53 @@ QUERY_ERRORS = [
 @numbered(SYSTEM_ERRORS)
 def test_system_diagnostics_match_charwise_oracle(text, monkeypatch):
     new = diagnostics_text(frontend.parse_system(text, "bad.csm"))
-    monkeypatch.setattr(frontend, "_lex", charwise_lex)
+    monkeypatch.setattr(frontend, "_lex", charwise_words)
     assert new == diagnostics_text(frontend.parse_system(text, "bad.csm"))
 
 
 @numbered(QUERY_ERRORS)
 def test_query_diagnostics_match_charwise_oracle(text, tlc_system, monkeypatch):
     new = diagnostics_text(frontend.parse_queries(text, tlc_system, "broken.tq"))
-    monkeypatch.setattr(frontend, "_lex", charwise_lex)
+    monkeypatch.setattr(frontend, "_lex", charwise_words)
     assert new == diagnostics_text(frontend.parse_queries(text, tlc_system, "broken.tq"))
+
+
+def deepest_call(fn, *args):
+    """The most Python frames that ``fn(*args)`` has open at once."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+@pytest.mark.parametrize("form", ["system", "ctl", "until"])
+def test_nesting_level_costs_five_frames(form):
+    # the frame count behind MAX_NESTING's comment: a parenthesised operand
+    # (an until form in CTL) costs 5 frames per level, at any depth
+    def text(depth):
+        if form == "system":
+            guard = "(" * depth + "x" + ")" * depth
+            return "system x { machine m { init a; state a { -> a when %s; } } }" % guard
+        if form == "ctl":
+            return "ctl c: " + "(" * depth + "HG" + ")" * depth + ";"
+        return "ctl c: " + "A [ " * depth + "HG" + " U HG ]" * depth + ";"
+
+    parse = frontend.parse_system if form == "system" else frontend.parse_queries
+    half, last, full = (deepest_call(parse, text(depth)) for depth in (N // 2, N - 1, N))
+    assert full - last == 5
+    assert full - half == 5 * (N - N // 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -339,7 +381,7 @@ def test_mutated_model_diagnostics_match_charwise_oracle(data):
 
     new = diagnostics_text(frontend.parse_system(text, "m.csm"))
     real = frontend._lex
-    frontend._lex = charwise_lex
+    frontend._lex = charwise_words
     try:
         assert new == diagnostics_text(frontend.parse_system(text, "m.csm"))
     finally:
@@ -357,6 +399,30 @@ def cycle_text(n, stay):
         for j in range(n)
     )
     return f"system cycle {{\n  machine m {{\n    init s0;\n{states}  }}\n}}\n"
+
+
+def cycle_diagnostics_with_charwise_oracle(text, monkeypatch):
+    """``diagnostics_text`` of ``text`` parsed as cycle.csm, with the front
+    end's lexer and then with the oracle's."""
+    new = diagnostics_text(frontend.parse_system(text, "cycle.csm"))
+    monkeypatch.setattr(frontend, "_lex", charwise_words)
+    return new, diagnostics_text(frontend.parse_system(text, "cycle.csm"))
+
+
+def test_far_down_warning_matches_charwise_oracle(monkeypatch):
+    # a coverage gap at every state; the last state's name is 2,000 tokens in
+    new, oracle = cycle_diagnostics_with_charwise_oracle(cycle_text(150, stay=False), monkeypatch)
+    assert new == oracle
+    (last_gap,) = [(where, length) for where, length in new if "'s149'" in where]
+    assert last_gap[0].startswith("cycle.csm:153:11: warning: ")
+    assert last_gap[1] == 4
+
+
+def test_error_at_the_last_token_of_a_large_model_matches_charwise_oracle(monkeypatch):
+    text = cycle_text(165, stay=True)
+    assert len(text) > 10_000
+    new, oracle = cycle_diagnostics_with_charwise_oracle(text[:-2] + "]\n", monkeypatch)
+    assert new == oracle == [("cycle.csm:170:1: error: expected 'machine', found ']'", 1)]
 
 
 @pytest.fixture()
