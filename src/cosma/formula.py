@@ -69,49 +69,35 @@ class Symbol:
 
 
 class SymbolTable:
-    """Interning table: each distinct name gets exactly one id.
+    """Interning table: each distinct name gets exactly one ``Symbol``.
 
     The table is frozen once a system is fully parsed; interning an unknown
-    name afterwards is an error.
+    name afterwards is an error.  Iteration follows first interning.
     """
 
     def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._symbols: list[Symbol] = []
+        self._symbols: dict[str, Symbol] = {}
         self._frozen = False
 
     def intern(self, name: str | Symbol) -> Symbol:
         key = name.name if isinstance(name, Symbol) else name
-        idx = self._ids.get(key)
-        if idx is not None:
-            return self._symbols[idx]
+        sym = self._symbols.get(key)
+        if sym is not None:
+            return sym
         if self._frozen:
             raise FormulaError(f"symbol table is frozen; unknown symbol {key!r}")
-        sym = Symbol(key)
-        self._ids[key] = len(self._symbols)
-        self._symbols.append(sym)
+        sym = self._symbols[key] = Symbol(key)
         return sym
-
-    def id_of(self, symbol: str | Symbol) -> int:
-        key = symbol.name if isinstance(symbol, Symbol) else symbol
-        try:
-            return self._ids[key]
-        except KeyError:
-            raise FormulaError(f"unregistered symbol {key!r}") from None
 
     def freeze(self):
         self._frozen = True
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
     def __contains__(self, item: str | Symbol) -> bool:
         key = item.name if isinstance(item, Symbol) else item
-        return key in self._ids
+        return key in self._symbols
 
     def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._symbols)
+        return iter(self._symbols.values())
 
     def __len__(self) -> int:
         return len(self._symbols)

@@ -8,14 +8,13 @@ triple, so handles are canonical: two references are equal exactly when
 they denote the same Boolean function under the manager's variable order.
 A node is appended after its children, so children have smaller ids.
 
-The computed table keys each entry by its operands alone: ``ite`` by its
-three nodes, ``exists`` and ``rename`` by ``(node, sid)``.  A sid is a small
-int naming one prepared argument, the level set to quantify (with its
-deepest level) or the level-to-level table to rename by; each operation
-prepares a distinct argument once per manager and keeps it in a dict of its
-own, so a step costs what its nodes cost, not nodes times levels.  ``cube``
-builds a conjunction of literals from its deepest variable up, one node per
-literal.
+A computed table lives with what it is keyed by: the manager's for ``ite``,
+keyed by three nodes; a prepared argument's for ``exists`` and ``rename``,
+keyed by node alone; one call's for ISOP.  Each distinct argument of
+``exists`` or ``rename``, the level set to quantify (with its deepest level)
+or the level-to-level table to rename by, is prepared once per manager, so
+a step costs what its nodes cost, not nodes times levels.  ``cube`` builds a
+conjunction of literals from its deepest variable up, one node per literal.
 
 A manager is single-owner; distinct managers may be used concurrently but
 their references must never be mixed.  ``BACKEND`` names the
@@ -24,7 +23,6 @@ implementation, recorded with benchmark results.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable, Mapping
 
 # formula imports this module too; each uses the other only inside functions
@@ -78,22 +76,18 @@ class BddManager:
     belong to this manager; the private ones (``_make``, ``_ite``,
     ``_exists``, ``_rename``) work on node ids and levels.  ``exists`` and
     ``rename`` resolve the names of an argument they have not seen before,
-    check it and number it with a sid; a repeated argument is one dict
-    lookup, and an argument that fails its check is not kept.
+    check it and give it a computed table of its own; a repeated argument is
+    one dict lookup, and an argument that fails its check is not kept.
     """
 
     def __init__(self, variables: Iterable[str] = ()):
         # node id -> (level, low, high); ids 0 and 1 are the terminals
         self._nodes = [(TERMINAL_LEVEL, 0, 0), (TERMINAL_LEVEL, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
-        # the computed table, one dict per operation so keys cannot collide
         self._ite_cache: dict[tuple[int, int, int], int] = {}
-        # keyed by (node, sid): sid numbers the prepared argument of each
-        # distinct exists or rename call, kept in a dict of its own per operation
-        self._exists_cache: dict[tuple[int, int], int] = {}
-        self._rename_cache: dict[tuple[int, int], int] = {}
-        self._exists_args: dict[tuple, tuple[frozenset, int, int]] = {}
-        self._rename_args: dict[tuple, tuple[dict[int, int], int]] = {}
+        # each prepared argument ends in its own computed table, node -> result
+        self._exists_args: dict[tuple, tuple[frozenset, int, dict[int, int]]] = {}
+        self._rename_args: dict[tuple, tuple[dict[int, int], dict[int, int]]] = {}
         self._levels: dict[str, int] = {}
         self._names: list[str] = []
         self.FALSE = BddRef(self, 0)
@@ -172,42 +166,40 @@ class BddManager:
         self._ite_cache[key] = result
         return result
 
-    def _exists(self, f: int, quant: frozenset, last: int, sid: int) -> int:
+    def _exists(self, f: int, quant: frozenset, last: int, memo: dict) -> int:
         """Quantify the levels in ``quant``, the deepest of them ``last``, out of ``f``.
 
-        ``sid`` names ``quant`` in the computed table, so a key is two ints.
+        ``memo`` is the computed table of this ``quant``.
         """
         if f <= 1:
             return f
         lv, low, high = self._nodes[f]
         if lv > last:
             return f  # every quantified level lies above this node
-        key = (f, sid)
-        cached = self._exists_cache.get(key)
+        cached = memo.get(f)
         if cached is not None:
             return cached
         if lv in quant:
-            low = self._exists(low, quant, last, sid)
+            low = self._exists(low, quant, last, memo)
             if low == 1:
                 result = 1
             else:
-                high = self._exists(high, quant, last, sid)
+                high = self._exists(high, quant, last, memo)
                 if low > high:
                     low, high = high, low
                 result = self._ite(low, 1, high)
         else:
             result = self._make(
-                lv, self._exists(low, quant, last, sid), self._exists(high, quant, last, sid)
+                lv, self._exists(low, quant, last, memo), self._exists(high, quant, last, memo)
             )
-        self._exists_cache[key] = result
+        memo[f] = result
         return result
 
-    def _rename(self, f: int, table: dict[int, int], sid: int) -> int:
-        """Relabel ``f``'s levels through ``table``, which ``sid`` names."""
+    def _rename(self, f: int, table: dict[int, int], memo: dict) -> int:
+        """Relabel ``f``'s levels through ``table``; ``memo`` is its computed table."""
         if f <= 1:
             return f
-        key = (f, sid)
-        cached = self._rename_cache.get(key)
+        cached = memo.get(f)
         if cached is not None:
             return cached
         lv, low, high = self._nodes[f]
@@ -215,9 +207,9 @@ class BddManager:
         if target is None:
             raise BddError(f"rename mapping misses support level {lv}")
         result = self._make(
-            target, self._rename(low, table, sid), self._rename(high, table, sid)
+            target, self._rename(low, table, memo), self._rename(high, table, memo)
         )
-        self._rename_cache[key] = result
+        memo[f] = result
         return result
 
     def _below(self, root: int) -> set[int]:
@@ -287,7 +279,7 @@ class BddManager:
         prepared = self._exists_args.get(names)
         if prepared is None:
             quant = frozenset(self.level_of(n) for n in names)
-            prepared = (quant, max(quant, default=-1), len(self._exists_args))
+            prepared = (quant, max(quant, default=-1), {})
             self._exists_args[names] = prepared
         return BddRef(self, self._exists(self._node(f), *prepared))
 
@@ -305,7 +297,7 @@ class BddManager:
             for (s1, d1), (s2, d2) in zip(pairs, pairs[1:]):
                 if s1 >= s2 or d1 >= d2:
                     raise BddError("rename mapping must be strictly monotone")
-            prepared = (dict(pairs), len(self._rename_args))
+            prepared = (dict(pairs), {})
             self._rename_args[items] = prepared
         return BddRef(self, self._rename(self._node(f), *prepared))
 
@@ -388,9 +380,16 @@ class BddManager:
         if isinstance(e, formula.Not):
             return self.not_(self._build(e.operand, leaf))
         if isinstance(e, (formula.And, formula.Or)):
-            # left to right, the operations a left-deep chain would make
+            # pairwise, round by round, so k operands cost O(k log k) ite
+            # steps in any order; up to three fold left to right
             op = self.and_ if isinstance(e, formula.And) else self.or_
-            return functools.reduce(op, (self._build(o, leaf) for o in e.operands))
+            refs = [self._build(o, leaf) for o in e.operands]
+            while len(refs) > 1:
+                paired = [op(refs[i], refs[i + 1]) for i in range(0, len(refs) - 1, 2)]
+                if len(refs) % 2:
+                    paired.append(refs[-1])
+                refs = paired
+            return refs[0]
         if isinstance(e, formula.ConstTrue):
             return self.TRUE
         if isinstance(e, formula.ConstFalse):

@@ -85,6 +85,27 @@ def _check_identifier(name: str, what: str) -> None:
     )
 
 
+def _check_distinct(system: model.System, env: list, produced: list, clock: bool) -> None:
+    """VHDL ignores case in identifiers, so the ports, the process labels and
+    the names a process declares must differ ignoring case; only
+    ``current_state`` and ``newstate`` are declared again in each process."""
+    names = [("Clk", "clock port 'Clk'")] if clock else []
+    names += [(s.name, f"input {s.name!r}") for s in env]
+    names += [(s.name, f"output {s.name!r}") for s in produced]
+    names += [(m.name, f"machine {m.name!r}") for m in system.machines]
+    names += [(n, f"process variable {n!r}") for n in ("current_state", "newstate")]
+    names += [(f"new{s.name}", f"process variable 'new{s.name}' (the next value of {s.name!r})")
+              for s in produced]
+    seen: dict[str, str] = {}
+    for name, label in names:
+        first = seen.setdefault(name.lower(), label)
+        if first != label:
+            raise VhdlGenError(
+                f"{first} and {label} are the same identifier in VHDL, which ignores "
+                "case; rename one of them"
+            )
+
+
 def _widths(system: model.System, opts: CodegenOptions) -> list[int]:
     widths = []
     for machine in system.machines:
@@ -155,6 +176,7 @@ def generate(
         _check_identifier(machine.name, "machine name")
     if opts.clock and any(s.name.lower() == "clk" for s in env + produced):
         raise VhdlGenError("clock mode reserves the port name 'Clk'")
+    _check_distinct(system, env, produced, opts.clock)
 
     widths = _widths(system, opts)
     onehot = opts.state_encoding == "onehot"

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from cosma import cli, frontend, model, reach
+from cosma import cli, frontend, model, reach, vhdlgen
 
 
 @pytest.fixture(autouse=True)
@@ -483,6 +483,40 @@ class TestVhdl:
         assert code == 2
         assert err == "error: clock mode reserves the port name 'Clk'\n"
         assert out == ""
+
+    @pytest.mark.parametrize("machine, message", [
+        ("machine M { init s; state s { out a; -> t when 1; } state t { out A; -> s when 1; } }",
+         "output 'A' and output 'a'"),
+        ("machine M { init s; state s { out X; -> t when 1; } state t { out newX; -> s when 1; } }",
+         "output 'newX' and process variable 'newX' (the next value of 'X')"),
+        ("machine go { init s; state s { out A; -> t when go; -> s when ~go; }"
+         " state t { -> s when 1; } }",
+         "input 'go' and machine 'go'"),
+        ("machine M { init s; state s { out X; -> t when newX; -> s when ~newX; }"
+         " state t { -> s when 1; } }",
+         "input 'newX' and process variable 'newX' (the next value of 'X')"),
+    ], ids=["outputs-differ-in-case", "output-named-like-a-variable", "machine-named-like-a-port",
+            "input-named-like-a-variable"])
+    def test_names_that_vhdl_reads_as_one_are_input_errors(self, tmp_path, capsys, machine,
+                                                           message):
+        path = tmp_path / "clash.csm"
+        path.write_text(f"system c {{ {machine} }}\n")
+        assert run(capsys, ["lint", str(path)])[0] == 0
+        code, out, err = run(capsys, ["vhdl", str(path)])
+        assert code == 2
+        assert err == (f"error: {message} are the same identifier in VHDL, which ignores case; "
+                       "rename one of them\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("encoding", ["binary", "onehot"])
+    def test_named_encodings_print_what_generate_gives(self, workdir, capsys, encoding):
+        for name in ("tlc", "tlc_car"):
+            path = workdir / f"{name}.csm"
+            code, out, err = run(capsys, ["vhdl", str(path), "--state-encoding", encoding])
+            assert code == 0, err
+            system = frontend.parse_system(path.read_text(), str(path)).system
+            opts = vhdlgen.CodegenOptions(state_encoding=encoding)
+            assert out == vhdlgen.generate(system, opts)
 
     def test_illegal_output_name_gets_a_suggestion(self, tmp_path, capsys):
         path = tmp_path / "ux.csm"

@@ -239,6 +239,32 @@ class TestFromExpr:
         assert (m.from_expr(expr) != m.FALSE) == brute_satisfiable(expr, syms)
 
 
+class TestChains:
+    K = 256
+
+    @pytest.mark.parametrize("op", [F.And, F.Or])
+    def test_a_chain_costs_k_log_k_ite_steps_in_either_order(self, op):
+        names = [f"z{i}" for i in range(self.K)]
+        bound = self.K * (self.K - 1).bit_length()
+        for order in (names, names[::-1]):
+            m = robdd.BddManager(names)
+            before = len(m._ite_cache)
+            chain = m.from_expr(op(*[F.Atom(F.Symbol(n)) for n in order]))
+            assert len(m._ite_cache) - before <= bound
+            if op is F.And:
+                assert chain == m.cube((n, True) for n in names)
+            else:
+                assert chain == m.not_(m.cube((n, False) for n in names))
+
+    def test_three_operands_fold_left_to_right(self):
+        m = robdd.BddManager(["a", "b", "c"])
+        a, b, c = (m.mk_var(n) for n in "abc")
+        left = m.or_(m.or_(a, c), b)
+        steps, nodes = len(m._ite_cache), len(m)
+        assert m.from_expr(F.Or(*[F.Atom(F.Symbol(n)) for n in "acb"])) == left
+        assert (len(m._ite_cache), len(m)) == (steps, nodes)
+
+
 class TestIsop:
     @staticmethod
     def cube_ref(m, cube):
