@@ -40,7 +40,7 @@ from run import REF_S, reference_loop  # noqa: E402  (read only: the drift corre
 def random_formula(rng, symbols, depth):
     if depth == 0 or rng.random() < 0.3:
         sym = rng.choice(symbols)
-        atom = F.Atom(sym)
+        atom = sym
         return F.Not(atom) if rng.random() < 0.4 else atom
     left = random_formula(rng, symbols, depth - 1)
     right = random_formula(rng, symbols, depth - 1)

@@ -199,11 +199,7 @@ def cmd_check(args) -> int:
             print(f"{name}: {word}{suffix}")
             if not verdict.holds and verdict.trace:
                 for step in verdict.trace:
-                    env = (
-                        "{" + ", ".join(sorted(s.name for s in step.env)) + "}"
-                        if step.env is not None
-                        else "-"
-                    )
+                    env = "-" if step.env is None else "{" + ", ".join(sorted(step.env)) + "}"
                     print(f"    at {graph.node_name(step.node)} env {env}")
         held = len(results) - len(failures)
         print(f"{held}/{len(results)} queries hold")

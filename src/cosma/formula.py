@@ -1,10 +1,11 @@
 """Boolean guard formulas over an abstract symbol alphabet.
 
 Machine arcs are labelled with formulas over named signals rather than
-letters from an input alphabet: an atom is true in a step exactly when its
-signal occurs in the step's valuation, and a valuation is simply the set
-of signals currently present.  The constant ``1`` (always true) labels
-spontaneous transitions; ``0`` never fires.
+letters from an input alphabet.  A signal is a :class:`Symbol`, which is
+its name as a string and also a formula's leaf: it is true in a step
+exactly when it occurs in the step's valuation, and a valuation is simply
+the set of symbols currently present.  The constant ``1`` (always true)
+labels spontaneous transitions; ``0`` never fires.
 
 Formulas are plain immutable trees: what the parsers build and what VHDL,
 lint messages and printed queries show.  ``And`` and ``Or`` are n-ary: a
@@ -25,7 +26,6 @@ from cosma import robdd
 
 __all__ = [
     "And",
-    "Atom",
     "BoolExpr",
     "ConstFalse",
     "ConstTrue",
@@ -51,21 +51,29 @@ class FormulaError(ValueError):
     """Malformed symbol or misused formula operation."""
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
-    """A named signal.  Case-sensitive identifier; equal names are equal."""
+class BoolExpr:
+    """Base class of formula nodes.  Instances are immutable and hashable."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _IDENT.match(self.name):
-            raise FormulaError(f"invalid symbol name {self.name!r}")
 
-    def __str__(self):
-        return self.name
+class Symbol(str, BoolExpr):
+    """A named signal, and the formula leaf that reads it: its name itself.
 
-    def __repr__(self):
-        return f"Symbol({self.name!r})"
+    A case-sensitive identifier.  Hashing, equality and ordering are the
+    name's own, so equal names are equal symbols and symbols sort by name.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        if not _IDENT.match(name):
+            raise FormulaError(f"invalid symbol name {name!r}")
+        return super().__new__(cls, name)
+
+    @property
+    def name(self) -> str:
+        return self
 
 
 class SymbolTable:
@@ -79,34 +87,26 @@ class SymbolTable:
         self._symbols: dict[str, Symbol] = {}
         self._frozen = False
 
-    def intern(self, name: str | Symbol) -> Symbol:
-        key = name.name if isinstance(name, Symbol) else name
-        sym = self._symbols.get(key)
+    def intern(self, name: str) -> Symbol:
+        sym = self._symbols.get(name)
         if sym is not None:
             return sym
         if self._frozen:
-            raise FormulaError(f"symbol table is frozen; unknown symbol {key!r}")
-        sym = self._symbols[key] = Symbol(key)
+            raise FormulaError(f"symbol table is frozen; unknown symbol {name!r}")
+        sym = self._symbols[name] = Symbol(name)
         return sym
 
     def freeze(self):
         self._frozen = True
 
-    def __contains__(self, item: str | Symbol) -> bool:
-        key = item.name if isinstance(item, Symbol) else item
-        return key in self._symbols
+    def __contains__(self, item: str) -> bool:
+        return item in self._symbols
 
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self._symbols.values())
 
     def __len__(self) -> int:
         return len(self._symbols)
-
-
-class BoolExpr:
-    """Base class of formula nodes.  Instances are immutable and hashable."""
-
-    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,6 @@ class ConstTrue(BoolExpr):
 @dataclass(frozen=True)
 class ConstFalse(BoolExpr):
     """The never-true guard; prints as ``0``."""
-
-
-@dataclass(frozen=True)
-class Atom(BoolExpr):
-    symbol: Symbol
 
 
 @dataclass(frozen=True)
@@ -180,8 +175,8 @@ def atoms(expr: BoolExpr) -> frozenset[Symbol]:
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, Atom):
-            found.add(e.symbol)
+        if isinstance(e, Symbol):
+            found.add(e)
         elif isinstance(e, Not):
             stack.append(e.operand)
         elif isinstance(e, _Chain):
@@ -204,8 +199,8 @@ def evaluate(expr: BoolExpr, valuation: AbstractSet[Symbol]) -> bool:
     Symbols absent from the valuation are false (a signal either occurs in
     a step or it does not).
     """
-    if isinstance(expr, Atom):
-        return expr.symbol in valuation
+    if isinstance(expr, Symbol):
+        return expr in valuation
     if isinstance(expr, Not):
         return not evaluate(expr.operand, valuation)
     if isinstance(expr, _Chain):
@@ -241,8 +236,8 @@ def _render(expr: BoolExpr, min_prec: int) -> str:
         return "1"
     if isinstance(expr, ConstFalse):
         return "0"
-    if isinstance(expr, Atom):
-        return expr.symbol.name
+    if isinstance(expr, Symbol):
+        return expr
     if isinstance(expr, Not):
         return "~" + _render(expr.operand, _PREC_NOT)
     if isinstance(expr, _Chain):
@@ -260,7 +255,7 @@ class GuardContext:
     """
 
     def __init__(self, alphabet: Iterable[Symbol]):
-        self.manager = robdd.BddManager(s.name for s in alphabet)
+        self.manager = robdd.BddManager(alphabet)
 
     def satisfiable(self, guard: robdd.BddRef) -> bool:
         return guard != self.manager.FALSE

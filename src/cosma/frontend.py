@@ -342,7 +342,7 @@ def _parse_unary(p, make, reserved, ctl):
         if word in reserved:
             raise p.error(f"keyword {word!r} cannot be a symbol")
         p.pos = index + 1
-        return F.Atom(_symbol(make, p, index))
+        return _symbol(make, p, index)
     raise p.error(f"expected {'a CTL formula' if ctl else 'a formula'}, found {p.found()}")
 
 
@@ -479,7 +479,7 @@ def parse_queries(
         for entry, start in zip(result.queries, starts):
             if isinstance(entry, mc.Query):
                 used = F.atoms(entry.antecedent) | F.atoms(entry.consequent)
-                unknown = sorted(s.name for s in used if s not in system.symbols)
+                unknown = sorted(s for s in used if s not in system.symbols)
                 for name in unknown:
                     result.diagnostics.append(
                         ParseDiagnostic(
@@ -495,7 +495,7 @@ def parse_queries(
                     result.diagnostics.append(ParseDiagnostic("error", str(exc), locate(start)))
             else:
                 # CTL atoms are read against node outputs only
-                foreign = sorted(s.name for s in mc.ctl_atoms(entry.formula) - produced)
+                foreign = sorted(mc.ctl_atoms(entry.formula) - produced)
                 for name in foreign:
                     result.diagnostics.append(
                         ParseDiagnostic(
@@ -562,7 +562,7 @@ def system_to_text(system: model.System) -> str:
         for idx, state in enumerate(machine.states):
             lines.append(f"    state {state.name} {{")
             if state.outputs:
-                names = ", ".join(sorted(s.name for s in state.outputs))
+                names = ", ".join(sorted(state.outputs))
                 lines.append(f"      out {names};")
             for arc in machine.arcs_from(idx):
                 lines.append(f"      -> {arc.dst} when {F.to_text(arc.guard)};")

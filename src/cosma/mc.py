@@ -7,12 +7,12 @@ Two requirement styles are supported:
 * general CTL formulas over output symbols, evaluated at the initial state.
 
 A CTL formula's Boolean part is built from ``formula``'s nodes (constants,
-atoms, ``Not`` and the n-ary ``And``/``Or``).  Its temporal part has three
+symbols, ``Not`` and the n-ary ``And``/``Or``).  Its temporal part has three
 nodes of this module's own, ``CtlEX``, ``CtlEU`` and ``CtlEG``; the other
 operators and ``=>`` are functions that build their existential forms.
 
-Antecedent atoms may name machine outputs or environment inputs.  Graph
-nodes carry no environment valuation, so environment atoms condition the
+Antecedent symbols may name machine outputs or environment inputs.  Graph
+nodes carry no environment valuation, so environment symbols condition the
 outgoing edges instead: at a matching state only the edges whose guard BDD
 is consistent with the antecedent's environment part are considered.  This
 must agree with the alternative modeling device of adding a small machine
@@ -25,8 +25,8 @@ path instead.
 Both styles rest on one labeller, ``_label``, with three fixpoints, each
 linear in the size of the graph: EX as a union of predecessor lists, EU as
 a backward search, and EG by counting each node's successors inside the
-region.  An ``eventually`` query labels EG of its negated consequent
-(universal) or AG of it (``exists``).
+region.  A query's bad set is a label too: of its negated consequent
+(``next``), of EG of it (``eventually``) or of AG of it (``exists``).
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _nodes(f: F.BoolExpr) -> list[F.BoolExpr]:
 
 
 def ctl_atoms(f: F.BoolExpr) -> frozenset[F.Symbol]:
-    return frozenset(e.symbol for e in _nodes(f) if isinstance(e, F.Atom))
+    return frozenset(e for e in _nodes(f) if isinstance(e, F.Symbol))
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -185,7 +185,7 @@ class Verdict:
                 {
                     "node": step.node,
                     "states": rg.state_names(step.node),
-                    "env": sorted(s.name for s in step.env) if step.env is not None else None,
+                    "env": sorted(step.env) if step.env is not None else None,
                 }
                 for step in self.trace
             ]
@@ -214,7 +214,7 @@ def split_query(query: Query, produced: frozenset) -> tuple[F.BoolExpr, F.BoolEx
             )
         else:
             env_part.append(factor)
-    bad_consequent = sorted(s.name for s in F.atoms(query.consequent) - produced)
+    bad_consequent = sorted(F.atoms(query.consequent) - produced)
     if bad_consequent:
         raise QueryError(
             f"query {query.name!r}: consequent uses non-output symbols "
@@ -231,10 +231,10 @@ def _find_env(manager, guard) -> frozenset:
     """
     assert guard != manager.FALSE, "guard was reported satisfiable"
     chosen = []
-    for name in sorted(manager.support(guard), reverse=True):
-        absent = manager.and_(guard, manager.not_(manager.mk_var(name)))
+    for sym in sorted(manager.support(guard), reverse=True):
+        absent = manager.and_(guard, manager.not_(manager.mk_var(sym)))
         if absent == manager.FALSE:
-            chosen.append(F.Symbol(name))  # the guard already implies it
+            chosen.append(sym)  # the guard already implies it
         else:
             guard = absent
     return frozenset(chosen)
@@ -318,20 +318,19 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
     # the system never mentions (unconstrained, hence also environmental,
     # and declared in the graph's manager on first use)
     m = rg.manager
-    env_ref = m.from_expr(env_part, lambda sym: m.mk_var(sym.name))
+    env_ref = m.from_expr(env_part, m.mk_var)
 
     matching = [i for i in range(len(rg.nodes)) if F.evaluate(state_part, rg.outputs[i])]
     if not matching:
         return Verdict(holds=True, vacuous=True)
 
-    if query.mode == "next":
-        # nodes where the consequent fails
-        bad = {i for i in range(len(rg.nodes)) if not F.evaluate(query.consequent, rg.outputs[i])}
-    else:
-        # nodes from which the consequent can be missed forever (universal:
-        # EG not consequent) or is out of reach (exists: AG not consequent)
-        avoid = F.Not(query.consequent)
-        bad = _label(rg, CtlEG(avoid) if query.universal else CtlAG(avoid))
+    # nodes where the consequent fails (next), can be missed forever
+    # (universal eventually: EG not consequent) or is out of reach (exists:
+    # AG not consequent)
+    avoid = F.Not(query.consequent)
+    if query.mode == "eventually":
+        avoid = CtlEG(avoid) if query.universal else CtlAG(avoid)
+    bad = _label(rg, avoid)
 
     for node in matching:
         conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
@@ -357,8 +356,8 @@ def check_ctl(rg: ReachGraph, formula_: F.BoolExpr) -> Verdict:
 def _label(rg: ReachGraph, formula_: F.BoolExpr) -> frozenset[int]:
     """Standard fixpoint labeling: the nodes where ``formula_`` holds.
 
-    Atoms are read against node outputs; a symbol no machine produces is
-    false at every node (the requirement parser warns about such atoms).
+    A symbol is read against node outputs; one that no machine produces is
+    false at every node (the requirement parser warns about such symbols).
     Path quantifiers range over infinite paths, which exist from every node
     because the step relation is total.
     """
@@ -368,8 +367,8 @@ def _label(rg: ReachGraph, formula_: F.BoolExpr) -> frozenset[int]:
     for f in _nodes(formula_):
         if isinstance(f, (F.ConstTrue, F.ConstFalse)):
             result = everything if isinstance(f, F.ConstTrue) else frozenset()
-        elif isinstance(f, F.Atom):
-            result = frozenset(i for i, out in enumerate(rg.outputs) if f.symbol in out)
+        elif isinstance(f, F.Symbol):
+            result = frozenset(i for i, out in enumerate(rg.outputs) if f in out)
         elif isinstance(f, F.Not):
             result = everything - sat[id(f.operand)]
         elif isinstance(f, F.And):

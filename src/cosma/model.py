@@ -137,8 +137,7 @@ def declaration_order(system: System, symbols) -> list:
     """
     wanted = frozenset(symbols)
     ordered = [s for s in system.symbols if s in wanted]
-    extras = sorted(wanted - set(ordered), key=lambda s: s.name)
-    return ordered + extras
+    return ordered + sorted(wanted.difference(ordered))
 
 
 def output_valuation(system: System, gstate: GlobalState) -> frozenset:
@@ -245,13 +244,13 @@ def validate(system: System) -> LintReport:
                     state=state.name,
                 )
             names.add(state.name)
-            for sym in state.outputs:
+            for sym in sorted(state.outputs):
                 prev = produced_by.get(sym)
                 if prev is not None and prev != machine.name:
                     report.add(
                         "warning",
                         "shared-output",
-                        f"symbol {sym.name!r} is produced by machines {prev!r} and {machine.name!r}",
+                        f"symbol {sym!r} is produced by machines {prev!r} and {machine.name!r}",
                         machine=machine.name,
                     )
                 produced_by[sym] = machine.name
@@ -282,7 +281,7 @@ def validate(system: System) -> LintReport:
             report.add(
                 "error",
                 "unregistered-symbol",
-                f"symbol {sym.name!r} is not in the system symbol table",
+                f"symbol {sym!r} is not in the system symbol table",
             )
 
     # guard coverage and overlap need satisfiability; skip when the
@@ -336,6 +335,6 @@ def _env_notes(system: System, report: LintReport) -> None:
         report.add(
             "warning",
             "env-symbol",
-            f"symbol {sym.name!r} is never produced by any machine; "
+            f"symbol {sym!r} is never produced by any machine; "
             "treating it as an environment input",
         )

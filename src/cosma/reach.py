@@ -112,10 +112,7 @@ class ReachGraph:
         for edge in self.edges:
             if edge.guard.node not in texts:
                 texts[edge.guard.node] = " + ".join(
-                    F.to_text(F.and_all(
-                        F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
-                        for name, pos in cube
-                    ))
+                    F.to_text(F.and_all(sym if pos else F.Not(sym) for sym, pos in cube))
                     for cube in self.manager.isop(edge.guard)
                 ) or "0"
         return texts
@@ -206,7 +203,7 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
 
         def leaf(sym):
             if sym in env:
-                return m.mk_var(sym.name)
+                return m.mk_var(sym)
             return m.TRUE if sym in valuation else m.FALSE
 
         per_machine = []
@@ -329,7 +326,7 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
 
     env_vars = {}
     for sym in env:
-        name = f"env[{sym.name}]"
+        name = f"env[{sym}]"
         manager.mk_var(name)
         env_vars[sym] = name
 
@@ -413,7 +410,7 @@ def to_dot(rg: ReachGraph) -> str:
     """Graphviz rendering; deterministic (discovery order, sorted outputs)."""
     lines = ["digraph reachability {", "  rankdir=TB;", '  node [shape=ellipse, fontsize=10];']
     for i in range(len(rg.nodes)):
-        outs = ", ".join(sorted(s.name for s in rg.outputs[i]))
+        outs = ", ".join(sorted(rg.outputs[i]))
         label = rg.node_name(i) + ("\\n" + "{" + outs + "}" if outs else "")
         shape = ', peripheries=2' if i == 0 else ""
         extra = ', style=dashed' if i in rg.quiescent else ""
@@ -450,7 +447,7 @@ def json_text(rg: ReachGraph) -> str:
         outs = outputs.get(valuation)
         if outs is None:
             outs = outputs[valuation] = _json_array(
-                [_json_string(name) for name in sorted(s.name for s in valuation)], "      ")
+                [_json_string(name) for name in sorted(valuation)], "      ")
         states = _json_array([names[idx] for names, idx in zip(state_names, gstate)], "      ")
         quiescent = "true" if i in rg.quiescent else "false"
         nodes.append(f'{{\n      "states": {states},\n      "outputs": {outs},\n'

@@ -364,19 +364,19 @@ class BddManager:
         return out
 
     def from_expr(self, expr, leaf: Callable | None = None) -> BddRef:
-        """Translate a formula tree; ``leaf(symbol)`` gives each atom's function.
+        """Translate a formula tree; ``leaf(symbol)`` gives each symbol's function.
 
-        By default an atom is the declared variable named after its symbol.
+        By default a symbol is the declared variable of its name.
         """
         return self._build(expr, leaf)
 
     def _build(self, e, leaf: Callable | None) -> BddRef:
-        if isinstance(e, formula.Atom):
+        if isinstance(e, formula.Symbol):
             if leaf is not None:
-                return leaf(e.symbol)
-            if e.symbol.name not in self._levels:
-                raise BddError(f"atom {e.symbol.name!r} has no manager variable")
-            return self.mk_var(e.symbol.name)
+                return leaf(e)
+            if e not in self._levels:
+                raise BddError(f"atom {e!r} has no manager variable")
+            return self.mk_var(e)
         if isinstance(e, formula.Not):
             return self.not_(self._build(e.operand, leaf))
         if isinstance(e, (formula.And, formula.Or)):

@@ -69,8 +69,18 @@ _VHDL_RESERVED = frozenset(
 
 _VHDL_IDENT = re.compile(r"[A-Za-z](?:_?[A-Za-z0-9])*\Z")
 
+# names from VHDL's STANDARD package that the generated text reads, by their
+# lower case: an entity, port or process label of the same name hides them
+_STANDARD = {"bit": "BIT", "bit_vector": "BIT_VECTOR", "true": "TRUE", "false": "FALSE"}
+_STANDARD_UNCLOCKED = {**_STANDARD, "ns": "ns"}  # "wait for N ns"
 
-def _check_identifier(name: str, what: str) -> None:
+
+def _check_identifier(name: str, what: str, hidden: dict[str, str]) -> None:
+    if name.lower() in hidden:
+        raise VhdlGenError(
+            f"{what} {name!r} hides {hidden[name.lower()]!r} of VHDL's STANDARD package, "
+            "which the generated text uses; rename it"
+        )
     if _VHDL_IDENT.match(name) and name.lower() not in _VHDL_RESERVED:
         return
     suggestion = re.sub(r"_+", "_", name).strip("_")
@@ -90,11 +100,11 @@ def _check_distinct(system: model.System, env: list, produced: list, clock: bool
     the names a process declares must differ ignoring case; only
     ``current_state`` and ``newstate`` are declared again in each process."""
     names = [("Clk", "clock port 'Clk'")] if clock else []
-    names += [(s.name, f"input {s.name!r}") for s in env]
-    names += [(s.name, f"output {s.name!r}") for s in produced]
+    names += [(s, f"input {s!r}") for s in env]
+    names += [(s, f"output {s!r}") for s in produced]
     names += [(m.name, f"machine {m.name!r}") for m in system.machines]
     names += [(n, f"process variable {n!r}") for n in ("current_state", "newstate")]
-    names += [(f"new{s.name}", f"process variable 'new{s.name}' (the next value of {s.name!r})")
+    names += [(f"new{s}", f"process variable 'new{s}' (the next value of {s!r})")
               for s in produced]
     seen: dict[str, str] = {}
     for name, label in names:
@@ -131,8 +141,8 @@ def _encode(state_idx: int, width: int, onehot: bool) -> str:
 
 def _condition(expr: F.BoolExpr) -> str:
     """Fully parenthesized VHDL condition; atoms read the signal lines."""
-    if isinstance(expr, F.Atom):
-        return f"({expr.symbol.name}='1')"
+    if isinstance(expr, F.Symbol):
+        return f"({expr}='1')"
     if isinstance(expr, F.Not):
         return f"(not {_condition(expr.operand)})"
     if isinstance(expr, (F.And, F.Or)):
@@ -165,16 +175,17 @@ def generate(
             "system does not validate: " + "; ".join(e.message for e in report.errors)
         )
 
-    env = sorted(model.env_alphabet(system), key=lambda s: s.name)
-    produced = sorted(system.produced_symbols(), key=lambda s: s.name)
+    env = sorted(model.env_alphabet(system))
+    produced = sorted(system.produced_symbols())
     entity = opts.entity_name or system.name
 
-    _check_identifier(entity, "entity name")
+    hidden = _STANDARD if opts.clock else _STANDARD_UNCLOCKED
+    _check_identifier(entity, "entity name", hidden)
     for sym in env + produced:
-        _check_identifier(sym.name, "symbol")
+        _check_identifier(sym, "symbol", hidden)
     for machine in system.machines:
-        _check_identifier(machine.name, "machine name")
-    if opts.clock and any(s.name.lower() == "clk" for s in env + produced):
+        _check_identifier(machine.name, "machine name", hidden)
+    if opts.clock and any(s.lower() == "clk" for s in env + produced):
         raise VhdlGenError("clock mode reserves the port name 'Clk'")
     _check_distinct(system, env, produced, opts.clock)
 
@@ -190,9 +201,9 @@ def generate(
     if opts.clock:
         port_lines.append("    Clk : in BIT")
     for sym in env:
-        port_lines.append(f"    {sym.name} : in BIT")
+        port_lines.append(f"    {sym} : in BIT")
     for sym in produced:
-        port_lines.append(f"    {sym.name} : out BIT")
+        port_lines.append(f"    {sym} : out BIT")
     if port_lines:
         emit("  port (")
         emit(";\n".join(port_lines))
@@ -203,14 +214,14 @@ def generate(
     emit("begin")
 
     for machine, width in zip(system.machines, widths):
-        mine = sorted({s for st in machine.states for s in st.outputs}, key=lambda s: s.name)
+        mine = sorted({s for st in machine.states for s in st.outputs})
         init_code = _encode(machine.initial_index, width, onehot)
         emit("")
         emit(f"  {machine.name} : process")
         emit(f'    variable current_state : BIT_VECTOR ({width - 1} downto 0) :="{init_code}";')
         emit(f'    variable newstate : BIT_VECTOR ({width - 1} downto 0) :="{init_code}";')
         for sym in mine:
-            emit(f"    variable new{sym.name} : BIT;")
+            emit(f"    variable new{sym} : BIT;")
         emit("  begin")
         emit("    loop")
         emit("      case current_state is")
@@ -226,7 +237,7 @@ def generate(
                 dst_outputs = machine.states[dst_idx].outputs
                 for sym in mine:
                     bit = "1" if sym in dst_outputs else "0"
-                    emit(f"{pad}new{sym.name} := '{bit}';")
+                    emit(f"{pad}new{sym} := '{bit}';")
 
             if len(arcs) == 1 and arcs[0].guard == F.TRUE:
                 assigns(machine.state_index(arcs[0].dst), "          ")
@@ -241,7 +252,7 @@ def generate(
         emit("      end case;")
         emit("      current_state := newstate;")
         for sym in mine:
-            emit(f"      {sym.name} <= new{sym.name};")
+            emit(f"      {sym} <= new{sym};")
         if opts.clock:
             emit("      wait until Clk'event and Clk = '1';")
         else:
@@ -307,14 +318,11 @@ def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
         )
 
     ports = Counter(_PORT_LINE.findall(vhdl_text))
-    symbols = sorted(
-        model.env_alphabet(system) | system.produced_symbols(), key=lambda s: s.name
-    )
-    for sym in symbols:
-        hits = ports[sym.name]
+    for sym in sorted(model.env_alphabet(system) | system.produced_symbols()):
+        hits = ports[sym]
         if hits != 1:
             report.problems.append(
-                f"symbol {sym.name!r} appears as a port {hits} times, expected once"
+                f"symbol {sym!r} appears as a port {hits} times, expected once"
             )
 
     for machine in system.machines:

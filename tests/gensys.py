@@ -14,7 +14,7 @@ def random_guard(rng: random.Random, pool, depth=2) -> F.BoolExpr:
         if r < 0.10:
             return F.FALSE
         sym = rng.choice(pool)
-        atom = F.Atom(sym)
+        atom = sym
         return F.Not(atom) if rng.random() < 0.4 else atom
     left = random_guard(rng, pool, depth - 1)
     right = random_guard(rng, pool, depth - 1)

@@ -320,14 +320,14 @@ def rescanning_check_query(rg, query):
 def rescanning_ctl_sat(rg, spec):
     """Standard fixpoint labeling: the set of nodes where ``spec`` holds.
 
-    ``spec`` is a constant or an atom of ``formula``, or a tuple
+    ``spec`` is a constant or a symbol of ``formula``, or a tuple
     ``(op, *operands)`` whose ``op`` is any CTL operator: ``"~"``, ``"*"``,
     ``"+"``, ``"=>"``, ``"EX"``, ``"AX"``, ``"EF"``, ``"AF"``, ``"EG"``,
     ``"AG"``, ``"EU"`` or ``"AU"``.  Each operator has its own loop here,
     whereas ``mc`` builds the universal ones and ``EF`` from EX, EU and EG.
 
-    Atoms are read against node outputs; a symbol no machine produces is
-    false at every node (the requirement parser warns about such atoms).
+    A symbol is read against node outputs; one that no machine produces is
+    false at every node (the requirement parser warns about such symbols).
     Path quantifiers range over infinite paths, which exist from every node
     because the step relation is total.
     """
@@ -349,8 +349,8 @@ def rescanning_ctl_sat(rg, spec):
             result = everything
         elif isinstance(f, F.ConstFalse):
             result = frozenset()
-        elif isinstance(f, F.Atom):
-            result = frozenset(i for i in range(n) if f.symbol in rg.outputs[i])
+        elif isinstance(f, F.Symbol):
+            result = frozenset(i for i in range(n) if f in rg.outputs[i])
         elif op == "~":
             result = everything - sat(f[1])
         elif op == "*":
@@ -637,7 +637,7 @@ def guard_texts(rg: ReachGraph) -> list[str]:
         if edge.guard not in texts:
             texts[edge.guard] = " + ".join(
                 F.to_text(F.and_all(
-                    F.Atom(F.Symbol(name)) if pos else F.Not(F.Atom(F.Symbol(name)))
+                    F.Symbol(name) if pos else F.Not(F.Symbol(name))
                     for name, pos in cube
                 ))
                 for cube in rg.manager.isop(edge.guard)

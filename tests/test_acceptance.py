@@ -115,12 +115,12 @@ def test_4_cross_engine_and_next_oracle():
         if not produced:
             continue
         for _ in range(4):
-            factors = [F.Atom(rng.choice(produced))]
+            factors = [rng.choice(produced)]
             if env and rng.random() < 0.6:
-                atom = F.Atom(rng.choice(env))
+                atom = rng.choice(env)
                 factors.append(F.Not(atom) if rng.random() < 0.4 else atom)
             query = mc.Query(
-                "r", F.and_all(factors), "next", F.Atom(rng.choice(produced))
+                "r", F.and_all(factors), "next", rng.choice(produced)
             )
             verdict = mc.check_query(explicit, query)
             holds, vacuous = next_query_oracle(system, query)

@@ -2,7 +2,10 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -63,6 +66,25 @@ class TestLint:
         code, out, err = run(capsys, ["lint", str(gap)])
         assert code == 0
         assert "do not cover" in err
+
+    def test_warnings_do_not_depend_on_the_hash_seed(self, tmp_path):
+        path = tmp_path / "shared.csm"
+        path.write_text(
+            "system s { machine A { init a; state a { out x, y, z, w; } }"
+            " machine B { init b; state b { out x, y, z, w; } } }\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "cosma.cli", "lint", str(path)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed, "COSMA_COLOR": "0"},
+                capture_output=True, text=True, check=True,
+            ).stderr
+            for seed in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
+        shared = [line for line in runs[0].splitlines() if "produced by machines" in line]
+        assert [line.split("'")[1] for line in shared] == ["w", "x", "y", "z"]
 
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, ["lint", "no/such/file.csm"])
@@ -507,6 +529,41 @@ class TestVhdl:
         assert err == (f"error: {message} are the same identifier in VHDL, which ignores case; "
                        "rename one of them\n")
         assert out == ""
+
+    @pytest.mark.parametrize("system, options, message", [
+        ("s { machine M { init a; state a { out BIT; -> a when 1; } } }", [],
+         "symbol 'BIT' hides 'BIT'"),
+        ("s { machine M { init a; state a { -> a when bit_vector; } } }", [],
+         "symbol 'bit_vector' hides 'BIT_VECTOR'"),
+        ("s { machine M { init a; state a { out True; -> a when 1; } } }", [],
+         "symbol 'True' hides 'TRUE'"),
+        ("s { machine FALSE { init a; state a { -> a when 1; } } }", [],
+         "machine name 'FALSE' hides 'FALSE'"),
+        ("Bit { machine M { init a; state a { -> a when 1; } } }", [],
+         "entity name 'Bit' hides 'BIT'"),
+        ("s { machine M { init a; state a { -> a when 1; } } }", ["--entity", "true"],
+         "entity name 'true' hides 'TRUE'"),
+        ("s { machine M { init a; state a { out NS; -> a when 1; } } }", [],
+         "symbol 'NS' hides 'ns'"),
+    ], ids=["output-BIT", "input-BIT_VECTOR", "output-TRUE", "machine-FALSE", "system-BIT",
+            "entity-option-TRUE", "output-NS-unclocked"])
+    def test_names_that_hide_standard_names_are_input_errors(self, tmp_path, capsys, system,
+                                                             options, message):
+        path = tmp_path / "std.csm"
+        path.write_text(f"system {system}\n")
+        assert run(capsys, ["lint", str(path)])[0] == 0
+        code, out, err = run(capsys, ["vhdl", str(path), *options])
+        assert code == 2
+        assert err == (f"error: {message} of VHDL's STANDARD package, which the generated "
+                       "text uses; rename it\n")
+        assert out == ""
+
+    def test_ns_is_a_legal_name_under_clock(self, tmp_path, capsys):
+        path = tmp_path / "ns.csm"
+        path.write_text("system s { machine M { init a; state a { out NS; -> a when 1; } } }\n")
+        code, out, err = run(capsys, ["vhdl", str(path), "--clock"])
+        assert code == 0, err
+        assert "wait until Clk'event" in out and " ns;" not in out
 
     @pytest.mark.parametrize("encoding", ["binary", "onehot"])
     def test_named_encodings_print_what_generate_gives(self, workdir, capsys, encoding):

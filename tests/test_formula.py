@@ -12,7 +12,7 @@ a, b, c, d, e, f = (F.Symbol(n) for n in "abcdef")
 def exprs(symbols, max_leaves=12):
     """Trees whose And/Or nodes have 2 to 5 operands; an operand of the node's
     own kind is spliced in when it comes first and stays nested otherwise."""
-    leaves = st.sampled_from([F.Atom(s) for s in symbols] + [F.TRUE, F.FALSE])
+    leaves = st.sampled_from([s for s in symbols] + [F.TRUE, F.FALSE])
 
     def nodes(sub):
         operands = st.lists(sub, min_size=2, max_size=5)
@@ -37,7 +37,7 @@ def parse_guard(text):
 
 class TestEvaluate:
     def test_neither_a_nor_b(self):
-        neither = F.And(F.Not(F.Atom(a)), F.Not(F.Atom(b)))
+        neither = F.And(F.Not(a), F.Not(b))
         assert F.evaluate(neither, frozenset())
         assert not F.evaluate(neither, {a})
         assert not F.evaluate(neither, {a, b})
@@ -47,10 +47,10 @@ class TestEvaluate:
             assert F.evaluate(F.TRUE, valuation)
 
     def test_disjunction_with_one_true_disjunct(self):
-        assert F.evaluate(F.Or(F.Atom(a), F.Atom(b)), {b})
+        assert F.evaluate(F.Or(a, b), {b})
 
     def test_absent_symbols_are_false(self):
-        assert not F.evaluate(F.Atom(a), {b, c})
+        assert not F.evaluate(a, {b, c})
 
 
 def residual(expr, fixed):
@@ -71,17 +71,17 @@ class TestResidual:
     def test_fixed_true_conjunct_drops_out(self):
         car, timtl = F.Symbol("Car"), F.Symbol("TimTL")
         m = robdd.BddManager(["Car", "TimTL"])
-        guard = F.And(F.Atom(car), F.Atom(timtl))
+        guard = F.And(car, timtl)
         fixed = lambda sym: m.TRUE if sym == timtl else m.mk_var(sym.name)  # noqa: E731
         assert m.from_expr(guard, fixed) == m.mk_var("Car")
 
     def test_negation_of_fixed_false_is_const_true(self):
         startts = F.Symbol("StartTS")
         m = robdd.BddManager()
-        assert m.from_expr(F.Not(F.Atom(startts)), lambda sym: m.FALSE) == m.TRUE
+        assert m.from_expr(F.Not(startts), lambda sym: m.FALSE) == m.TRUE
 
     def test_disjunction_folds_false_disjunct(self):
-        m, ref = residual(F.Or(F.Atom(a), F.Atom(b)), {a: False})
+        m, ref = residual(F.Or(a, b), {a: False})
         assert ref == m.mk_var("b")
 
     @given(
@@ -122,7 +122,7 @@ def satisfiable(expr, alphabet) -> bool:
 
 class TestSatisfiable:
     def test_contradiction(self):
-        assert not satisfiable(F.And(F.Atom(a), F.Not(F.Atom(a))), {a})
+        assert not satisfiable(F.And(a, F.Not(a)), {a})
 
     def test_const_true_over_empty_alphabet(self):
         assert satisfiable(F.TRUE, set())
@@ -130,14 +130,14 @@ class TestSatisfiable:
 
     def test_car_and_not_timtl(self):
         car, tautl, timtl = F.Symbol("Car"), F.Symbol("tauTL"), F.Symbol("TimTL")
-        guard = F.And(F.Atom(car), F.Not(F.Atom(timtl)))
+        guard = F.And(car, F.Not(timtl))
         alphabet = {car, tautl, timtl}
         assert brute_satisfiable(guard, alphabet)  # 8 valuations
         assert satisfiable(guard, alphabet)
 
     def test_atom_outside_alphabet_rejected(self):
         with pytest.raises(robdd.BddError):
-            satisfiable(F.Atom(a), {b})
+            satisfiable(a, {b})
 
     @settings(deadline=None)
     @given(expr=exprs([a, b, c, d, e]))
@@ -148,8 +148,8 @@ class TestSatisfiable:
     def test_ten_symbol_alphabet_matches_brute_force(self):
         syms = [F.Symbol(f"s{i}") for i in range(10)]
         expr = F.And(
-            F.Or(F.Atom(syms[0]), F.Not(F.Atom(syms[9]))),
-            F.Or(F.Atom(syms[4]), F.Atom(syms[7])),
+            F.Or(syms[0], F.Not(syms[9])),
+            F.Or(syms[4], syms[7]),
         )
         assert satisfiable(expr, syms) == brute_satisfiable(expr, syms)
         contradiction = F.And(expr, F.Not(expr))
@@ -158,22 +158,22 @@ class TestSatisfiable:
 
 class TestText:
     def test_precedence(self):
-        expr = F.And(F.Or(F.Atom(a), F.Atom(b)), F.Atom(c))
+        expr = F.And(F.Or(a, b), c)
         assert F.to_text(expr) == "(a + b) * c"
-        expr = F.Or(F.Atom(a), F.And(F.Atom(b), F.Atom(c)))
+        expr = F.Or(a, F.And(b, c))
         assert F.to_text(expr) == "a + b * c"
 
     def test_negation_parenthesizes_compounds(self):
-        assert F.to_text(F.Not(F.And(F.Atom(a), F.Atom(b)))) == "~(a * b)"
-        assert F.to_text(F.Not(F.Not(F.Atom(a)))) == "~~a"
+        assert F.to_text(F.Not(F.And(a, b))) == "~(a * b)"
+        assert F.to_text(F.Not(F.Not(a))) == "~~a"
 
     def test_constants(self):
         assert F.to_text(F.TRUE) == "1"
         assert F.to_text(F.FALSE) == "0"
 
     def test_right_nesting_is_visible(self):
-        nested = F.Or(F.Atom(a), F.Or(F.Atom(b), F.Atom(c)))
-        flat = F.Or(F.Or(F.Atom(a), F.Atom(b)), F.Atom(c))
+        nested = F.Or(a, F.Or(b, c))
+        flat = F.Or(F.Or(a, b), c)
         assert F.to_text(nested) == "a + (b + c)"
         assert F.to_text(flat) == "a + b + c"
 
@@ -190,30 +190,30 @@ class TestText:
 
 class TestChains:
     def test_first_operand_of_the_same_kind_is_spliced(self):
-        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        A, B, C = a, b, c
         assert F.And(F.And(A, B), C) == F.And(A, B, C)
         assert F.Or(F.Or(A, B), C).operands == (A, B, C)
         assert F.to_text(F.And(A, B, C)) == "a * b * c"
         assert parse_guard("a * b * c") == parse_guard("(a * b) * c") == F.And(A, B, C)
 
     def test_later_operand_stays_nested(self):
-        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        A, B, C = a, b, c
         nested = F.And(A, F.And(B, C))
         assert nested.operands == (A, F.And(B, C))
         assert nested != F.And(A, B, C)
         assert F.to_text(nested) == "a * (b * c)"
 
     def test_other_kinds_are_not_spliced(self):
-        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        A, B, C = a, b, c
         assert F.And(F.Or(A, B), C).operands == (F.Or(A, B), C)
         assert F.And(A, B) != F.Or(A, B)
 
     def test_needs_two_operands(self):
         with pytest.raises(F.FormulaError):
-            F.And(F.Atom(a))
+            F.And(a)
 
     def test_and_all_builds_one_node(self):
-        A, B, C = F.Atom(a), F.Atom(b), F.Atom(c)
+        A, B, C = a, b, c
         assert F.and_all([A, F.TRUE, B, C]) == F.And(A, B, C)
         assert F.and_all([F.And(A, B), F.Or(A, C)]) == F.And(A, B, F.Or(A, C))
         assert F.and_all([A, F.FALSE, B]) == F.FALSE
@@ -221,7 +221,7 @@ class TestChains:
         assert F.and_all([]) == F.TRUE
 
     def test_and_all_reads_fresh_constants_as_the_shared_ones(self):
-        A, B = F.Atom(a), F.Atom(b)
+        A, B = a, b
         for true, false in ((F.TRUE, F.FALSE), (F.ConstTrue(), F.ConstFalse())):
             assert F.and_all([A, true, B]) == F.And(A, B)
             assert F.and_all([true, A]) == A
@@ -231,7 +231,7 @@ class TestChains:
             assert F.and_all([true, false]) == F.FALSE
 
     def test_flat_chain_walkers_do_not_recurse_per_operand(self):
-        chain = F.Or(*(F.Atom(F.Symbol(f"x{i % 100}")) for i in range(10_000)))
+        chain = F.Or(*(F.Symbol(f"x{i % 100}") for i in range(10_000)))
         assert F.evaluate(chain, {F.Symbol("x99")})
         assert len(F.atoms(chain)) == 100
         assert F.to_text(chain).count(" + ") == 9_999
@@ -258,3 +258,15 @@ class TestSymbols:
             F.Symbol("2fast")
         with pytest.raises(F.FormulaError):
             F.Symbol("no-dashes")
+
+    def test_a_symbol_is_its_name(self):
+        x = F.Symbol("x")
+        assert x == "x" and hash(x) == hash("x")
+        assert x.name is x and isinstance(x, F.BoolExpr)
+        assert F.evaluate(x, {"x"}) and not F.evaluate(x, {"y"})
+        assert sorted(F.Symbol(n) for n in ("b", "C", "a")) == ["C", "a", "b"]
+        assert repr(x) == "'x'" and F.to_text(F.Not(x)) == "~x"
+
+    def test_non_ascii_names_rejected(self):
+        with pytest.raises(F.FormulaError):
+            F.Symbol("é")

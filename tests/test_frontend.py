@@ -174,20 +174,20 @@ class TestQueryParsing:
         assert res.ok
         (req,) = res.queries
         assert isinstance(req, mc.CtlQuery)
-        assert req.formula == mc.CtlAG(F.Or(*(F.Atom(F.Symbol(n)) for n in ("HG", "HY", "HR"))))
+        assert req.formula == mc.CtlAG(F.Or(*(F.Symbol(n) for n in ("HG", "HY", "HR"))))
 
     def test_ctl_until(self):
         res = frontend.parse_queries("ctl u: A [ FR U FG ];")
         assert res.ok
-        assert res.queries[0].formula == mc.CtlAU(F.Atom(F.Symbol("FR")), F.Atom(F.Symbol("FG")))
+        assert res.queries[0].formula == mc.CtlAU(F.Symbol("FR"), F.Symbol("FG"))
         res = frontend.parse_queries("ctl v: E [ 1 U HY ];")
-        assert res.queries[0].formula == mc.CtlEU(F.TRUE, F.Atom(F.Symbol("HY")))
+        assert res.queries[0].formula == mc.CtlEU(F.TRUE, F.Symbol("HY"))
 
     def test_ctl_implication_and_nesting(self):
         res = frontend.parse_queries("ctl i: AG (Car => EF FG);")
         assert res.ok
         assert res.queries[0].formula == mc.CtlAG(
-            mc.CtlImplies(F.Atom(F.Symbol("Car")), mc.CtlEF(F.Atom(F.Symbol("FG"))))
+            mc.CtlImplies(F.Symbol("Car"), mc.CtlEF(F.Symbol("FG")))
         )
 
     def test_ctl_boolean_part_is_the_guard_grammar(self):

@@ -115,16 +115,16 @@ class TestOracleAgreement:
         if not produced:
             return
         for _ in range(6):
-            factors = [F.Atom(rng.choice(produced))]
+            factors = [rng.choice(produced)]
             if rng.random() < 0.5:
-                factors.append(F.Not(F.Atom(rng.choice(produced))))
+                factors.append(F.Not(rng.choice(produced)))
             if env and rng.random() < 0.6:
-                atom = F.Atom(rng.choice(env))
+                atom = rng.choice(env)
                 factors.append(F.Not(atom) if rng.random() < 0.4 else atom)
             antecedent = F.and_all(factors)
-            consequent = F.Atom(rng.choice(produced))
+            consequent = rng.choice(produced)
             if rng.random() < 0.4:
-                consequent = F.Or(consequent, F.Atom(rng.choice(produced)))
+                consequent = F.Or(consequent, rng.choice(produced))
             mode = "next" if rng.random() < 0.5 else "eventually"
             yield mc.Query("r", antecedent, mode, consequent)
 
@@ -217,7 +217,7 @@ class TestCtl:
             "system one { machine m { init s; state s { -> s when 1; } } }", "one.csm"
         ).system
         rg = reach.build_rg_explicit(system)
-        verdict = mc.check_ctl(rg, mc.CtlEF(F.Atom(F.Symbol("x"))))
+        verdict = mc.check_ctl(rg, mc.CtlEF(F.Symbol("x")))
         assert not verdict.holds
 
     def test_non_output_ctl_atom_warns_at_parse_time(self, tlc_system):
@@ -248,7 +248,7 @@ class TestCtl:
         if not produced:
             pytest.skip("no outputs to talk about")
         for sym in produced[:3]:
-            p = F.Atom(sym)
+            p = sym
             # the oracle's own loop for each operator against its dual
             pairs = [
                 (("AG", p), F.Not(mc.CtlEF(F.Not(p)))),
@@ -266,7 +266,7 @@ class TestCtl:
         produced = sorted(system.produced_symbols(), key=lambda s: s.name)
         if len(produced) < 2:
             pytest.skip("need two outputs")
-        p, r = F.Atom(produced[0]), F.Atom(produced[1])
+        p, r = produced[0], produced[1]
         # A[p U r] == not (E[~r U (~p * ~r)] + EG ~r), against the oracle's own loop
         rewritten = F.Not(
             F.Or(
@@ -310,7 +310,7 @@ def random_ctl(rng, symbols, depth=3):
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.1:
             return F.TRUE if rng.random() < 0.5 else F.FALSE
-        return F.Atom(rng.choice(symbols))
+        return rng.choice(symbols)
     op = rng.choice(CTL_UNARY + CTL_BINARY)
     arity = 1 if op in CTL_UNARY else 2
     return (op, *(random_ctl(rng, symbols, depth - 1) for _ in range(arity)))
@@ -328,14 +328,14 @@ def random_implication(rng, system):
     """A random query in any mode, over outputs and environment inputs."""
     produced = sorted(system.produced_symbols(), key=lambda s: s.name)
     env = sorted(model.env_alphabet(system), key=lambda s: s.name) + [F.Symbol("unused")]
-    factors = [F.Atom(rng.choice(produced))] if rng.random() < 0.8 else []
+    factors = [rng.choice(produced)] if rng.random() < 0.8 else []
     if rng.random() < 0.6:
-        atom = F.Atom(rng.choice(env))
+        atom = rng.choice(env)
         factors.append(F.Not(atom) if rng.random() < 0.4 else atom)
-    consequent = F.Atom(rng.choice(produced))
+    consequent = rng.choice(produced)
     if rng.random() < 0.4:
         consequent = F.Not(consequent) if rng.random() < 0.5 else F.Or(
-            consequent, F.Atom(rng.choice(produced)))
+            consequent, rng.choice(produced))
     mode = rng.choice(("next", "eventually", "eventually"))
     universal = mode == "next" or rng.random() < 0.5
     return mc.Query("r", F.and_all(factors), mode, consequent, universal)

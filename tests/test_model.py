@@ -27,8 +27,8 @@ class TestEnvAlphabet:
             [model.State("s0", frozenset({tick})), model.State("s1", frozenset())],
             "s0",
             [
-                model.Arc("s0", "s1", F.Atom(tick)),
-                model.Arc("s1", "s0", F.Not(F.Atom(tick))),
+                model.Arc("s0", "s1", tick),
+                model.Arc("s1", "s0", F.Not(tick)),
             ],
         )
         table.freeze()
@@ -96,8 +96,8 @@ class TestEnabledArcs:
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
             [
-                model.Arc("s", "t", F.Atom(sig)),
-                model.Arc("s", "s", F.Not(F.Atom(sig))),
+                model.Arc("s", "t", sig),
+                model.Arc("s", "s", F.Not(sig)),
             ],
         )
         enabled = model.enabled_arcs(machine, 0, frozenset())
@@ -177,7 +177,7 @@ class TestValidate:
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
-            [model.Arc("s", "t", F.Atom(a)), model.Arc("t", "t", F.TRUE)],
+            [model.Arc("s", "t", a), model.Arc("t", "t", F.TRUE)],
         )
         table.freeze()
         report = model.validate(model.System("sys", [machine], table))
@@ -193,8 +193,8 @@ class TestValidate:
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
             [
-                model.Arc("s", "t", F.Atom(a)),
-                model.Arc("s", "s", F.Or(F.Atom(b), F.Not(F.Atom(a)))),
+                model.Arc("s", "t", a),
+                model.Arc("s", "s", F.Or(b, F.Not(a))),
             ],
         )
         table.freeze()
@@ -213,13 +213,24 @@ class TestValidate:
         assert report.ok
         assert any(e.code == "shared-output" for e in report.warnings)
 
+    def test_shared_output_warnings_come_in_name_order(self):
+        table = F.SymbolTable()
+        outputs = frozenset(table.intern(n) for n in "xyzw")
+        mk = lambda name: model.Machine(
+            name, [model.State("s", outputs)], "s", [model.Arc("s", "s", F.TRUE)],
+        )
+        table.freeze()
+        report = model.validate(model.System("sys", [mk("m1"), mk("m2")], table))
+        shared = [e.message for e in report.warnings if e.code == "shared-output"]
+        assert shared == [f"symbol {n!r} is produced by machines 'm1' and 'm2'" for n in "wxyz"]
+
     def test_unregistered_guard_symbol_is_an_error(self):
         table = F.SymbolTable()
         table.intern("known")
         table.freeze()
         machine = model.Machine(
             "m", [model.State("s", frozenset())], "s",
-            [model.Arc("s", "s", F.Atom(F.Symbol("mystery")))],
+            [model.Arc("s", "s", F.Symbol("mystery"))],
         )
         report = model.validate(model.System("sys", [machine], table))
         assert any(e.code == "unregistered-symbol" for e in report.errors)
@@ -260,7 +271,7 @@ class TestStepSemantics:
             "m",
             [model.State("a", frozenset({go})), model.State("b", frozenset())],
             "a",
-            [model.Arc("a", "b", F.Atom(go)), model.Arc("b", "b", F.TRUE)],
+            [model.Arc("a", "b", go), model.Arc("b", "b", F.TRUE)],
         )
         table.freeze()
         system = model.System("sys", [machine], table)
@@ -273,7 +284,7 @@ class TestStepSemantics:
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
-            [model.Arc("s", "t", F.Atom(a))],
+            [model.Arc("s", "t", a)],
         )
         table.freeze()
         system = model.System("sys", [machine], table)

@@ -192,7 +192,7 @@ class TestCounting:
 
     def test_count_matches_enumeration(self, kernel):
         m = robdd.BddManager([s.name for s in VARS4])
-        expr = F.Or(F.And(F.Atom(VARS4[0]), F.Atom(VARS4[2])), F.Not(F.Atom(VARS4[3])))
+        expr = F.Or(F.And(VARS4[0], VARS4[2]), F.Not(VARS4[3]))
         expect = sum(truth_table(expr, VARS4))
         assert m.sat_count(m.from_expr(expr), 4) == expect
 
@@ -222,14 +222,14 @@ class TestFromExpr:
     def test_neither_a_nor_b(self, kernel):
         m = robdd.BddManager(["a", "b"])
         sa, sb = F.Symbol("a"), F.Symbol("b")
-        ref = m.from_expr(F.And(F.Not(F.Atom(sa)), F.Not(F.Atom(sb))))
+        ref = m.from_expr(F.And(F.Not(sa), F.Not(sb)))
         assert m.evaluate(ref, set())
         assert not m.evaluate(ref, {"a"})
 
     def test_unmapped_atom_rejected(self, kernel):
         m = robdd.BddManager(["a"])
         with pytest.raises(robdd.BddError):
-            m.from_expr(F.Atom(F.Symbol("zz")))
+            m.from_expr(F.Symbol("zz"))
 
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(expr=exprs([F.Symbol(f"u{i}") for i in range(6)]))
@@ -249,7 +249,7 @@ class TestChains:
         for order in (names, names[::-1]):
             m = robdd.BddManager(names)
             before = len(m._ite_cache)
-            chain = m.from_expr(op(*[F.Atom(F.Symbol(n)) for n in order]))
+            chain = m.from_expr(op(*[F.Symbol(n) for n in order]))
             assert len(m._ite_cache) - before <= bound
             if op is F.And:
                 assert chain == m.cube((n, True) for n in names)
@@ -261,7 +261,7 @@ class TestChains:
         a, b, c = (m.mk_var(n) for n in "abc")
         left = m.or_(m.or_(a, c), b)
         steps, nodes = len(m._ite_cache), len(m)
-        assert m.from_expr(F.Or(*[F.Atom(F.Symbol(n)) for n in "acb"])) == left
+        assert m.from_expr(F.Or(*[F.Symbol(n) for n in "acb"])) == left
         assert (len(m._ite_cache), len(m)) == (steps, nodes)
 
 

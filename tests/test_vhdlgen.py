@@ -84,7 +84,7 @@ class TestFragments:
         assert "(not ((Car='1') and (TimTL='1')))" in tlc_vhdl
 
     def test_chains_print_left_nested_pairs(self):
-        x, y, z = (F.Atom(F.Symbol(n)) for n in "xyz")
+        x, y, z = (F.Symbol(n) for n in "xyz")
         flat, nested = F.And(F.And(x, y), z), F.And(x, F.And(y, z))
         assert vhdlgen._condition(flat) == "(((x='1') and (y='1')) and (z='1'))"
         assert vhdlgen._condition(nested) == "((x='1') and ((y='1') and (z='1')))"
@@ -186,7 +186,7 @@ class TestAudit:
 
     def test_audit_compiles_no_pattern_per_name(self, monkeypatch):
         table = F.SymbolTable()
-        go = F.Atom(table.intern("go"))
+        go = table.intern("go")
         n = 300
         states = [model.State(f"s{j}", frozenset()) for j in range(n)]
         arcs = [model.Arc(f"s{j}", f"s{(j + 1) % n}", go) for j in range(n)]
@@ -346,7 +346,7 @@ class TestOverlapHandling:
         a = table.intern("a")
         states = [model.State("s0", frozenset()), model.State("s1", frozenset({table.intern("x")}))]
         arcs = [
-            model.Arc("s0", "s1", F.Atom(a)),
+            model.Arc("s0", "s1", a),
             model.Arc("s0", "s0", F.TRUE),
             model.Arc("s1", "s0", F.TRUE),
         ]
