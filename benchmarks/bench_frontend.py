@@ -12,11 +12,15 @@ For each model the script times, separately:
 The families are the benchmark's own (``perfbench/families.py``): a cycle of
 n states, a ring of n machines, n toggles and one guard over k inputs, each
 at four sizes.  Each size checks that the parsed system has the family's
-machines and states.  Each time is the best of ``--repeat`` runs, and the
-reference loop of ``perfbench/run.py`` is timed just before and just after
-them: the scaled time reads as seconds on a machine that runs that loop in
-``REF_S``, as ``perfbench/run.py`` does.  Per family and layer, the growth
-exponent is the least-squares slope of log(time) against log(tokens).
+machines and states.  A round times every layer of every model once, as
+the best of ``--repeat`` runs, with the reference loop of
+``perfbench/run.py`` timed just before and just after them: the scaled time
+reads as seconds on a machine that runs that loop in ``REF_S``, as
+``perfbench/run.py`` does.  Each time reported is the median over
+``ROUNDS`` such rounds, run one after another, so that a drift of the
+machine's speed reaches every model alike, as the median over passes does
+in ``perfbench/run.py``.  Per family and layer, the growth exponent is the
+least-squares slope of log(time) against log(tokens).
 
 Run:  python benchmarks/bench_frontend.py [--repeat N] [--smoke] [--record LABEL]
 
@@ -31,6 +35,7 @@ import argparse
 import json
 import math
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -51,6 +56,7 @@ FAMILIES = {
     "kguard": [16, 32, 64, 128],
 }
 LAYERS = ("lex", "parse", "validate")
+ROUNDS = 7
 
 
 def best_scaled(fn, repeat: int) -> float:
@@ -106,16 +112,21 @@ def main() -> int:
     args = parser.parse_args()
 
     namer = families.Namer(0)
-    rows = []
+    cases = []  # the arguments of measure, but for the repeat
     for name in ("tlc.csm", "tlc_car.csm"):
         text = assets.text(name)
         shape = [len(m.states) for m in frontend.parse_system(text, name).system.machines]
-        rows.append(measure(name[:-4], "bundled", None, text, shape, args.repeat))
+        cases.append((name[:-4], "bundled", None, text, shape))
     for family, sizes in FAMILIES.items():
         for size in sizes[:2] if args.smoke else sizes:
             spec = getattr(families, family)(namer, size)
-            rows.append(measure(spec.key, family, size, spec.text, spec.machine_states,
-                                args.repeat))
+            cases.append((spec.key, family, size, spec.text, spec.machine_states))
+    rounds = [[measure(*case, args.repeat) for case in cases] for _ in range(ROUNDS)]
+    rows = [
+        {**row, **{f"{layer}_s": statistics.median(r[i][f"{layer}_s"] for r in rounds)
+                   for layer in LAYERS}}
+        for i, row in enumerate(rounds[0])
+    ]
 
     header = f"{'model':<12} {'bytes':>7} {'tokens':>7}" + "".join(
         f" {layer + ' ms':>12}" for layer in LAYERS)
@@ -135,13 +146,16 @@ def main() -> int:
 
     if args.record:
         document = json.loads(RECORD.read_text(encoding="utf-8")) if RECORD.exists() else {}
-        document["times"] = ("best of `repeat` runs, in seconds on a machine that runs the "
-                             "reference loop of perfbench/run.py in `ref_s`")
+        document["times"] = ("median over `rounds` interleaved rounds (one round where a "
+                             "column has no `rounds`) of the best of `repeat` runs, in "
+                             "seconds on a machine that runs the reference loop of "
+                             "perfbench/run.py in `ref_s`")
         document["ref_s"] = REF_S
         document.setdefault("columns", {})[args.record] = {
             "python": platform.python_version(),
             "backend": robdd.BACKEND,
             "repeat": args.repeat,
+            "rounds": ROUNDS,
             "exponents": exponents,
             "models": rows,
         }

@@ -14,7 +14,7 @@ from cosma import reach
 from cosma import mc
 from cosma import vhdlgen
 
-from cosma.formula import BoolExpr, Symbol, SymbolTable
+from cosma.formula import BoolExpr, Symbol
 from cosma.frontend import parse_queries, parse_system
 from cosma.mc import CtlQuery, Query, Verdict, check_ctl, check_query, check_suite
 from cosma.model import Arc, Machine, State, System, env_alphabet, output_valuation, validate
@@ -36,7 +36,6 @@ __all__ = [
     "ReachGraph",
     "State",
     "Symbol",
-    "SymbolTable",
     "System",
     "Verdict",
     "build_rg_explicit",

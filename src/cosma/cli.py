@@ -70,12 +70,30 @@ def _write(path, text: str) -> bool:
     return True
 
 
-def _load_system(path: str) -> frontend.ParseResult:
-    """Parse and validate a model file; the result's system is None on error."""
+def _read(path: str) -> str | None:
+    """The text of a UTF-8 file with universal newlines, as ``Path.read_text``
+    gives it; on failure report it and return None."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         _input_error(f"cannot read {path}: {exc}")
+        return None
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        # what precedes the first bad byte decodes, and lines count as the parser counts them
+        before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        column = len(before) - before.rfind("\n")
+        span = frontend.SourceSpan(path, before.count("\n") + 1, column, 1)
+        message = f"byte 0x{data[exc.start]:02x} is not UTF-8"
+        _print_diagnostics([frontend.ParseDiagnostic("error", message, span)])
+        return None
+
+
+def _load_system(path: str) -> frontend.ParseResult:
+    """Parse and validate a model file; the result's system is None on error."""
+    text = _read(path)
+    if text is None:
         return frontend.ParseResult(None)
     return frontend.parse_system(text, filename=path)
 
@@ -158,16 +176,13 @@ def cmd_rg(args) -> int:
 def cmd_check(args) -> int:
     loaded = _load_system(args.model)
     system, diagnostics = loaded.system, loaded.diagnostics
-    if system is None:
-        _print_diagnostics(diagnostics, errors_only=True)
-        return EXIT_INPUT_ERROR
-    try:
-        qtext = Path(args.queries).read_text(encoding="utf-8")
-    except OSError as exc:
-        _print_diagnostics(diagnostics, errors_only=True)
-        return _input_error(f"cannot read {args.queries}: {exc}")
-    qresult = frontend.parse_queries(qtext, system=system, filename=args.queries)
     _print_diagnostics(diagnostics, errors_only=True)
+    if system is None:
+        return EXIT_INPUT_ERROR
+    qtext = _read(args.queries)
+    if qtext is None:
+        return EXIT_INPUT_ERROR
+    qresult = frontend.parse_queries(qtext, system=system, filename=args.queries)
     _print_diagnostics(qresult.diagnostics)
     if not qresult.ok:
         return EXIT_INPUT_ERROR

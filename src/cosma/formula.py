@@ -4,8 +4,10 @@ Machine arcs are labelled with formulas over named signals rather than
 letters from an input alphabet.  A signal is a :class:`Symbol`, which is
 its name as a string and also a formula's leaf: it is true in a step
 exactly when it occurs in the step's valuation, and a valuation is simply
-the set of symbols currently present.  The constant ``1`` (always true)
-labels spontaneous transitions; ``0`` never fires.
+the set of symbols currently present.  Equal names are equal symbols, so
+no table keeps them: the alphabet of a system is whatever its machines
+mention.  The constant ``1`` (always true) labels spontaneous
+transitions; ``0`` never fires.
 
 Formulas are plain immutable trees: what the parsers build and what VHDL,
 lint messages and printed queries show.  ``And`` and ``Or`` are n-ary: a
@@ -35,7 +37,6 @@ __all__ = [
     "Not",
     "Or",
     "Symbol",
-    "SymbolTable",
     "TRUE",
     "and_all",
     "atoms",
@@ -74,39 +75,6 @@ class Symbol(str, BoolExpr):
     @property
     def name(self) -> str:
         return self
-
-
-class SymbolTable:
-    """Interning table: each distinct name gets exactly one ``Symbol``.
-
-    The table is frozen once a system is fully parsed; interning an unknown
-    name afterwards is an error.  Iteration follows first interning.
-    """
-
-    def __init__(self):
-        self._symbols: dict[str, Symbol] = {}
-        self._frozen = False
-
-    def intern(self, name: str) -> Symbol:
-        sym = self._symbols.get(name)
-        if sym is not None:
-            return sym
-        if self._frozen:
-            raise FormulaError(f"symbol table is frozen; unknown symbol {name!r}")
-        sym = self._symbols[name] = Symbol(name)
-        return sym
-
-    def freeze(self):
-        self._frozen = True
-
-    def __contains__(self, item: str) -> bool:
-        return item in self._symbols
-
-    def __iter__(self) -> Iterator[Symbol]:
-        return iter(self._symbols.values())
-
-    def __len__(self) -> int:
-        return len(self._symbols)
 
 
 @dataclass(frozen=True)

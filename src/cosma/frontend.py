@@ -222,16 +222,19 @@ class _Parser:
     """The token texts of one input and the index ``pos`` of the current one.
 
     ``pos`` stops at the last text, "", because the parser takes no text
-    that it has not compared with a word or a name first.
+    that it has not compared with a word or a name first.  ``symbols`` maps
+    each name already read as a symbol to its symbol, so a repeated name is
+    one dict lookup rather than one more validation.
     """
 
-    __slots__ = ("words", "pos", "depth", "locate")
+    __slots__ = ("words", "pos", "depth", "locate", "symbols")
 
     def __init__(self, words: list[str], locate: Callable[[int], SourceSpan]):
         self.words = words
         self.pos = 0
         self.depth = 0
         self.locate = locate
+        self.symbols: dict[str, F.Symbol] = {}
 
     def error(self, message: str, index: int | None = None) -> ParseError:
         """An input error at the token ``index``, by default the current one."""
@@ -274,38 +277,42 @@ class _Parser:
 
 
 # -- formulas ------------------------------------------------------------------
-# One grammar serves guards, implication queries and CTL.  ``make`` turns an
-# atom's name into its symbol, ``reserved`` holds the words that cannot be
-# atoms (where "not" is one of them, it negates), and ``ctl`` adds the
-# temporal forms and "=>".
+# One grammar serves guards, implication queries and CTL.  ``reserved`` holds
+# the words that cannot be symbols (where "not" is one of them, it negates),
+# and ``ctl`` adds the temporal forms and "=>".
 
 
-def _symbol(make, p: _Parser, index: int) -> F.Symbol:
-    """``make`` of the text at ``index``; a word that is no valid symbol name is an input error."""
-    try:
-        return make(p.words[index])
-    except F.FormulaError as exc:
-        raise p.error(str(exc), index) from None
+def _symbol(p: _Parser, index: int) -> F.Symbol:
+    """The symbol named by the text at ``index``; a word that is no valid
+    symbol name is an input error."""
+    word = p.words[index]
+    sym = p.symbols.get(word)
+    if sym is None:
+        try:
+            sym = p.symbols[word] = F.Symbol(word)
+        except F.FormulaError as exc:
+            raise p.error(str(exc), index) from None
+    return sym
 
 
-def _parse_implies(p, make, reserved, ctl):
-    left = _parse_or(p, make, reserved, ctl)
+def _parse_implies(p, reserved, ctl):
+    left = _parse_or(p, reserved, ctl)
     if ctl and p.accept("=>"):
-        return mc.CtlImplies(left, p.nested(_parse_implies, make, reserved, ctl))
+        return mc.CtlImplies(left, p.nested(_parse_implies, reserved, ctl))
     return left
 
 
-def _parse_or(p, make, reserved, ctl):
-    operands = [_parse_and(p, make, reserved, ctl)]
+def _parse_or(p, reserved, ctl):
+    operands = [_parse_and(p, reserved, ctl)]
     while p.accept("+"):
-        operands.append(_parse_and(p, make, reserved, ctl))
+        operands.append(_parse_and(p, reserved, ctl))
     return F.Or(*operands) if len(operands) > 1 else operands[0]
 
 
-def _parse_and(p, make, reserved, ctl):
-    operands = [_parse_unary(p, make, reserved, ctl)]
+def _parse_and(p, reserved, ctl):
+    operands = [_parse_unary(p, reserved, ctl)]
     while p.accept("*"):
-        operands.append(_parse_unary(p, make, reserved, ctl))
+        operands.append(_parse_unary(p, reserved, ctl))
     return F.And(*operands) if len(operands) > 1 else operands[0]
 
 
@@ -313,15 +320,15 @@ _TEMPORAL = {"AX": mc.CtlAX, "EX": mc.CtlEX, "AF": mc.CtlAF,
              "EF": mc.CtlEF, "AG": mc.CtlAG, "EG": mc.CtlEG}
 
 
-def _parse_unary(p, make, reserved, ctl):
+def _parse_unary(p, reserved, ctl):
     index = p.pos
     word = p.words[index]
     if word == "!" or word == "~" or (word == "not" and "not" in reserved):
         p.pos = index + 1
-        return F.Not(p.nested(_parse_unary, make, reserved, ctl))
+        return F.Not(p.nested(_parse_unary, reserved, ctl))
     if word == "(":
         p.pos = index + 1
-        expr = p.nested(_parse_implies, make, reserved, ctl)
+        expr = p.nested(_parse_implies, reserved, ctl)
         p.expect(")")
         return expr
     if word == "1" or word == "0":
@@ -329,20 +336,20 @@ def _parse_unary(p, make, reserved, ctl):
         return F.TRUE if word == "1" else F.FALSE
     if ctl and word in _TEMPORAL:
         p.pos = index + 1
-        return _TEMPORAL[word](p.nested(_parse_unary, make, reserved, ctl))
+        return _TEMPORAL[word](p.nested(_parse_unary, reserved, ctl))
     if ctl and (word == "A" or word == "E") and p.words[index + 1] == "[":
         p.pos = index + 2
-        left = p.nested(_parse_implies, make, reserved, ctl)
+        left = p.nested(_parse_implies, reserved, ctl)
         if not p.accept("U"):
             raise p.error("expected 'U' in the until form")
-        right = p.nested(_parse_implies, make, reserved, ctl)
+        right = p.nested(_parse_implies, reserved, ctl)
         p.expect("]")
         return (mc.CtlAU if word == "A" else mc.CtlEU)(left, right)
     if word not in _NOT_NAMES:
         if word in reserved:
             raise p.error(f"keyword {word!r} cannot be a symbol")
         p.pos = index + 1
-        return _symbol(make, p, index)
+        return _symbol(p, index)
     raise p.error(f"expected {'a CTL formula' if ctl else 'a formula'}, found {p.found()}")
 
 
@@ -365,20 +372,18 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     try:
         words, locate = _lex(text, filename, glyphs=False)
         p = _Parser(words, locate)
-        table = F.SymbolTable()
         reserved = _SYSTEM_KEYWORDS
         p.expect("system")
         name_at = p.name("a system name", reserved)
         p.expect("{")
         machines: list[model.Machine] = []
         while not p.accept("}"):
-            machines.append(_parse_machine(p, table, spans, reserved))
+            machines.append(_parse_machine(p, spans, reserved))
         if words[p.pos]:
             raise p.error(f"unexpected {words[p.pos]!r} after the system")
         if not machines:
             raise p.error("a system needs at least one machine", name_at)
-        table.freeze()
-        system = model.System(words[name_at], machines, table)
+        system = model.System(words[name_at], machines)
     except ParseError as exc:
         diagnostics.append(ParseDiagnostic("error", exc.message, exc.span))
         return ParseResult(None, diagnostics)
@@ -394,7 +399,7 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     return ParseResult(system, diagnostics, report)
 
 
-def _parse_machine(p, table, spans, reserved) -> model.Machine:
+def _parse_machine(p, spans, reserved) -> model.Machine:
     words = p.words
     p.expect("machine")
     name_at = p.name("a machine name", reserved)
@@ -409,13 +414,13 @@ def _parse_machine(p, table, spans, reserved) -> model.Machine:
     while not p.accept("}"):
         if words[p.pos] != "state":
             raise p.error("expected 'state' or '}'")
-        _parse_state(p, table, spans, reserved, name, states, arcs)
+        _parse_state(p, spans, reserved, name, states, arcs)
     if not states:
         raise p.error(f"machine {name!r} has no states", name_at)
     return model.Machine(name, states, initial, arcs)
 
 
-def _parse_state(p, table, spans, reserved, machine_name, states, arcs):
+def _parse_state(p, spans, reserved, machine_name, states, arcs):
     words = p.words
     p.expect("state")
     name_at = p.name("a state name", reserved)
@@ -424,14 +429,14 @@ def _parse_state(p, table, spans, reserved, machine_name, states, arcs):
     p.expect("{")
     outputs: list[F.Symbol] = []
     if p.accept("out"):
-        outputs.append(_symbol(table.intern, p, p.name("an output symbol", reserved)))
+        outputs.append(_symbol(p, p.name("an output symbol", reserved)))
         while p.accept(","):
-            outputs.append(_symbol(table.intern, p, p.name("an output symbol", reserved)))
+            outputs.append(_symbol(p, p.name("an output symbol", reserved)))
         p.expect(";")
     while p.accept("->"):
         dst = words[p.name("a target state name", reserved)]
         p.expect("when")
-        guard = _parse_or(p, table.intern, reserved, False)
+        guard = _parse_or(p, reserved, False)
         p.expect(";")
         arcs.append(model.Arc(name, dst, guard))
     p.expect("}")
@@ -476,11 +481,11 @@ def parse_queries(
 
     if system is not None:
         produced = system.produced_symbols()
+        mentioned = produced | system.guard_symbols()
         for entry, start in zip(result.queries, starts):
             if isinstance(entry, mc.Query):
                 used = F.atoms(entry.antecedent) | F.atoms(entry.consequent)
-                unknown = sorted(s for s in used if s not in system.symbols)
-                for name in unknown:
+                for name in sorted(used - mentioned):
                     result.diagnostics.append(
                         ParseDiagnostic(
                             "warning",
@@ -514,7 +519,7 @@ def _parse_always_query(p: _Parser, reserved) -> mc.Query:
     p.expect(":")
     p.expect("always")
     p.expect("(")
-    antecedent = _parse_or(p, F.Symbol, reserved, False)
+    antecedent = _parse_or(p, reserved, False)
     p.expect("=>")
     # the mode keyword may sit inside its own parentheses: "=> (next HY)"
     wrapped = words[p.pos] == "(" and words[p.pos + 1] in ("next", "eventually", "exists")
@@ -529,7 +534,7 @@ def _parse_always_query(p: _Parser, reserved) -> mc.Query:
         raise p.error("expected 'next' or 'eventually' after '=>'")
     if not universal and mode != "eventually":
         raise p.error("'exists' applies to 'eventually' only")
-    consequent = _parse_or(p, F.Symbol, reserved, False)
+    consequent = _parse_or(p, reserved, False)
     if wrapped:
         p.expect(")")
     p.expect(")")
@@ -541,7 +546,7 @@ def _parse_ctl_query(p: _Parser, reserved) -> mc.CtlQuery:
     p.expect("ctl")
     name = p.words[p.name("a requirement name", reserved)]
     p.expect(":")
-    formula_ = _parse_implies(p, F.Symbol, reserved, True)
+    formula_ = _parse_implies(p, reserved, True)
     p.expect(";")
     return mc.CtlQuery(name, formula_)
 

@@ -2,8 +2,9 @@
 
 A machine is a Moore-style automaton: each state carries the set of symbols
 it emits while current, and each arc carries a guard formula.  A system is
-an ordered list of machines sharing one symbol table; the machine order
-fixes the positions of the global-state vector.
+an ordered list of machines, and its symbols are the ones they emit and
+their guards read; the machine order fixes the positions of the
+global-state vector.
 
 Step semantics: all machines move synchronously.  In one global step every
 machine picks one arc enabled under the common valuation (the union of all
@@ -20,6 +21,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import AbstractSet, Sequence
+
+from cosma import formula as F
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,11 @@ class Machine:
 
 
 class System:
-    """A named, ordered collection of machines over one symbol table."""
+    """A named, ordered collection of machines over the symbols they mention."""
 
-    def __init__(self, name: str, machines: Sequence[Machine], symbols):
+    def __init__(self, name: str, machines: Sequence[Machine]):
         self.name = name
         self.machines = tuple(machines)
-        self.symbols = symbols
 
     def initial_state(self) -> GlobalState:
         return tuple(m.initial_index for m in self.machines)
@@ -105,16 +107,35 @@ class System:
         return self._guard_symbols
 
     # machines, states and arcs are tuples that nothing reassigns, so each
-    # set is computed once per system
+    # of these is computed once per system
+    @functools.cached_property
+    def symbols(self) -> tuple:
+        """Every symbol the machines mention: first those their guards read,
+        by first mention (machine by machine, arc by arc, left to right),
+        then the other outputs by name."""
+        return self._guards_read + tuple(sorted(self._produced_symbols - self._guard_symbols))
+
     @functools.cached_property
     def _produced_symbols(self) -> frozenset:
         return frozenset().union(*(s.outputs for m in self.machines for s in m.states))
 
     @functools.cached_property
     def _guard_symbols(self) -> frozenset:
-        from cosma.formula import atoms
+        return frozenset(self._guards_read)
 
-        return frozenset().union(*(atoms(arc.guard) for m in self.machines for arc in m.arcs))
+    @functools.cached_property
+    def _guards_read(self) -> tuple:
+        first = {}  # a key keeps the place of its first insertion
+        stack = [arc.guard for m in reversed(self.machines) for arc in reversed(m.arcs)]
+        while stack:
+            e = stack.pop()
+            if isinstance(e, F.Symbol):
+                first[e] = None
+            elif isinstance(e, F.Not):
+                stack.append(e.operand)
+            elif isinstance(e, (F.And, F.Or)):
+                stack.extend(reversed(e.operands))
+        return tuple(first)
 
     def __repr__(self):
         return f"System({self.name!r}, {len(self.machines)} machines)"
@@ -130,10 +151,10 @@ def env_alphabet(system: System) -> frozenset:
 
 
 def declaration_order(system: System, symbols) -> list:
-    """The given symbols in symbol-table (declaration) order.
+    """The given symbols in the order of ``system.symbols``.
 
-    Symbols outside the table, which can only come from requirement files,
-    follow at the end sorted by name.
+    Symbols the system does not mention, which can only come from
+    requirement files, follow at the end sorted by name.
     """
     wanted = frozenset(symbols)
     ordered = [s for s in system.symbols if s in wanted]
@@ -154,9 +175,7 @@ def enabled_arcs(machine: Machine, state_idx: int, valuation: AbstractSet) -> li
     Declaration order is kept; when several arcs are enabled the step
     semantics picks one of them nondeterministically.
     """
-    from cosma.formula import evaluate
-
-    return [arc for arc in machine.arcs_from(state_idx) if evaluate(arc.guard, valuation)]
+    return [arc for arc in machine.arcs_from(state_idx) if F.evaluate(arc.guard, valuation)]
 
 
 def step_successors(system: System, gstate: GlobalState, env_true: AbstractSet) -> list[GlobalState]:
@@ -220,8 +239,6 @@ def validate(system: System) -> LintReport:
     may be forced to stay via the implicit self-loop), and overlapping
     guards (nondeterminism, often intended).
     """
-    from cosma import formula
-
     report = LintReport()
 
     seen_machines = set()
@@ -276,21 +293,13 @@ def validate(system: System) -> LintReport:
                         state=endpoint,
                     )
 
-    for sym in sorted(system.guard_symbols() | system.produced_symbols()):
-        if sym not in system.symbols:
-            report.add(
-                "error",
-                "unregistered-symbol",
-                f"symbol {sym!r} is not in the system symbol table",
-            )
-
     # guard coverage and overlap need satisfiability; skip when the
     # structure is already broken
     if report.errors:
         _env_notes(system, report)
         return report
 
-    ctx = formula.GuardContext(declaration_order(system, system.guard_symbols()))
+    ctx = F.GuardContext(declaration_order(system, system.guard_symbols()))
     for machine in system.machines:
         for idx, state in enumerate(machine.states):
             arcs = machine.arcs_from(idx)
@@ -320,7 +329,7 @@ def validate(system: System) -> LintReport:
                         "warning",
                         "overlap",
                         f"machine {machine.name!r}, state {state.name!r}: guards "
-                        f"{formula.to_text(a.guard)!r} and {formula.to_text(b.guard)!r} overlap "
+                        f"{F.to_text(a.guard)!r} and {F.to_text(b.guard)!r} overlap "
                         "(nondeterministic choice)",
                         machine=machine.name,
                         state=state.name,

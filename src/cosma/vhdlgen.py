@@ -239,7 +239,9 @@ def generate(
                     bit = "1" if sym in dst_outputs else "0"
                     emit(f"{pad}new{sym} := '{bit}';")
 
-            if len(arcs) == 1 and arcs[0].guard == F.TRUE:
+            if not arcs:
+                assigns(idx, "          ")
+            elif len(arcs) == 1 and arcs[0].guard == F.TRUE:
                 assigns(machine.state_index(arcs[0].dst), "          ")
             else:
                 for pos, arc in enumerate(arcs):

@@ -23,8 +23,7 @@ def random_guard(rng: random.Random, pool, depth=2) -> F.BoolExpr:
 
 def random_system(rng: random.Random, max_machines=3, max_states=4, max_env=3) -> model.System:
     """A valid system with small guards over environment and output symbols."""
-    table = F.SymbolTable()
-    env_pool = [table.intern(f"e{i}") for i in range(rng.randint(1, max_env))]
+    env_pool = [F.Symbol(f"e{i}") for i in range(rng.randint(1, max_env))]
 
     shapes = []
     produced = []
@@ -33,7 +32,7 @@ def random_system(rng: random.Random, max_machines=3, max_states=4, max_env=3) -
         outs = []
         for j in range(n_states):
             if rng.random() < 0.5:
-                sym = table.intern(f"o{i}_{j}")
+                sym = F.Symbol(f"o{i}_{j}")
                 produced.append(sym)
                 outs.append(sym)
             else:
@@ -54,8 +53,7 @@ def random_system(rng: random.Random, max_machines=3, max_states=4, max_env=3) -
                 arcs.append(model.Arc(f"m{i}s{j}", f"m{i}s{dst}", random_guard(rng, pool)))
         machines.append(model.Machine(f"m{i}", states, "m" + str(i) + "s0", arcs))
 
-    table.freeze()
-    system = model.System(f"rand{rng.randint(0, 10**6)}", machines, table)
+    system = model.System(f"rand{rng.randint(0, 10**6)}", machines)
     report = model.validate(system)
     assert report.ok, [e.message for e in report.errors]
     return system

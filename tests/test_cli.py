@@ -374,6 +374,29 @@ def test_non_ascii_symbol_names_are_input_errors(tmp_path, workdir, capsys):
         assert re.search(r"broken\.tq:1:\d+: error: invalid symbol name 'é'", err), err
 
 
+class TestNotUtf8:
+    def test_model_file(self, tmp_path, workdir, capsys):
+        bad = tmp_path / "bad.csm"
+        bad.write_bytes(
+            b"system s {\r\n  machine M { init a;\r state a { out \xc3\xa9\xff; } }\n}\n"
+        )
+        for argv in (["lint"], ["rg"], ["check", "--queries", str(workdir / "tlc_queries.tq")],
+                     ["vhdl"]):
+            code, out, err = run(capsys, [argv[0], str(bad), *argv[1:]])
+            assert code == 2, (argv, err)
+            # lines break as the parser breaks them, columns count characters
+            assert err == f"{bad}:3:17: error: byte 0xff is not UTF-8\n"
+            assert out == ""
+
+    def test_query_file(self, tmp_path, workdir, capsys):
+        bad = tmp_path / "bad.tq"
+        bad.write_bytes(b"q: always (HG => next HY);\n\xfe\n")
+        code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(bad)])
+        assert code == 2
+        assert err == f"{bad}:2:1: error: byte 0xfe is not UTF-8\n"
+        assert out == ""
+
+
 class TestCheck:
     def test_bundled_suite_passes(self, workdir, capsys):
         code, out, err = run(
@@ -574,6 +597,15 @@ class TestVhdl:
             system = frontend.parse_system(path.read_text(), str(path)).system
             opts = vhdlgen.CodegenOptions(state_encoding=encoding)
             assert out == vhdlgen.generate(system, opts)
+
+    def test_a_state_without_arcs_stays_put(self, tmp_path, capsys):
+        path = tmp_path / "still.csm"
+        path.write_text("system s { machine M { init a; state a { } } }\n")
+        code, out, err = run(capsys, ["vhdl", str(path)])
+        assert code == 0 and err == "", err
+        system = frontend.parse_system(path.read_text(), str(path)).system
+        assert vhdlgen.structural_audit(out, system).ok
+        assert '        when "0" => -- a\n          newstate := "0";\n      end case;' in out
 
     def test_illegal_output_name_gets_a_suggestion(self, tmp_path, capsys):
         path = tmp_path / "ux.csm"

@@ -30,7 +30,7 @@ def parse_guard(text):
     words, locate = frontend._lex(text, "<guard>", glyphs=False)
     assert words == charwise_words(text, "<guard>", glyphs=False)[0], text
     p = frontend._Parser(words, locate)
-    expr = frontend._parse_or(p, F.Symbol, frontend._SYSTEM_KEYWORDS, False)
+    expr = frontend._parse_or(p, frontend._SYSTEM_KEYWORDS, False)
     assert p.words[p.pos] == "", text
     return expr
 
@@ -239,20 +239,6 @@ class TestChains:
 
 
 class TestSymbols:
-    def test_interning_is_stable(self):
-        table = F.SymbolTable()
-        first = table.intern("Car")
-        second = table.intern("Car")
-        assert first is second
-
-    def test_frozen_table_rejects_new_names(self):
-        table = F.SymbolTable()
-        table.intern("x")
-        table.freeze()
-        assert table.intern("x").name == "x"
-        with pytest.raises(F.FormulaError):
-            table.intern("y")
-
     def test_bad_names_rejected(self):
         with pytest.raises(F.FormulaError):
             F.Symbol("2fast")

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from cosma import assets, frontend, model
 from cosma import formula as F
-from cosma import model
 from gensys import random_system
 from oracles import all_valuations
 
@@ -20,8 +20,7 @@ class TestEnvAlphabet:
         assert names(model.env_alphabet(tlc_car_system)) == ["go", "tauTL", "tauTS"]
 
     def test_fully_self_fed_system_has_empty_environment(self):
-        table = F.SymbolTable()
-        tick = table.intern("tick")
+        tick = F.Symbol("tick")
         machine = model.Machine(
             "m",
             [model.State("s0", frozenset({tick})), model.State("s1", frozenset())],
@@ -31,8 +30,7 @@ class TestEnvAlphabet:
                 model.Arc("s1", "s0", F.Not(tick)),
             ],
         )
-        table.freeze()
-        system = model.System("loop", [machine], table)
+        system = model.System("loop", [machine])
         assert model.env_alphabet(system) == frozenset()
 
     def test_disjoint_from_outputs_by_construction(self):
@@ -40,6 +38,30 @@ class TestEnvAlphabet:
         for _ in range(10):
             system = random_system(rng)
             assert not (model.env_alphabet(system) & system.produced_symbols())
+
+
+class TestSymbolOrder:
+    def test_guard_symbols_by_first_mention_then_outputs_by_name(self):
+        a, b, c, z = (F.Symbol(n) for n in "abcz")
+        machine = model.Machine(
+            "m",
+            [model.State("s", frozenset({z, c})), model.State("t", frozenset())],
+            "s",
+            [model.Arc("s", "t", F.And(b, F.Not(a))), model.Arc("t", "s", F.Or(a, z))],
+        )
+        system = model.System("sys", [machine])
+        assert system.symbols == ("b", "a", "z", "c")
+        assert model.declaration_order(system, model.env_alphabet(system)) == ["b", "a"]
+
+    @pytest.mark.parametrize("name", ["tlc.csm", "tlc_car.csm"])
+    def test_environment_follows_the_source_text(self, name):
+        text = assets.text(name)
+        system = frontend.parse_system(text, name).system
+        env = model.env_alphabet(system)
+        words = frontend._lex(text, name, glyphs=False)[0]
+        first_seen = list(dict.fromkeys(w for w in words if w in env))
+        assert model.declaration_order(system, env) == first_seen
+        assert len(first_seen) == len(env) == 3
 
 
 class TestOutputValuation:
@@ -64,13 +86,11 @@ class TestOutputValuation:
         ]
 
     def test_silent_state_alone(self):
-        table = F.SymbolTable()
         machine = model.Machine(
             "m", [model.State("quiet", frozenset())], "quiet",
             [model.Arc("quiet", "quiet", F.TRUE)],
         )
-        table.freeze()
-        system = model.System("s", [machine], table)
+        system = model.System("s", [machine])
         assert model.output_valuation(system, (0,)) == frozenset()
 
 
@@ -89,8 +109,7 @@ class TestEnabledArcs:
         assert [a.dst for a in enabled] == ["TLidle"]
 
     def test_complementary_guards(self):
-        table = F.SymbolTable()
-        sig = table.intern("a")
+        sig = F.Symbol("a")
         machine = model.Machine(
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
@@ -126,43 +145,35 @@ class TestValidate:
         assert {e.code for e in report.warnings} == {"env-symbol"}
 
     def test_missing_initial_state(self):
-        table = F.SymbolTable()
         machine = model.Machine(
             "m", [model.State("s", frozenset())], "nope",
             [model.Arc("s", "s", F.TRUE)],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [machine], table))
+        report = model.validate(model.System("sys", [machine]))
         assert len(report.errors) == 1
         assert report.errors[0].code == "bad-initial"
 
     def test_dangling_arc_target(self):
-        table = F.SymbolTable()
         machine = model.Machine(
             "m", [model.State("s", frozenset())], "s",
             [model.Arc("s", "ghost", F.TRUE)],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [machine], table))
+        report = model.validate(model.System("sys", [machine]))
         assert [e.code for e in report.errors] == ["bad-arc"]
 
     def test_duplicate_state_names(self):
-        table = F.SymbolTable()
         machine = model.Machine(
             "m",
             [model.State("s", frozenset()), model.State("s", frozenset())],
             "s",
             [model.Arc("s", "s", F.TRUE)],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [machine], table))
+        report = model.validate(model.System("sys", [machine]))
         assert any(e.code == "duplicate-state" for e in report.errors)
 
     def test_empty_machine(self):
         # the parser rejects a machine without states, so only the API builds one
-        table = F.SymbolTable()
-        table.freeze()
-        report = model.validate(model.System("sys", [model.Machine("m", [], "s", [])], table))
+        report = model.validate(model.System("sys", [model.Machine("m", [], "s", [])]))
         assert [(e.code, e.machine) for e in report.errors] == [("empty-machine", "m")]
 
     def test_full_coverage_has_no_gap_warning(self, tlc_system):
@@ -171,23 +182,20 @@ class TestValidate:
         assert not any(e.code == "coverage-gap" for e in report.entries)
 
     def test_gap_warning_when_guards_do_not_cover(self):
-        table = F.SymbolTable()
-        a = table.intern("a")
+        a = F.Symbol("a")
         machine = model.Machine(
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
             [model.Arc("s", "t", a), model.Arc("t", "t", F.TRUE)],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [machine], table))
+        report = model.validate(model.System("sys", [machine]))
         assert report.ok
         gaps = [e for e in report.warnings if e.code == "coverage-gap"]
         assert len(gaps) == 1 and gaps[0].state == "s"
 
     def test_overlap_warning(self):
-        table = F.SymbolTable()
-        a, b = table.intern("a"), table.intern("b")
+        a, b = F.Symbol("a"), F.Symbol("b")
         machine = model.Machine(
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
@@ -197,43 +205,27 @@ class TestValidate:
                 model.Arc("s", "s", F.Or(b, F.Not(a))),
             ],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [machine], table))
+        report = model.validate(model.System("sys", [machine]))
         assert any(e.code == "overlap" for e in report.warnings)
 
     def test_shared_output_warning(self):
-        table = F.SymbolTable()
-        sig = table.intern("sig")
+        sig = F.Symbol("sig")
         mk = lambda name: model.Machine(
             name, [model.State("s", frozenset({sig}))], "s",
             [model.Arc("s", "s", F.TRUE)],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [mk("m1"), mk("m2")], table))
+        report = model.validate(model.System("sys", [mk("m1"), mk("m2")]))
         assert report.ok
         assert any(e.code == "shared-output" for e in report.warnings)
 
     def test_shared_output_warnings_come_in_name_order(self):
-        table = F.SymbolTable()
-        outputs = frozenset(table.intern(n) for n in "xyzw")
+        outputs = frozenset(F.Symbol(n) for n in "xyzw")
         mk = lambda name: model.Machine(
             name, [model.State("s", outputs)], "s", [model.Arc("s", "s", F.TRUE)],
         )
-        table.freeze()
-        report = model.validate(model.System("sys", [mk("m1"), mk("m2")], table))
+        report = model.validate(model.System("sys", [mk("m1"), mk("m2")]))
         shared = [e.message for e in report.warnings if e.code == "shared-output"]
         assert shared == [f"symbol {n!r} is produced by machines 'm1' and 'm2'" for n in "wxyz"]
-
-    def test_unregistered_guard_symbol_is_an_error(self):
-        table = F.SymbolTable()
-        table.intern("known")
-        table.freeze()
-        machine = model.Machine(
-            "m", [model.State("s", frozenset())], "s",
-            [model.Arc("s", "s", F.Symbol("mystery"))],
-        )
-        report = model.validate(model.System("sys", [machine], table))
-        assert any(e.code == "unregistered-symbol" for e in report.errors)
 
     def test_pure(self, tlc_system):
         assert model.validate(tlc_system) == model.validate(tlc_system)
@@ -265,40 +257,34 @@ class TestValidate:
 class TestStepSemantics:
     def test_self_feedback_leaves_state(self):
         # the state's own output satisfies the guard out of it
-        table = F.SymbolTable()
-        go = table.intern("go")
+        go = F.Symbol("go")
         machine = model.Machine(
             "m",
             [model.State("a", frozenset({go})), model.State("b", frozenset())],
             "a",
             [model.Arc("a", "b", go), model.Arc("b", "b", F.TRUE)],
         )
-        table.freeze()
-        system = model.System("sys", [machine], table)
+        system = model.System("sys", [machine])
         assert model.step_successors(system, (0,), frozenset()) == [(1,)]
 
     def test_stuck_component_stays(self):
-        table = F.SymbolTable()
-        a = table.intern("a")
+        a = F.Symbol("a")
         machine = model.Machine(
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
             [model.Arc("s", "t", a)],
         )
-        table.freeze()
-        system = model.System("sys", [machine], table)
+        system = model.System("sys", [machine])
         assert model.step_successors(system, (0,), frozenset()) == [(0,)]
         assert model.step_successors(system, (0,), {a}) == [(1,)]
 
     def test_nondeterministic_choice_yields_both(self):
-        table = F.SymbolTable()
         machine = model.Machine(
             "m",
             [model.State("s", frozenset()), model.State("t", frozenset())],
             "s",
             [model.Arc("s", "t", F.TRUE), model.Arc("s", "s", F.TRUE)],
         )
-        table.freeze()
-        system = model.System("sys", [machine], table)
+        system = model.System("sys", [machine])
         assert set(model.step_successors(system, (0,), frozenset())) == {(0,), (1,)}

@@ -22,16 +22,14 @@ def tlc_vhdl(tlc_system):
 
 def first_machine_system(guards_and_outputs):
     """One-machine helper; guards_and_outputs: list of (outputs, [(dst, guard)])."""
-    table = F.SymbolTable()
     states = []
     arcs = []
     for j, (outs, arclist) in enumerate(guards_and_outputs):
-        states.append(model.State(f"s{j}", frozenset(table.intern(o) for o in outs)))
+        states.append(model.State(f"s{j}", frozenset(F.Symbol(o) for o in outs)))
         for dst, guard in arclist:
             arcs.append(model.Arc(f"s{j}", f"s{dst}", guard))
     machine = model.Machine("m", states, "s0", arcs)
-    table.freeze()
-    return model.System("sys", [machine], table)
+    return model.System("sys", [machine])
 
 
 def process_spans(lines):
@@ -185,13 +183,11 @@ class TestAudit:
         assert report.process_count == 3
 
     def test_audit_compiles_no_pattern_per_name(self, monkeypatch):
-        table = F.SymbolTable()
-        go = table.intern("go")
+        go = F.Symbol("go")
         n = 300
         states = [model.State(f"s{j}", frozenset()) for j in range(n)]
         arcs = [model.Arc(f"s{j}", f"s{(j + 1) % n}", go) for j in range(n)]
-        table.freeze()
-        system = model.System("cycle", [model.Machine("m", states, "s0", arcs)], table)
+        system = model.System("cycle", [model.Machine("m", states, "s0", arcs)])
         text = vhdlgen.generate(system, vhdlgen.CodegenOptions(state_encoding="onehot"))
 
         def refuse(*args, **kwargs):
@@ -330,29 +326,25 @@ class TestOptionsAndErrors:
         assert vhdlgen.structural_audit(text, system).ok
 
     def test_unvalidated_system_rejected(self):
-        table = F.SymbolTable()
         machine = model.Machine(
             "m", [model.State("s", frozenset())], "ghost",
             [model.Arc("s", "s", F.TRUE)],
         )
-        table.freeze()
         with pytest.raises(vhdlgen.VhdlGenError, match="does not validate"):
-            vhdlgen.generate(model.System("sys", [machine], table))
+            vhdlgen.generate(model.System("sys", [machine]))
 
 
 class TestOverlapHandling:
     def test_overlapping_guards_flagged_and_first_wins(self):
-        table = F.SymbolTable()
-        a = table.intern("a")
-        states = [model.State("s0", frozenset()), model.State("s1", frozenset({table.intern("x")}))]
+        a = F.Symbol("a")
+        states = [model.State("s0", frozenset()), model.State("s1", frozenset({F.Symbol("x")}))]
         arcs = [
             model.Arc("s0", "s1", a),
             model.Arc("s0", "s0", F.TRUE),
             model.Arc("s1", "s0", F.TRUE),
         ]
         machine = model.Machine("m", states, "s0", arcs)
-        table.freeze()
-        system = model.System("sys", [machine], table)
+        system = model.System("sys", [machine])
         text = vhdlgen.generate(system)
         assert "overlapping guards: the first true branch wins" in text
         process = ProcessModel(text, "m")
@@ -402,6 +394,11 @@ class TestOneCycleEquivalence:
         for _ in range(5):
             system = random_system(rng, max_machines=2, max_states=3, max_env=2)
             self.check_system(system)
+
+    @pytest.mark.parametrize("encoding", ["binary", "onehot"])
+    def test_state_without_arcs_stays_put(self, encoding):
+        system = first_machine_system([((), [(1, F.Symbol("go"))]), (("x",), [])])
+        self.check_system(system, vhdlgen.CodegenOptions(state_encoding=encoding))
 
 
 class TestArcBranchCorrespondence:
