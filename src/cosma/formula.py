@@ -9,7 +9,8 @@ no table keeps them: the alphabet of a system is whatever its machines
 mention.  The constant ``1`` (always true) labels spontaneous
 transitions; ``0`` never fires.
 
-Formulas are plain immutable trees: what the parsers build and what VHDL,
+Formulas are trees of :class:`Record` nodes, compared and hashed by value
+and never reassigned once built: what the parsers build and what VHDL,
 lint messages and printed queries show.  ``And`` and ``Or`` are n-ary: a
 chain ``a + b + c`` is one node with three operands, so no walker recurses
 once per operand.  CTL formulas share these connectives; only their
@@ -21,7 +22,6 @@ of a :class:`GuardContext`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator
 
 from cosma import robdd
@@ -36,6 +36,7 @@ __all__ = [
     "GuardContext",
     "Not",
     "Or",
+    "Record",
     "Symbol",
     "TRUE",
     "and_all",
@@ -52,8 +53,46 @@ class FormulaError(ValueError):
     """Malformed symbol or misused formula operation."""
 
 
-class BoolExpr:
-    """Base class of formula nodes.  Instances are immutable and hashable."""
+class Record:
+    """A value made of named fields, compared, hashed and printed by them.
+
+    A subclass names its fields in ``__slots__`` and sets them in a plain
+    ``__init__``; ``_fields`` lists the fields of the whole class, those of
+    its bases first.  A record equals only a record of its own type with
+    equal fields, hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``.  Nothing stops an assignment to a field,
+    as with ``robdd.BddRef``; none is made after ``__init__``, so a record
+    keeps its hash.  A record that does change, such as a report that
+    collects entries, sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            name for klass in reversed(cls.__mro__) for name in vars(klass).get("__slots__", ())
+        )
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BoolExpr(Record):
+    """Base class of formula nodes, compared and hashed by value."""
 
     __slots__ = ()
 
@@ -77,22 +116,25 @@ class Symbol(str, BoolExpr):
         return self
 
 
-@dataclass(frozen=True)
 class ConstTrue(BoolExpr):
     """The always-true guard; prints as ``1`` and marks spontaneous arcs."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class ConstFalse(BoolExpr):
     """The never-true guard; prints as ``0``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Not(BoolExpr):
-    operand: BoolExpr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: BoolExpr):
+        self.operand = operand
 
 
-@dataclass(frozen=True, init=False)
 class _Chain(BoolExpr):
     """``And``/``Or`` over two or more operands.
 
@@ -100,22 +142,22 @@ class _Chain(BoolExpr):
     ``Or(Or(a, b), c) == Or(a, b, c)``, while ``a + (b + c)`` stays nested.
     """
 
-    operands: tuple[BoolExpr, ...]
+    __slots__ = ("operands",)
 
     def __init__(self, *operands: BoolExpr):
         if len(operands) < 2:
             raise FormulaError(f"{type(self).__name__} needs two or more operands")
         if type(operands[0]) is type(self):
             operands = operands[0].operands + operands[1:]
-        object.__setattr__(self, "operands", operands)
+        self.operands: tuple[BoolExpr, ...] = operands
 
 
 class And(_Chain):
-    pass
+    __slots__ = ()
 
 
 class Or(_Chain):
-    pass
+    __slots__ = ()
 
 
 TRUE = ConstTrue()

@@ -40,7 +40,6 @@ import bisect
 import functools
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from cosma import formula as F
 from cosma import mc
@@ -58,22 +57,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    file: str
-    line: int  # 1-based
-    column: int  # 1-based
-    length: int
+class SourceSpan(F.Record):
+    __slots__ = ("file", "line", "column", "length")
+
+    def __init__(self, file: str, line: int, column: int, length: int):
+        self.file = file
+        self.line = line  # 1-based
+        self.column = column  # 1-based
+        self.length = length
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str  # "error" | "warning"
-    message: str
-    span: SourceSpan | None
+class ParseDiagnostic(F.Record):
+    __slots__ = ("severity", "message", "span")
+
+    def __init__(self, severity: str, message: str, span: SourceSpan | None):
+        self.severity = severity  # "error" | "warning"
+        self.message = message
+        self.span = span
 
     def __str__(self):
         where = f"{self.span}: " if self.span else ""
@@ -87,11 +90,16 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass
-class ParseResult:
-    system: model.System | None
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-    report: model.LintReport | None = None  # validation's findings; None when parsing failed
+class ParseResult(F.Record):
+    __slots__ = ("system", "diagnostics", "report")
+    __hash__ = None  # its list of diagnostics may grow
+
+    def __init__(self, system: model.System | None,
+                 diagnostics: list[ParseDiagnostic] | None = None,
+                 report: model.LintReport | None = None):
+        self.system = system
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.report = report  # validation's findings; None when parsing failed
 
     @property
     def ok(self) -> bool:
@@ -100,10 +108,14 @@ class ParseResult:
         )
 
 
-@dataclass
-class QueryParseResult:
-    queries: list = field(default_factory=list)  # mc.Query | mc.CtlQuery
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+class QueryParseResult(F.Record):
+    __slots__ = ("queries", "diagnostics")
+    __hash__ = None  # queries and diagnostics are added
+
+    def __init__(self, queries: list | None = None,
+                 diagnostics: list[ParseDiagnostic] | None = None):
+        self.queries = [] if queries is None else queries  # mc.Query | mc.CtlQuery
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def ok(self) -> bool:

@@ -31,8 +31,6 @@ region.  A query's bad set is a label too: of its negated consequent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from cosma import formula as F
 from cosma.reach import ReachGraph
 
@@ -47,15 +45,18 @@ class QueryError(ValueError):
     """A query that cannot be checked against the given system."""
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(F.Record):
     """``always (antecedent => mode consequent)`` over all reachable states."""
 
-    name: str
-    antecedent: F.BoolExpr
-    mode: str  # "next" | "eventually"
-    consequent: F.BoolExpr
-    universal: bool = True  # False: the "exists eventually" variant
+    __slots__ = ("name", "antecedent", "mode", "consequent", "universal")
+
+    def __init__(self, name: str, antecedent: F.BoolExpr, mode: str,
+                 consequent: F.BoolExpr, universal: bool = True):
+        self.name = name
+        self.antecedent = antecedent
+        self.mode = mode  # "next" | "eventually"
+        self.consequent = consequent
+        self.universal = universal  # False: the "exists eventually" variant
 
     def __str__(self):
         mode = self.mode if self.universal else f"exists {self.mode}"
@@ -70,20 +71,26 @@ class Query:
 # functions below build the other operators, sharing the nodes they repeat.
 
 
-@dataclass(frozen=True)
 class CtlEX(F.BoolExpr):
-    sub: F.BoolExpr
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: F.BoolExpr):
+        self.sub = sub
 
 
-@dataclass(frozen=True)
 class CtlEU(F.BoolExpr):
-    left: F.BoolExpr
-    right: F.BoolExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: F.BoolExpr, right: F.BoolExpr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class CtlEG(F.BoolExpr):
-    sub: F.BoolExpr
+    __slots__ = ("sub",)
+
+    def __init__(self, sub: F.BoolExpr):
+        self.sub = sub
 
 
 def CtlImplies(left: F.BoolExpr, right: F.BoolExpr) -> F.BoolExpr:
@@ -117,10 +124,12 @@ def CtlAU(left: F.BoolExpr, right: F.BoolExpr) -> F.BoolExpr:
     return F.Not(F.Or(CtlEU(not_right, F.And(F.Not(left), not_right)), CtlEG(not_right)))
 
 
-@dataclass(frozen=True)
-class CtlQuery:
-    name: str
-    formula: F.BoolExpr
+class CtlQuery(F.Record):
+    __slots__ = ("name", "formula")
+
+    def __init__(self, name: str, formula: F.BoolExpr):
+        self.name = name
+        self.formula = formula
 
 
 def _children(f: F.BoolExpr) -> tuple:
@@ -164,17 +173,22 @@ def ctl_atoms(f: F.BoolExpr) -> frozenset[F.Symbol]:
 # -- verdicts ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    node: int
-    env: frozenset | None  # environment symbols used to leave the node
+class TraceStep(F.Record):
+    __slots__ = ("node", "env")
+
+    def __init__(self, node: int, env: frozenset | None):
+        self.node = node
+        self.env = env  # environment symbols used to leave the node
 
 
-@dataclass
-class Verdict:
-    holds: bool
-    vacuous: bool = False
-    trace: list[TraceStep] | None = None
+class Verdict(F.Record):
+    __slots__ = ("holds", "vacuous", "trace")
+    __hash__ = None  # its trace is a list
+
+    def __init__(self, holds: bool, vacuous: bool = False, trace: list[TraceStep] | None = None):
+        self.holds = holds
+        self.vacuous = vacuous
+        self.trace = trace
 
     def as_json(self, rg: ReachGraph) -> dict:
         doc: dict = {"holds": self.holds, "vacuous": self.vacuous}

@@ -19,30 +19,33 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import AbstractSet, Sequence
 
 from cosma import formula as F
 
 
-@dataclass(frozen=True)
-class State:
+class State(F.Record):
     """A machine state; ``outputs`` are emitted while the state is current."""
 
-    name: str
-    outputs: frozenset = frozenset()
+    __slots__ = ("name", "outputs")
+
+    def __init__(self, name: str, outputs: frozenset = frozenset()):
+        self.name = name
+        self.outputs = outputs
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(F.Record):
     """Directed arc ``src -> dst`` enabled when ``guard`` is true.
 
     ``src == dst`` is a stay condition: the machine remains in the state.
     """
 
-    src: str
-    dst: str
-    guard: object
+    __slots__ = ("src", "dst", "guard")
+
+    def __init__(self, src: str, dst: str, guard: F.BoolExpr):
+        self.src = src
+        self.dst = dst
+        self.guard = guard
 
 
 GlobalState = tuple  # one state index per machine, in machine order
@@ -201,18 +204,24 @@ def step_successors(system: System, gstate: GlobalState, env_true: AbstractSet) 
     return [tuple(choice) for choice in itertools.product(*per_machine)]
 
 
-@dataclass(frozen=True)
-class LintEntry:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
-    machine: str | None = None
-    state: str | None = None
+class LintEntry(F.Record):
+    __slots__ = ("severity", "code", "message", "machine", "state")
+
+    def __init__(self, severity: str, code: str, message: str,
+                 machine: str | None = None, state: str | None = None):
+        self.severity = severity  # "error" | "warning"
+        self.code = code
+        self.message = message
+        self.machine = machine
+        self.state = state
 
 
-@dataclass
-class LintReport:
-    entries: list[LintEntry] = field(default_factory=list)
+class LintReport(F.Record):
+    __slots__ = ("entries",)
+    __hash__ = None  # entries are added
+
+    def __init__(self, entries: list[LintEntry] | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def errors(self) -> list[LintEntry]:

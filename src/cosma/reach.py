@@ -27,7 +27,6 @@ which the DOT and JSON exports share.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 
 from cosma import formula as F
@@ -44,14 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReachEdge:
-    src: int
-    guard: robdd.BddRef  # over environment symbols only, in the graph's manager
-    dst: int
+class ReachEdge(F.Record):
+    __slots__ = ("src", "guard", "dst")
+
+    def __init__(self, src: int, guard: robdd.BddRef, dst: int):
+        self.src = src
+        self.guard = guard  # over environment symbols only, in the graph's manager
+        self.dst = dst
 
 
-@dataclass
 class ReachGraph:
     """The explicit graph, made of what an engine finds.
 
@@ -60,16 +60,16 @@ class ReachGraph:
     edges, and ``quiescent``, the nodes whose only edge is a self-loop that
     always fires.  It asserts that every node has an out-edge, since the
     implicit stay makes the step relation total.  The guard texts are made
-    on the first export.
+    on the first export.  Graphs are compared by identity.
     """
 
-    system: model.System
-    nodes: list[model.GlobalState]  # index 0 is the initial state
-    edges: list[ReachEdge]  # in discovery order
-    outputs: list[frozenset]  # per-node output valuation
-    manager: robdd.BddManager  # holds every edge guard; variables are env symbols
-
-    def __post_init__(self):
+    def __init__(self, system: model.System, nodes: list[model.GlobalState],
+                 edges: list[ReachEdge], outputs: list[frozenset], manager: robdd.BddManager):
+        self.system = system
+        self.nodes = nodes  # index 0 is the initial state
+        self.edges = edges  # in discovery order
+        self.outputs = outputs  # per-node output valuation
+        self.manager = manager  # holds every edge guard; variables are env symbols
         edges_from: list[list[ReachEdge]] = [[] for _ in self.nodes]
         preds: list[list[int]] = [[] for _ in self.nodes]
         for edge in self.edges:
@@ -258,16 +258,21 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
 # -- symbolic engine -----------------------------------------------------------
 
 
-@dataclass
 class SymbolicReachability:
-    system: model.System
-    manager: robdd.BddManager
-    current_bits: list[list[str]]  # per machine, variable names of its state bits
-    next_bits: list[list[str]]
-    env_vars: dict  # Symbol -> variable name
-    transition: robdd.BddRef
-    reachable: robdd.BddRef
-    count: int
+    """What the symbolic engine finds: the transition relation and the
+    reachable set in one manager, and the number of reachable states."""
+
+    def __init__(self, system: model.System, manager: robdd.BddManager,
+                 current_bits: list[list[str]], next_bits: list[list[str]], env_vars: dict,
+                 transition: robdd.BddRef, reachable: robdd.BddRef, count: int):
+        self.system = system
+        self.manager = manager
+        self.current_bits = current_bits  # per machine, variable names of its state bits
+        self.next_bits = next_bits
+        self.env_vars = env_vars  # Symbol -> variable name
+        self.transition = transition
+        self.reachable = reachable
+        self.count = count
 
     def contains(self, gstate: model.GlobalState) -> bool:
         """Whether ``gstate`` is in the reachable set: one walk, no new nodes."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from cosma import formula as F
 from cosma import model
@@ -36,23 +35,22 @@ class VhdlGenError(ValueError):
     """Input that cannot be rendered as VHDL."""
 
 
-@dataclass(frozen=True)
-class CodegenOptions:
-    state_encoding: str = "binary"  # "binary" | "onehot" | "width"
-    explicit_width: int | None = None  # used when state_encoding == "width"
-    delay_ns: int = 10
-    entity_name: str | None = None
-    clock: bool = False
+class CodegenOptions(F.Record):
+    __slots__ = ("state_encoding", "explicit_width", "delay_ns", "entity_name", "clock")
 
-    def __post_init__(self):
-        if self.state_encoding not in ("binary", "onehot", "width"):
-            raise VhdlGenError(f"unknown state encoding {self.state_encoding!r}")
-        if self.state_encoding == "width" and (
-            self.explicit_width is None or self.explicit_width < 1
-        ):
+    def __init__(self, state_encoding: str = "binary", explicit_width: int | None = None,
+                 delay_ns: int = 10, entity_name: str | None = None, clock: bool = False):
+        if state_encoding not in ("binary", "onehot", "width"):
+            raise VhdlGenError(f"unknown state encoding {state_encoding!r}")
+        if state_encoding == "width" and (explicit_width is None or explicit_width < 1):
             raise VhdlGenError("state_encoding 'width' needs explicit_width >= 1")
-        if self.delay_ns < 0:
+        if delay_ns < 0:
             raise VhdlGenError("delay_ns must be nonnegative")
+        self.state_encoding = state_encoding  # "binary" | "onehot" | "width"
+        self.explicit_width = explicit_width  # used when state_encoding == "width"
+        self.delay_ns = delay_ns
+        self.entity_name = entity_name
+        self.clock = clock
 
 
 _VHDL_RESERVED = frozenset(
@@ -268,10 +266,13 @@ def generate(
     return "\n".join(out)
 
 
-@dataclass
-class AuditReport:
-    problems: list[str] = field(default_factory=list)
-    process_count: int = 0
+class AuditReport(F.Record):
+    __slots__ = ("problems", "process_count")
+    __hash__ = None  # problems are added
+
+    def __init__(self, problems: list[str] | None = None, process_count: int = 0):
+        self.problems = [] if problems is None else problems
+        self.process_count = process_count
 
     @property
     def ok(self) -> bool:

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import gc
 import hashlib
 import json
@@ -174,7 +174,9 @@ class TestRg:
             for bits, idx in zip(sym.current_bits, gstate):
                 for k, bit in enumerate(bits):
                     cube = m.and_(cube, m.mk_var(bit) if idx >> k & 1 else m.not_(m.mk_var(bit)))
-            return dataclasses.replace(sym, reachable=m.and_(sym.reachable, m.not_(cube)))
+            changed = copy.copy(sym)
+            changed.reachable = m.and_(sym.reachable, m.not_(cube))
+            return changed
 
         monkeypatch.setattr(cli.reach, "build_rg_symbolic", drop_last_node)
         code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "both"])

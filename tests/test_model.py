@@ -232,7 +232,7 @@ class TestValidate:
 
     def test_guard_atoms_are_collected_once_per_arc(self, monkeypatch):
         # a 50-machine token ring, 200 arcs: parsing, validating and asking
-        # for the symbol sets again walk each guard once
+        # for the symbol sets again walk the guards of a system once
         from cosma import frontend
 
         n = 50
@@ -242,16 +242,19 @@ class TestValidate:
             f" state tok {{ out T{i}; -> idle when pass; -> tok when ~pass; }} }}\n"
             for i in range(n)
         ).replace("T-1", f"T{n - 1}")
-        calls = []
-        real = F.atoms
-        monkeypatch.setattr(F, "atoms", lambda expr: calls.append(expr) or real(expr))
+        walks = []
+        guards_read = vars(model.System)["_guards_read"]
+        real = guards_read.func
+        monkeypatch.setattr(guards_read, "func", lambda system: walks.append(system) or real(system))
         result = frontend.parse_system(f"system Ring {{\n{machines}}}\n", "ring.csm")
         assert result.ok
         system = result.system
         assert names(model.env_alphabet(system)) == ["pass"]
         model.validate(system)
         system.guard_symbols()
-        assert len(calls) <= sum(len(m.arcs) for m in system.machines) == 4 * n
+        assert len(system.symbols) == n + 1
+        assert sum(len(m.arcs) for m in system.machines) == 4 * n
+        assert len(walks) == 1 and walks[0] is system
 
 
 class TestStepSemantics:
