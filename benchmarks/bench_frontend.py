@@ -5,8 +5,8 @@ For each model the script times, separately:
 
 * ``lex``       ``frontend._lex``: the model's text to its tokens;
 * ``parse``     ``frontend.parse_system`` with ``frontend._lex`` and
-                ``model.validate`` answered from a table: the parser and
-                the diagnostics it folds in;
+                ``model.validate`` answered from the first parse: the
+                parser and the diagnostics it folds in;
 * ``validate``  ``model.validate`` on the parsed system.
 
 The families are the benchmark's own (``perfbench/families.py``): a cycle of
@@ -85,7 +85,7 @@ def measure(key: str, family: str, size: int | None, text: str, machine_states: 
     tokens = lexed[0] if isinstance(lexed, tuple) else lexed
     lex_s = best_scaled(lambda: frontend._lex(text, filename, False), repeat)
     with mock.patch.object(frontend, "_lex", lambda *args, **kwargs: lexed), \
-            mock.patch.object(model, "validate", lambda checked: result.report):
+            mock.patch.object(model, "validate", lambda checked: result.system.report):
         parse_s = best_scaled(lambda: frontend.parse_system(text, filename), repeat)
     validate_s = best_scaled(lambda: model.validate(system), repeat)
     return {

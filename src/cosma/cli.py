@@ -71,31 +71,24 @@ def _write(path, text: str) -> bool:
 
 
 def _read(path: str) -> str | None:
-    """The text of a UTF-8 file with universal newlines, as ``Path.read_text``
-    gives it; on failure report it and return None."""
+    """A model or query file's text (``frontend.decode``), or None after reporting why not."""
     try:
-        data = Path(path).read_bytes()
+        return frontend.decode(Path(path).read_bytes(), path)
     except OSError as exc:
         _input_error(f"cannot read {path}: {exc}")
-        return None
-    try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        # what precedes the first bad byte decodes, and lines count as the parser counts them
-        before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        column = len(before) - before.rfind("\n")
-        span = frontend.SourceSpan(path, before.count("\n") + 1, column, 1)
-        message = f"byte 0x{data[exc.start]:02x} is not UTF-8"
-        _print_diagnostics([frontend.ParseDiagnostic("error", message, span)])
-        return None
+    except frontend.ParseError as exc:
+        _print_diagnostics([frontend.ParseDiagnostic("error", exc.message, exc.span)])
+    return None
 
 
-def _load_system(path: str) -> frontend.ParseResult:
-    """Parse and validate a model file; the result's system is None on error."""
+def _load_system(path: str, errors_only: bool = True) -> model.System | None:
+    """Parse and validate a model file and print its diagnostics; None on error."""
     text = _read(path)
     if text is None:
-        return frontend.ParseResult(None)
-    return frontend.parse_system(text, filename=path)
+        return None
+    result = frontend.parse_system(text, filename=path)
+    _print_diagnostics(result.diagnostics, errors_only)
+    return result.system
 
 
 def _plural(count: int, word: str) -> str:
@@ -106,24 +99,18 @@ def _plural(count: int, word: str) -> str:
 
 
 def cmd_lint(args) -> int:
-    loaded = _load_system(args.model)
-    system, diagnostics = loaded.system, loaded.diagnostics
-    _print_diagnostics(diagnostics)
+    system = _load_system(args.model, errors_only=False)
     if system is None:
         return EXIT_INPUT_ERROR
-    errors = sum(1 for d in diagnostics if d.severity == "error")
-    warnings = sum(1 for d in diagnostics if d.severity == "warning")
     print(
         f"{system.name}: {_plural(len(system.machines), 'machine')}, "
-        f"{errors} errors, {warnings} warnings"
+        f"{len(system.report.errors)} errors, {len(system.report.warnings)} warnings"
     )
     return EXIT_OK
 
 
 def cmd_rg(args) -> int:
-    loaded = _load_system(args.model)
-    system, diagnostics = loaded.system, loaded.diagnostics
-    _print_diagnostics(diagnostics, errors_only=True)
+    system = _load_system(args.model)
     if system is None:
         return EXIT_INPUT_ERROR
 
@@ -174,9 +161,7 @@ def cmd_rg(args) -> int:
 
 
 def cmd_check(args) -> int:
-    loaded = _load_system(args.model)
-    system, diagnostics = loaded.system, loaded.diagnostics
-    _print_diagnostics(diagnostics, errors_only=True)
+    system = _load_system(args.model)
     if system is None:
         return EXIT_INPUT_ERROR
     qtext = _read(args.queries)
@@ -237,9 +222,7 @@ def _parse_encoding(text: str):
 
 
 def cmd_vhdl(args) -> int:
-    loaded = _load_system(args.model)
-    system, diagnostics = loaded.system, loaded.diagnostics
-    _print_diagnostics(diagnostics, errors_only=True)
+    system = _load_system(args.model)
     if system is None:
         return EXIT_INPUT_ERROR
     encoding, width = args.state_encoding
@@ -256,7 +239,7 @@ def cmd_vhdl(args) -> int:
             clock=args.clock,
             entity_name=args.entity,
         )
-        text = vhdlgen.generate(system, opts, report=loaded.report)
+        text = vhdlgen.generate(system, opts)
     except vhdlgen.VhdlGenError as exc:
         return _input_error(str(exc))
     audit = vhdlgen.structural_audit(text, system)

@@ -51,6 +51,7 @@ __all__ = [
     "ParseResult",
     "QueryParseResult",
     "SourceSpan",
+    "decode",
     "parse_queries",
     "parse_system",
     "system_to_text",
@@ -91,15 +92,13 @@ class ParseError(Exception):
 
 
 class ParseResult(F.Record):
-    __slots__ = ("system", "diagnostics", "report")
+    __slots__ = ("system", "diagnostics")
     __hash__ = None  # its list of diagnostics may grow
 
     def __init__(self, system: model.System | None,
-                 diagnostics: list[ParseDiagnostic] | None = None,
-                 report: model.LintReport | None = None):
+                 diagnostics: list[ParseDiagnostic] | None = None):
         self.system = system
         self.diagnostics = [] if diagnostics is None else diagnostics
-        self.report = report  # validation's findings; None when parsing failed
 
     @property
     def ok(self) -> bool:
@@ -227,6 +226,18 @@ def _lex(text: str, file: str, glyphs: bool) -> tuple[list[str], Callable[[int],
     return words, source.locate
 
 
+def decode(data: bytes, file: str) -> str:
+    """A file's UTF-8 text with universal newlines, as ``Path.read_text`` gives
+    it; a byte that is not UTF-8 is an error at its place in that text."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = decode(data[: exc.start], file)  # the bytes before the first bad one decode
+        span = _Source(file, before).span(len(before), 1)
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", span) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 # -- shared parser state ---------------------------------------------------------
 
 
@@ -234,18 +245,24 @@ class _Parser:
     """The token texts of one input and the index ``pos`` of the current one.
 
     ``pos`` stops at the last text, "", because the parser takes no text
-    that it has not compared with a word or a name first.  ``symbols`` maps
-    each name already read as a symbol to its symbol, so a repeated name is
-    one dict lookup rather than one more validation.
+    that it has not compared with a word or a name first.  ``reserved``
+    holds the input's keywords, which cannot be names (where "not" is one of
+    them, it negates), and ``ctl`` is set while a CTL formula is read, which
+    adds the temporal forms and "=>".  ``symbols`` maps each name already
+    read as a symbol to its symbol, so a repeated name is one dict lookup
+    rather than one more validation.
     """
 
-    __slots__ = ("words", "pos", "depth", "locate", "symbols")
+    __slots__ = ("words", "pos", "depth", "locate", "reserved", "ctl", "symbols")
 
-    def __init__(self, words: list[str], locate: Callable[[int], SourceSpan]):
+    def __init__(self, words: list[str], locate: Callable[[int], SourceSpan],
+                 reserved: frozenset[str]):
         self.words = words
         self.pos = 0
         self.depth = 0
         self.locate = locate
+        self.reserved = reserved
+        self.ctl = False
         self.symbols: dict[str, F.Symbol] = {}
 
     def error(self, message: str, index: int | None = None) -> ParseError:
@@ -267,31 +284,29 @@ class _Parser:
             raise self.error(f"expected {word!r}, found {self.found()}")
         self.pos += 1
 
-    def name(self, what: str, reserved: frozenset[str]) -> int:
+    def name(self, what: str) -> int:
         """Take the current token as a name and return its index."""
         index = self.pos
         word = self.words[index]
         if word in _NOT_NAMES:
             raise self.error(f"expected {what}, found {self.found()}")
-        if word in reserved:
+        if word in self.reserved:
             raise self.error(f"keyword {word!r} cannot be used as {what}")
         self.pos = index + 1
         return index
 
-    def nested(self, parse, *args):
-        """``parse(self, *args)`` one formula level deeper; too deep is an input error."""
+    def nested(self, parse):
+        """``parse(self)`` one formula level deeper; too deep is an input error."""
         if self.depth == MAX_NESTING:
             raise self.error(f"formula nested more than {MAX_NESTING} levels deep")
         self.depth += 1
-        result = parse(self, *args)
+        result = parse(self)
         self.depth -= 1
         return result
 
 
 # -- formulas ------------------------------------------------------------------
-# One grammar serves guards, implication queries and CTL.  ``reserved`` holds
-# the words that cannot be symbols (where "not" is one of them, it negates),
-# and ``ctl`` adds the temporal forms and "=>".
+# One grammar serves guards, implication queries and CTL, in the parser's mode.
 
 
 def _symbol(p: _Parser, index: int) -> F.Symbol:
@@ -307,24 +322,24 @@ def _symbol(p: _Parser, index: int) -> F.Symbol:
     return sym
 
 
-def _parse_implies(p, reserved, ctl):
-    left = _parse_or(p, reserved, ctl)
-    if ctl and p.accept("=>"):
-        return mc.CtlImplies(left, p.nested(_parse_implies, reserved, ctl))
+def _parse_implies(p):
+    left = _parse_or(p)
+    if p.ctl and p.accept("=>"):
+        return mc.CtlImplies(left, p.nested(_parse_implies))
     return left
 
 
-def _parse_or(p, reserved, ctl):
-    operands = [_parse_and(p, reserved, ctl)]
+def _parse_or(p):
+    operands = [_parse_and(p)]
     while p.accept("+"):
-        operands.append(_parse_and(p, reserved, ctl))
+        operands.append(_parse_and(p))
     return F.Or(*operands) if len(operands) > 1 else operands[0]
 
 
-def _parse_and(p, reserved, ctl):
-    operands = [_parse_unary(p, reserved, ctl)]
+def _parse_and(p):
+    operands = [_parse_unary(p)]
     while p.accept("*"):
-        operands.append(_parse_unary(p, reserved, ctl))
+        operands.append(_parse_unary(p))
     return F.And(*operands) if len(operands) > 1 else operands[0]
 
 
@@ -332,37 +347,37 @@ _TEMPORAL = {"AX": mc.CtlAX, "EX": mc.CtlEX, "AF": mc.CtlAF,
              "EF": mc.CtlEF, "AG": mc.CtlAG, "EG": mc.CtlEG}
 
 
-def _parse_unary(p, reserved, ctl):
+def _parse_unary(p):
     index = p.pos
     word = p.words[index]
-    if word == "!" or word == "~" or (word == "not" and "not" in reserved):
+    if word == "!" or word == "~" or (word == "not" and "not" in p.reserved):
         p.pos = index + 1
-        return F.Not(p.nested(_parse_unary, reserved, ctl))
+        return F.Not(p.nested(_parse_unary))
     if word == "(":
         p.pos = index + 1
-        expr = p.nested(_parse_implies, reserved, ctl)
+        expr = p.nested(_parse_implies)
         p.expect(")")
         return expr
     if word == "1" or word == "0":
         p.pos = index + 1
         return F.TRUE if word == "1" else F.FALSE
-    if ctl and word in _TEMPORAL:
+    if p.ctl and word in _TEMPORAL:
         p.pos = index + 1
-        return _TEMPORAL[word](p.nested(_parse_unary, reserved, ctl))
-    if ctl and (word == "A" or word == "E") and p.words[index + 1] == "[":
+        return _TEMPORAL[word](p.nested(_parse_unary))
+    if p.ctl and (word == "A" or word == "E") and p.words[index + 1] == "[":
         p.pos = index + 2
-        left = p.nested(_parse_implies, reserved, ctl)
+        left = p.nested(_parse_implies)
         if not p.accept("U"):
             raise p.error("expected 'U' in the until form")
-        right = p.nested(_parse_implies, reserved, ctl)
+        right = p.nested(_parse_implies)
         p.expect("]")
         return (mc.CtlAU if word == "A" else mc.CtlEU)(left, right)
     if word not in _NOT_NAMES:
-        if word in reserved:
+        if word in p.reserved:
             raise p.error(f"keyword {word!r} cannot be a symbol")
         p.pos = index + 1
         return _symbol(p, index)
-    raise p.error(f"expected {'a CTL formula' if ctl else 'a formula'}, found {p.found()}")
+    raise p.error(f"expected {'a CTL formula' if p.ctl else 'a formula'}, found {p.found()}")
 
 
 # -- system files --------------------------------------------------------------
@@ -371,9 +386,10 @@ def _parse_unary(p, reserved, ctl):
 def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     """Parse and validate a system description.
 
-    Returns the system together with diagnostics and validation's report;
-    the report's findings are folded into the diagnostics, so a result with
-    no error diagnostics is safe to analyze.
+    Returns the system together with diagnostics: the parse error, or the
+    findings of the system's ``report``, each placed at the name it is about.
+    The system is None when there is an error, so a result with a system is
+    safe to analyze.
     """
     diagnostics: list[ParseDiagnostic] = []
     # the index of the name token of each machine and each state (the
@@ -383,14 +399,13 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
     spans: dict[tuple, int] = {}
     try:
         words, locate = _lex(text, filename, glyphs=False)
-        p = _Parser(words, locate)
-        reserved = _SYSTEM_KEYWORDS
+        p = _Parser(words, locate, _SYSTEM_KEYWORDS)
         p.expect("system")
-        name_at = p.name("a system name", reserved)
+        name_at = p.name("a system name")
         p.expect("{")
         machines: list[model.Machine] = []
         while not p.accept("}"):
-            machines.append(_parse_machine(p, spans, reserved))
+            machines.append(_parse_machine(p, spans))
         if words[p.pos]:
             raise p.error(f"unexpected {words[p.pos]!r} after the system")
         if not machines:
@@ -400,55 +415,53 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
         diagnostics.append(ParseDiagnostic("error", exc.message, exc.span))
         return ParseResult(None, diagnostics)
 
-    report = model.validate(system)
+    report = system.report
     for entry in report.entries:
         index = spans.get(("state", entry.machine, entry.state))
         if index is None:
             index = spans.get(("machine", entry.machine), name_at)
         diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
-    if report.errors:
-        return ParseResult(None, diagnostics, report)
-    return ParseResult(system, diagnostics, report)
+    return ParseResult(None if report.errors else system, diagnostics)
 
 
-def _parse_machine(p, spans, reserved) -> model.Machine:
+def _parse_machine(p, spans) -> model.Machine:
     words = p.words
     p.expect("machine")
-    name_at = p.name("a machine name", reserved)
+    name_at = p.name("a machine name")
     name = words[name_at]
     spans[("machine", name)] = name_at
     p.expect("{")
     p.expect("init")
-    initial = words[p.name("the initial state name", reserved)]
+    initial = words[p.name("the initial state name")]
     p.expect(";")
     states: list[model.State] = []
     arcs: list[model.Arc] = []
     while not p.accept("}"):
         if words[p.pos] != "state":
             raise p.error("expected 'state' or '}'")
-        _parse_state(p, spans, reserved, name, states, arcs)
+        _parse_state(p, spans, name, states, arcs)
     if not states:
         raise p.error(f"machine {name!r} has no states", name_at)
     return model.Machine(name, states, initial, arcs)
 
 
-def _parse_state(p, spans, reserved, machine_name, states, arcs):
+def _parse_state(p, spans, machine_name, states, arcs):
     words = p.words
     p.expect("state")
-    name_at = p.name("a state name", reserved)
+    name_at = p.name("a state name")
     name = words[name_at]
     spans[("state", machine_name, name)] = name_at
     p.expect("{")
     outputs: list[F.Symbol] = []
     if p.accept("out"):
-        outputs.append(_symbol(p, p.name("an output symbol", reserved)))
+        outputs.append(_symbol(p, p.name("an output symbol")))
         while p.accept(","):
-            outputs.append(_symbol(p, p.name("an output symbol", reserved)))
+            outputs.append(_symbol(p, p.name("an output symbol")))
         p.expect(";")
     while p.accept("->"):
-        dst = words[p.name("a target state name", reserved)]
+        dst = words[p.name("a target state name")]
         p.expect("when")
-        guard = _parse_or(p, reserved, False)
+        guard = _parse_or(p)
         p.expect(";")
         arcs.append(model.Arc(name, dst, guard))
     p.expect("}")
@@ -469,18 +482,17 @@ def parse_queries(
     the system (``mc.split_query``) is an error at the query's name.
     """
     result = QueryParseResult()
-    reserved = _QUERY_KEYWORDS
     try:
         words, locate = _lex(text, filename, glyphs=True)
-        p = _Parser(words, locate)
+        p = _Parser(words, locate, _QUERY_KEYWORDS)
         seen_names: set[str] = set()
         starts: list[int] = []  # per entry, its first token: an implication query's name
         while words[p.pos]:
             starts.append(p.pos)
             if words[p.pos] == "ctl":
-                entry = _parse_ctl_query(p, reserved)
+                entry = _parse_ctl_query(p)
             else:
-                entry = _parse_always_query(p, reserved)
+                entry = _parse_always_query(p)
             if entry.name in seen_names:
                 result.diagnostics.append(
                     ParseDiagnostic("warning", f"duplicate query name {entry.name!r}", None)
@@ -525,13 +537,13 @@ def parse_queries(
     return result
 
 
-def _parse_always_query(p: _Parser, reserved) -> mc.Query:
+def _parse_always_query(p: _Parser) -> mc.Query:
     words = p.words
-    name = words[p.name("a query name", reserved)]
+    name = words[p.name("a query name")]
     p.expect(":")
     p.expect("always")
     p.expect("(")
-    antecedent = _parse_or(p, reserved, False)
+    antecedent = _parse_or(p)
     p.expect("=>")
     # the mode keyword may sit inside its own parentheses: "=> (next HY)"
     wrapped = words[p.pos] == "(" and words[p.pos + 1] in ("next", "eventually", "exists")
@@ -546,7 +558,7 @@ def _parse_always_query(p: _Parser, reserved) -> mc.Query:
         raise p.error("expected 'next' or 'eventually' after '=>'")
     if not universal and mode != "eventually":
         raise p.error("'exists' applies to 'eventually' only")
-    consequent = _parse_or(p, reserved, False)
+    consequent = _parse_or(p)
     if wrapped:
         p.expect(")")
     p.expect(")")
@@ -554,11 +566,13 @@ def _parse_always_query(p: _Parser, reserved) -> mc.Query:
     return mc.Query(name, antecedent, mode, consequent, universal=universal)
 
 
-def _parse_ctl_query(p: _Parser, reserved) -> mc.CtlQuery:
+def _parse_ctl_query(p: _Parser) -> mc.CtlQuery:
     p.expect("ctl")
-    name = p.words[p.name("a requirement name", reserved)]
+    name = p.words[p.name("a requirement name")]
     p.expect(":")
-    formula_ = _parse_implies(p, reserved, True)
+    p.ctl = True
+    formula_ = _parse_implies(p)
+    p.ctl = False
     p.expect(";")
     return mc.CtlQuery(name, formula_)
 

@@ -156,18 +156,10 @@ def _condition(expr: F.BoolExpr) -> str:
     raise VhdlGenError(f"not a formula node: {expr!r}")
 
 
-def generate(
-    system: model.System,
-    opts: CodegenOptions = CodegenOptions(),
-    report: model.LintReport | None = None,
-) -> str:
-    """Render the whole system as one entity with one process per machine.
-
-    ``report`` is ``model.validate(system)`` when the caller already has it;
-    without it the system is validated here.
-    """
-    if report is None:
-        report = model.validate(system)
+def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> str:
+    """Render the whole system as one entity with one process per machine;
+    a system whose ``report`` has errors is rejected."""
+    report = system.report
     if not report.ok:
         raise VhdlGenError(
             "system does not validate: " + "; ".join(e.message for e in report.errors)
@@ -189,7 +181,7 @@ def generate(
 
     widths = _widths(system, opts)
     onehot = opts.state_encoding == "onehot"
-    # the lint pass already found every state whose guards overlap
+    # the system's report already found every state whose guards overlap
     overlapping = {(e.machine, e.state) for e in report.warnings if e.code == "overlap"}
 
     out = []

@@ -29,8 +29,8 @@ def parse_guard(text):
     """``text`` read by the guard parser alone, lexed as the oracle lexes it."""
     words, locate = frontend._lex(text, "<guard>", glyphs=False)
     assert words == charwise_words(text, "<guard>", glyphs=False)[0], text
-    p = frontend._Parser(words, locate)
-    expr = frontend._parse_or(p, frontend._SYSTEM_KEYWORDS, False)
+    p = frontend._Parser(words, locate, frontend._SYSTEM_KEYWORDS)
+    expr = frontend._parse_or(p)
     assert p.words[p.pos] == "", text
     return expr
 

@@ -80,6 +80,13 @@ class TestSystemParsing:
         assert result.system is None
         assert any("ghost" in d.message for d in result.diagnostics if d.severity == "error")
 
+    def test_query_and_temporal_words_are_names_in_models(self):
+        text = "system x { machine m { init a; state a { -> a when not * AX; } } }"
+        result = frontend.parse_system(text, "x.csm")
+        assert result.ok
+        assert result.system.machines[0].arcs[0].guard == F.And(F.Symbol("not"), F.Symbol("AX"))
+        assert model.env_alphabet(result.system) == {"not", "AX"}
+
     def test_keyword_cannot_name_a_state(self):
         text = "system x { machine m { init state; state state { } } }"
         result = frontend.parse_system(text, "x.csm")
@@ -196,6 +203,25 @@ class TestQueryParsing:
         (query,) = frontend.parse_queries(f"q: always ({text} => next y);").queries
         assert req.formula == query.antecedent
         assert F.to_text(req.formula) == "~x * (y + ~z) + 1 + x * y * 0"
+
+    def test_temporal_words_are_names_outside_ctl(self, tlc_system):
+        # a CTL requirement's operators end with it: the queries after one read
+        # AX, E, EG, A and U as symbols, and "not" negates in every query
+        text = (
+            "ctl c: AG HG;\n"
+            "q: always (AX * E => next HY);\n"
+            "ctl d: EF (A + U);\n"
+            "r: always (EG * not A => eventually HG);\n"
+        )
+        res = frontend.parse_queries(text, system=tlc_system)
+        assert res.ok
+        c, q, d, r = res.queries
+        assert c.formula == mc.CtlAG(F.Symbol("HG"))
+        assert q.antecedent == F.And(F.Symbol("AX"), F.Symbol("E"))
+        assert d.formula == mc.CtlEF(F.Or(F.Symbol("A"), F.Symbol("U")))
+        assert r.antecedent == F.And(F.Symbol("EG"), F.Not(F.Symbol("A")))
+        assert len(res.diagnostics) == 6
+        assert all(diag.severity == "warning" for diag in res.diagnostics)
 
     def test_unknown_symbol_warning_with_system(self, tlc_system):
         res = frontend.parse_queries(

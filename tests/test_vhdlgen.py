@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosma import formula as F
-from cosma import frontend, model, vhdlgen
+from cosma import assets, frontend, model, vhdlgen
 from gensys import random_system
 from oracles import all_valuations, regex_audit
 from vhdl_interp import ProcessModel
@@ -332,6 +332,15 @@ class TestOptionsAndErrors:
         )
         with pytest.raises(vhdlgen.VhdlGenError, match="does not validate"):
             vhdlgen.generate(model.System("sys", [machine]))
+
+    def test_parse_and_generation_validate_once(self, monkeypatch):
+        calls = []
+        real = model.validate
+        monkeypatch.setattr(model, "validate", lambda system: calls.append(system) or real(system))
+        result = frontend.parse_system(assets.text("tlc.csm"), "tlc.csm")
+        vhdlgen.generate(result.system)
+        vhdlgen.generate(result.system, vhdlgen.CodegenOptions(state_encoding="onehot"))
+        assert calls == [result.system]
 
 
 class TestOverlapHandling:
