@@ -7,7 +7,8 @@ Subcommands: ``lint`` (parse + validate), ``rg`` (reachability graph),
 Exit codes: 0 success / all checks pass, 1 some query verdict is false,
 2 parse or validation error (diagnostics on stderr), 3 internal invariant
 violation (engine mismatch, audit failure).  ``COSMA_COLOR=1`` forces ANSI
-colors on, ``COSMA_COLOR=0`` off; the default follows stdout.
+colors on, ``COSMA_COLOR=0`` off; by default each stream is colored when it
+is a terminal.
 """
 
 from __future__ import annotations
@@ -26,19 +27,15 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
 
-def _color_enabled() -> bool:
+def _style(text: str, code: str, stream=None) -> str:
+    """``text`` in ANSI color ``code`` when ``stream`` (by default the
+    current ``sys.stderr``) is a terminal, or when ``COSMA_COLOR`` says so."""
     flag = os.environ.get("COSMA_COLOR")
-    if flag == "1":
-        return True
-    if flag == "0":
-        return False
-    return sys.stdout.isatty()
-
-
-def _style(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
+    if flag in ("0", "1"):
+        on = flag == "1"
+    else:
+        on = (sys.stderr if stream is None else stream).isatty()
+    return f"\x1b[{code}m{text}\x1b[0m" if on else text
 
 
 _SEVERITY_STYLE = {"error": "31", "warning": "33"}
@@ -191,10 +188,10 @@ def cmd_check(args) -> int:
     else:
         for name, verdict in results:
             if verdict.holds:
-                word = _style("true", "32")
+                word = _style("true", "32", sys.stdout)
                 suffix = " (vacuous)" if verdict.vacuous else ""
             else:
-                word = _style("FALSE", "31")
+                word = _style("FALSE", "31", sys.stdout)
                 suffix = ""
             print(f"{name}: {word}{suffix}")
             if not verdict.holds and verdict.trace:
@@ -242,16 +239,17 @@ def cmd_vhdl(args) -> int:
         text = vhdlgen.generate(system, opts)
     except vhdlgen.VhdlGenError as exc:
         return _input_error(str(exc))
-    audit = vhdlgen.structural_audit(text, system)
-    if not audit.ok:
-        for problem in audit.problems:
-            print(f"{_style('audit failure', '31')}: {problem}", file=sys.stderr)
+    problems = vhdlgen.structural_audit(text, system)
+    for problem in problems:
+        print(f"{_style('audit failure', '31')}: {problem}", file=sys.stderr)
+    if problems:
         return EXIT_INTERNAL
     if args.output:
         if not _write(args.output, text):
             return EXIT_INPUT_ERROR
-        noun = "process" if audit.process_count == 1 else "processes"
-        print(f"wrote {args.output} ({audit.process_count} {noun})")
+        # the audit passed, so there is one process per machine
+        noun = "process" if len(system.machines) == 1 else "processes"
+        print(f"wrote {args.output} ({len(system.machines)} {noun})")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -191,6 +191,8 @@ def atoms(expr: BoolExpr) -> frozenset[Symbol]:
             stack.append(e.operand)
         elif isinstance(e, _Chain):
             stack.extend(e.operands)
+        elif not isinstance(e, (ConstTrue, ConstFalse)):
+            raise FormulaError(f"not a formula node: {e!r}")
     return frozenset(found)
 
 

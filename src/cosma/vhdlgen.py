@@ -28,7 +28,7 @@ from collections import Counter
 from cosma import formula as F
 from cosma import model
 
-__all__ = ["AuditReport", "CodegenOptions", "VhdlGenError", "generate", "structural_audit"]
+__all__ = ["CodegenOptions", "VhdlGenError", "generate", "structural_audit"]
 
 
 class VhdlGenError(ValueError):
@@ -167,7 +167,7 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
 
     env = sorted(model.env_alphabet(system))
     produced = sorted(system.produced_symbols())
-    entity = opts.entity_name or system.name
+    entity = system.name if opts.entity_name is None else opts.entity_name
 
     hidden = _STANDARD if opts.clock else _STANDARD_UNCLOCKED
     _check_identifier(entity, "entity name", hidden)
@@ -175,8 +175,6 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
         _check_identifier(sym, "symbol", hidden)
     for machine in system.machines:
         _check_identifier(machine.name, "machine name", hidden)
-    if opts.clock and any(s.lower() == "clk" for s in env + produced):
-        raise VhdlGenError("clock mode reserves the port name 'Clk'")
     _check_distinct(system, env, produced, opts.clock)
 
     widths = _widths(system, opts)
@@ -258,19 +256,6 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
     return "\n".join(out)
 
 
-class AuditReport(F.Record):
-    __slots__ = ("problems", "process_count")
-    __hash__ = None  # problems are added
-
-    def __init__(self, problems: list[str] | None = None, process_count: int = 0):
-        self.problems = [] if problems is None else problems
-        self.process_count = process_count
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 # Patterns of the audit, one scan of the text (or of one process block) each.
 # Names are matched as whole words, which is what the parser accepts as an
 # identifier, so no pattern is built per machine, state or symbol.  Patterns
@@ -291,7 +276,7 @@ _BLOCK_WORD = re.compile(
 )
 
 
-def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
+def structural_audit(vhdl_text: str, system: model.System) -> list[str]:
     """Token-level self-check of generated VHDL.
 
     Verifies one process per machine, in machine order; one port line per
@@ -301,36 +286,30 @@ def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
     matches of one precompiled pattern, so the text is scanned four times
     and each process block at most twice more, whatever the number of
     machines, states and symbols: the audit is linear in the text.
+    Returns the problems found, in that order; none when the text passes.
     """
-    report = AuditReport()
+    problems = []
 
     labels, blocks = _process_blocks(vhdl_text)
-    report.process_count = len(labels)
     machine_names = [m.name for m in system.machines]
     if labels != machine_names:
-        report.problems.append(
-            f"expected one process per machine {machine_names}, found {labels}"
-        )
+        problems.append(f"expected one process per machine {machine_names}, found {labels}")
 
     ports = Counter(_PORT_LINE.findall(vhdl_text))
     for sym in sorted(model.env_alphabet(system) | system.produced_symbols()):
         hits = ports[sym]
         if hits != 1:
-            report.problems.append(
-                f"symbol {sym!r} appears as a port {hits} times, expected once"
-            )
+            problems.append(f"symbol {sym!r} appears as a port {hits} times, expected once")
 
     for machine in system.machines:
         block = blocks.get(machine.name)
         if block is None:
-            report.problems.append(f"no process block for machine {machine.name!r}")
+            problems.append(f"no process block for machine {machine.name!r}")
             continue
         m = _VECTOR_DECL.search(block)
         if m is None:
             if machine.states:
-                report.problems.append(
-                    f"machine {machine.name!r}: no state vector declaration"
-                )
+                problems.append(f"machine {machine.name!r}: no state vector declaration")
             continue
         width = int(m.group(1)) + 1
         branches = Counter(
@@ -339,7 +318,7 @@ def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
         for state in machine.states:
             hits = branches[state.name]
             if hits != 1:
-                report.problems.append(
+                problems.append(
                     f"machine {machine.name!r}, state {state.name!r}: {hits} 'when' "
                     "branches, expected exactly one"
                 )
@@ -349,11 +328,9 @@ def structural_audit(vhdl_text: str, system: model.System) -> AuditReport:
         n_open = words[kind]
         n_close = words["end " + kind]
         if n_open != n_close:
-            report.problems.append(
-                f"unbalanced {kind} blocks: {n_open} openers, {n_close} closers"
-            )
+            problems.append(f"unbalanced {kind} blocks: {n_open} openers, {n_close} closers")
 
-    return report
+    return problems
 
 
 def _process_blocks(vhdl_text: str) -> tuple[list[str], dict[str, str]]:

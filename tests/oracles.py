@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 
 from cosma import formula as F
-from cosma import mc, model, robdd, vhdlgen
+from cosma import mc, model, robdd
 from cosma.frontend import _NOT_NAMES, ParseError, SourceSpan
 from cosma.reach import ReachEdge, ReachGraph
 
@@ -387,7 +387,7 @@ def rescanning_ctl_sat(rg, spec):
     return sat(spec)
 
 
-def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:
+def regex_audit(vhdl_text: str, system: model.System) -> list[str]:
     """The per-name regex audit that ``vhdlgen.structural_audit`` replaced.
 
     Token-level self-check of generated VHDL.
@@ -396,13 +396,12 @@ def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:
     ``when`` branch per state inside its machine's process, and balanced
     if / case / loop / process blocks.
     """
-    report = vhdlgen.AuditReport()
+    problems = []
 
     labels = re.findall(r"^\s*(\w+)\s*:\s*process\b", vhdl_text, re.M)
-    report.process_count = len(labels)
     machine_names = [m.name for m in system.machines]
     if labels != machine_names:
-        report.problems.append(
+        problems.append(
             f"expected one process per machine {machine_names}, found {labels}"
         )
 
@@ -414,14 +413,14 @@ def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:
             rf"^\s*{re.escape(sym.name)} : (?:in|out) BIT[;,]?\s*$", vhdl_text, re.M
         )
         if len(hits) != 1:
-            report.problems.append(
+            problems.append(
                 f"symbol {sym.name!r} appears as a port {len(hits)} times, expected once"
             )
 
     for machine in system.machines:
         block = _process_block(vhdl_text, machine.name)
         if block is None:
-            report.problems.append(f"no process block for machine {machine.name!r}")
+            problems.append(f"no process block for machine {machine.name!r}")
             continue
         width = None
         m = re.search(r"BIT_VECTOR \((\d+) downto 0\)", block)
@@ -429,13 +428,13 @@ def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:
             width = int(m.group(1)) + 1
         for idx, state in enumerate(machine.states):
             if width is None:
-                report.problems.append(
+                problems.append(
                     f"machine {machine.name!r}: no state vector declaration"
                 )
                 break
             hits = len(re.findall(rf'when "[01]{{{width}}}" => -- {re.escape(state.name)}\b', block))
             if hits != 1:
-                report.problems.append(
+                problems.append(
                     f"machine {machine.name!r}, state {state.name!r}: {hits} 'when' "
                     "branches, expected exactly one"
                 )
@@ -450,11 +449,11 @@ def regex_audit(vhdl_text: str, system: model.System) -> vhdlgen.AuditReport:
         n_close = len(re.findall(closer, vhdl_text))
         if n_open != n_close:
             name = closer.replace(r"\bend ", "").replace(r"\b", "")
-            report.problems.append(
+            problems.append(
                 f"unbalanced {name} blocks: {n_open} openers, {n_close} closers"
             )
 
-    return report
+    return problems
 
 
 def _process_block(vhdl_text: str, label: str) -> str | None:

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -528,7 +529,29 @@ class TestVhdl:
         path.write_text("system c { machine M { init a; state a { out Clk; -> a when 1; } } }\n")
         code, out, err = run(capsys, ["vhdl", str(path), "--clock"])
         assert code == 2
-        assert err == "error: clock mode reserves the port name 'Clk'\n"
+        assert err == ("error: clock port 'Clk' and output 'Clk' are the same identifier in VHDL, "
+                       "which ignores case; rename one of them\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("machine, label", [
+        ("machine M { init a; state a { -> a when clk; } }", "input 'clk'"),
+        ("machine clk { init a; state a { -> a when 1; } }", "machine 'clk'"),
+    ], ids=["input-clk", "machine-clk"])
+    def test_clock_port_clashes_like_any_other_name(self, tmp_path, capsys, machine, label):
+        path = tmp_path / "clk.csm"
+        path.write_text(f"system c {{ {machine} }}\n")
+        assert run(capsys, ["vhdl", str(path)])[0] == 0
+        code, out, err = run(capsys, ["vhdl", str(path), "--clock"])
+        assert code == 2
+        assert err == (f"error: clock port 'Clk' and {label} are the same identifier in VHDL, "
+                       "which ignores case; rename one of them\n")
+        assert out == ""
+
+    def test_empty_entity_name_is_not_a_vhdl_name(self, workdir, capsys):
+        code, out, err = run(capsys, ["vhdl", str(workdir / "tlc.csm"), "--entity", ""])
+        assert code == 2
+        assert err == ("error: entity name '' is not a legal VHDL identifier; "
+                       "rename it (for example to 's')\n")
         assert out == ""
 
     @pytest.mark.parametrize("machine, message", [
@@ -606,7 +629,7 @@ class TestVhdl:
         code, out, err = run(capsys, ["vhdl", str(path)])
         assert code == 0 and err == "", err
         system = frontend.parse_system(path.read_text(), str(path)).system
-        assert vhdlgen.structural_audit(out, system).ok
+        assert vhdlgen.structural_audit(out, system) == []
         assert '        when "0" => -- a\n          newstate := "0";\n      end case;' in out
 
     def test_illegal_output_name_gets_a_suggestion(self, tmp_path, capsys):
@@ -704,7 +727,33 @@ class TestExamples:
             assert err.startswith(f"error: cannot write {bad}: "), err
 
 
+class _Stream(io.StringIO):
+    """A text stream that says whether it is a terminal."""
+
+    def __init__(self, tty: bool):
+        super().__init__()
+        self.tty = tty
+
+    def isatty(self):
+        return self.tty
+
+
 class TestColor:
+    @pytest.mark.parametrize("stdout_tty", [True, False], ids=["stdout-tty", "stderr-tty"])
+    def test_each_stream_is_colored_when_it_is_a_terminal(self, workdir, monkeypatch,
+                                                          stdout_tty):
+        monkeypatch.delenv("COSMA_COLOR")
+        out, err = _Stream(stdout_tty), _Stream(not stdout_tty)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        bad = workdir / "bad.csm"
+        bad.write_text("system x {")
+        assert cli.main(["lint", str(bad)]) == 2
+        queries = str(workdir / "tlc_queries.tq")
+        assert cli.main(["check", str(workdir / "tlc.csm"), "--queries", queries]) == 0
+        assert ("\x1b[" in out.getvalue()) is stdout_tty
+        assert ("\x1b[" in err.getvalue()) is not stdout_tty
+
     def test_forced_on(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("COSMA_COLOR", "1")
         bad = tmp_path / "bad.csm"

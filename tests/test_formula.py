@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosma import formula as F
-from cosma import frontend, robdd
+from cosma import frontend, mc, robdd
 from oracles import all_valuations, brute_satisfiable, charwise_words
 
 a, b, c, d, e, f = (F.Symbol(n) for n in "abcdef")
@@ -236,6 +236,18 @@ class TestChains:
         assert len(F.atoms(chain)) == 100
         assert F.to_text(chain).count(" + ") == 9_999
         assert list(F.conj_factors(F.And(chain, chain))) == [chain, chain]
+
+
+class TestAtoms:
+    def test_symbols_of_a_formula(self):
+        assert F.atoms(F.Or(F.And(a, F.Not(b)), F.TRUE, a)) == {a, b}
+        assert F.atoms(F.FALSE) == frozenset()
+
+    @pytest.mark.parametrize("expr", [mc.CtlAG(a), F.And(a, mc.CtlEX(b))],
+                             ids=["ctl", "nested-ctl"])
+    def test_a_node_that_is_not_a_formula_is_refused(self, expr):
+        with pytest.raises(F.FormulaError, match="not a formula node"):
+            F.atoms(expr)
 
 
 class TestSymbols:

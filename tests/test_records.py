@@ -55,7 +55,6 @@ CASES = [
      "CodegenOptions(state_encoding='binary', explicit_width=None, delay_ns=10, "
      "entity_name=None, clock=False)",
      ("binary", None, 10, None, False)),
-    (vhdlgen.AuditReport(), "AuditReport(problems=[], process_count=0)", None),
 ]
 IDS = [type(record).__name__ for record, _, _ in CASES]
 

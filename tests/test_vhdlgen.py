@@ -100,32 +100,30 @@ class TestFragments:
 
 class TestAudit:
     def test_bundled_model_passes(self, tlc_vhdl, tlc_system):
-        report = vhdlgen.structural_audit(tlc_vhdl, tlc_system)
-        assert report.ok, report.problems
-        assert report.process_count == 3
+        problems = vhdlgen.structural_audit(tlc_vhdl, tlc_system)
+        assert not problems, problems
 
     def test_missing_end_if_detected(self, tlc_vhdl, tlc_system):
         corrupted = tlc_vhdl.replace("end if;", "", 1)
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert not report.ok
-        assert any("if" in p for p in report.problems)
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems
+        assert any("if" in p for p in problems)
 
     def test_missing_port_detected(self, tlc_vhdl, tlc_system):
         corrupted = tlc_vhdl.replace("    Car : in BIT;\n", "")
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert any("'Car'" in p for p in report.problems)
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert any("'Car'" in p for p in problems)
 
     def test_dropped_when_branch_detected(self, tlc_vhdl, tlc_system):
         corrupted = tlc_vhdl.replace('when "001" => -- sHY', 'when "001" => -- zzz', 1)
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert any("sHY" in p for p in report.problems)
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert any("sHY" in p for p in problems)
 
     def test_one_state_machine(self):
         system = first_machine_system([((), [(0, F.TRUE)])])
         text = vhdlgen.generate(system)
-        report = vhdlgen.structural_audit(text, system)
-        assert report.ok, report.problems
-        assert report.process_count == 1
+        problems = vhdlgen.structural_audit(text, system)
+        assert not problems, problems
         assert text.count('when "') == 1
         assert "\n          if " not in text  # single spontaneous arc is compound
 
@@ -133,31 +131,31 @@ class TestAudit:
         branch = '        when "001" => -- TSrun\n'
         target = '        when "010" => -- TLelap\n'
         corrupted = tlc_vhdl.replace(branch, "").replace(target, target + branch)
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert report.problems == [
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems == [
             "machine 'TimerTS', state 'TSrun': 0 'when' branches, expected exactly one"
         ]
 
     def test_duplicated_port_line(self, tlc_vhdl, tlc_system):
         line = "    tauTL : in BIT;\n"
         corrupted = tlc_vhdl.replace(line, line + line)
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert report.problems == ["symbol 'tauTL' appears as a port 2 times, expected once"]
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems == ["symbol 'tauTL' appears as a port 2 times, expected once"]
 
     def test_missing_end_case(self, tlc_vhdl, tlc_system):
         corrupted = tlc_vhdl.replace("      end case;\n", "", 1)
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert report.problems == ["unbalanced case blocks: 3 openers, 2 closers"]
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems == ["unbalanced case blocks: 3 openers, 2 closers"]
 
     def test_missing_end_loop(self, tlc_vhdl, tlc_system):
         corrupted = tlc_vhdl.replace("    end loop;\n", "", 1)
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert report.problems == ["unbalanced loop blocks: 3 openers, 2 closers"]
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems == ["unbalanced loop blocks: 3 openers, 2 closers"]
 
     def test_missing_end_process(self, tlc_vhdl, tlc_system):
         corrupted = tlc_vhdl.replace("  end process TimerTS;\n", "")
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert report.problems == [
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems == [
             "no process block for machine 'TimerTS'",
             "unbalanced process blocks: 3 openers, 2 closers",
         ]
@@ -168,19 +166,18 @@ class TestAudit:
             '    variable current_state : BIT_VECTOR (2 downto 0) :="000";\n'
             '    variable newstate : BIT_VECTOR (2 downto 0) :="000";\n'
         )
-        report = vhdlgen.structural_audit(head + tail, tlc_system)
-        assert report.problems == ["machine 'TimerTL': no state vector declaration"]
+        problems = vhdlgen.structural_audit(head + tail, tlc_system)
+        assert problems == ["machine 'TimerTL': no state vector declaration"]
 
     def test_processes_in_swapped_order(self, tlc_vhdl, tlc_system):
         lines = tlc_vhdl.split("\n")
         _, timer_ts, timer_tl = process_spans(lines)
         corrupted = "\n".join(swap_processes(lines, timer_ts, timer_tl))
-        report = vhdlgen.structural_audit(corrupted, tlc_system)
-        assert report.problems == [
+        problems = vhdlgen.structural_audit(corrupted, tlc_system)
+        assert problems == [
             "expected one process per machine ['Controller', 'TimerTS', 'TimerTL'], "
             "found ['Controller', 'TimerTL', 'TimerTS']"
         ]
-        assert report.process_count == 3
 
     def test_audit_compiles_no_pattern_per_name(self, monkeypatch):
         go = F.Symbol("go")
@@ -195,9 +192,8 @@ class TestAudit:
 
         for name in ("compile", "search", "findall", "finditer"):
             monkeypatch.setattr(re, name, refuse)
-        report = vhdlgen.structural_audit(text, system)
-        assert report.ok, report.problems
-        assert report.process_count == 1
+        problems = vhdlgen.structural_audit(text, system)
+        assert not problems, problems
 
 
 @st.composite
@@ -270,10 +266,7 @@ def mutated_vhdl(draw):
 @given(case=mutated_vhdl())
 def test_audit_agrees_with_regex_oracle(case):
     system, text = case
-    report = vhdlgen.structural_audit(text, system)
-    expected = regex_audit(text, system)
-    assert report.problems == expected.problems
-    assert report.process_count == expected.process_count
+    assert vhdlgen.structural_audit(text, system) == regex_audit(text, system)
 
 
 class TestOptionsAndErrors:
@@ -285,7 +278,7 @@ class TestOptionsAndErrors:
     def test_onehot_encoding(self, tlc_system):
         text = vhdlgen.generate(tlc_system, vhdlgen.CodegenOptions(state_encoding="onehot"))
         assert 'variable current_state : BIT_VECTOR (3 downto 0) :="0001";' in text
-        assert vhdlgen.structural_audit(text, tlc_system).ok
+        assert vhdlgen.structural_audit(text, tlc_system) == []
 
     def test_width_overflow(self, tlc_system):
         with pytest.raises(vhdlgen.VhdlGenError, match="at most"):
@@ -297,6 +290,11 @@ class TestOptionsAndErrors:
     def test_entity_name_override(self, tlc_system):
         text = vhdlgen.generate(tlc_system, vhdlgen.CodegenOptions(entity_name="lights"))
         assert "entity lights is" in text
+
+    def test_empty_entity_name_is_checked_like_any_name(self, tlc_system):
+        with pytest.raises(vhdlgen.VhdlGenError,
+                           match="entity name '' is not a legal VHDL identifier"):
+            vhdlgen.generate(tlc_system, vhdlgen.CodegenOptions(entity_name=""))
 
     def test_illegal_symbol_name(self):
         system = first_machine_system([(("very__bad",), [(0, F.TRUE)])])
@@ -323,7 +321,7 @@ class TestOptionsAndErrors:
         system = first_machine_system([((), [(0, F.TRUE)])])
         text = vhdlgen.generate(system)
         assert "port (" not in text
-        assert vhdlgen.structural_audit(text, system).ok
+        assert vhdlgen.structural_audit(text, system) == []
 
     def test_unvalidated_system_rejected(self):
         machine = model.Machine(
@@ -365,7 +363,7 @@ class TestOverlapHandling:
 class TestOneCycleEquivalence:
     def check_system(self, system, opts=vhdlgen.CodegenOptions()):
         text = vhdlgen.generate(system, opts)
-        assert vhdlgen.structural_audit(text, system).ok
+        assert vhdlgen.structural_audit(text, system) == []
         env = model.env_alphabet(system)
         widths = vhdlgen._widths(system, opts)
         onehot = opts.state_encoding == "onehot"
