@@ -256,24 +256,35 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
     return "\n".join(out)
 
 
-# Patterns of the audit, one scan of the text (or of one process block) each.
-# Names are matched as whole words, which is what the parser accepts as an
-# identifier, so no pattern is built per machine, state or symbol.  Patterns
-# that may start anywhere begin with a letter, and a lookbehind after it
-# stands for the word boundary before it, so that the scan can skip ahead
-# to that letter.
-_PROCESS_START = re.compile(r"^\s*(\w+)\s*:\s*process\b", re.M)
+# Patterns of the audit.  Each begins with a literal that occurs only where
+# its check can match, so re's fast search jumps from one occurrence of that
+# literal to the next instead of trying the pattern at every position; the
+# candidate's own context is tested from there.  Names are matched as whole
+# words, which is what the parser accepts as an identifier, so no pattern is
+# built per machine, state or symbol.  A lookbehind after a leading word
+# stands for the word boundary before it.
+#
+# A process label is the first word of a line, then ":" and the word
+# "process", with any whitespace, line ends too, between the three.  The
+# audit finds "process", reads back to the label's line and matches that.
+_PROCESS_WORD = re.compile(r"process\b")
+_LABEL_LINE = re.compile(r"\s*(\w+)\s*:\s*process\b")
 _PROCESS_END = re.compile(r"end(?<!\wend) process (\w+);")
-_PORT_LINE = re.compile(r"^\s*(\w+) : (?:in|out) BIT[;,]?\s*$", re.M)
+# A port line is a word, " : in BIT" or " : out BIT", an optional ";" or ","
+# and nothing else but whitespace.  The audit finds "BIT" after " : in " or
+# " : out " (the letter B is rarer than the space) and matches its own line.
+_PORT_MARK = re.compile(r"BIT(?:(?<= : in BIT)|(?<= : out BIT))")
+_PORT_LINE = re.compile(r"\s*(\w+) : (?:in|out) BIT[;,]?\s*$", re.M)
 _VECTOR_DECL = re.compile(r"BIT_VECTOR \((\d+) downto 0\)")
 _WHEN_BRANCH = re.compile(r'when "([01]+)" => -- (\w+)')
-# A block closer is "end if" (etc.) after a word boundary; an opener is a
-# whole-word "if" not right after "end ", so "xend if" is neither.
-_BLOCK_WORD = re.compile(
-    r"(?:end(?<!\wend) (?:if|case|loop|process)"
-    r"|i(?<!\wi)(?<!end i)f|c(?<!\wc)(?<!end c)ase"
-    r"|l(?<!\wl)(?<!end l)oop|p(?<!\wp)(?<!end p)rocess)\b"
-)
+# Block words count outside "--" comments only, because the comments of the
+# "when" branches hold state names.  An opener is the whole word not right
+# after "end "; a closer is "end" after a word boundary, one space and the
+# word, so "xend if" is neither.
+_BLOCK_KINDS = ("if", "case", "loop", "process")
+_COMMENT = re.compile(r"--.*")
+_OPENERS = {kind: re.compile(rf"{kind}\b(?<!\w{kind})(?<!end {kind})") for kind in _BLOCK_KINDS}
+_CLOSER = re.compile(r"end(?<!\wend) (if|case|loop|process)\b")
 
 
 def structural_audit(vhdl_text: str, system: model.System) -> list[str]:
@@ -282,11 +293,11 @@ def structural_audit(vhdl_text: str, system: model.System) -> list[str]:
     Verifies one process per machine, in machine order; one port line per
     symbol; in each machine's process, a state vector declaration and one
     ``when`` branch per state whose code has the vector's width; and
-    balanced if / case / loop / process blocks.  Each check counts the
-    matches of one precompiled pattern, so the text is scanned four times
-    and each process block at most twice more, whatever the number of
-    machines, states and symbols: the audit is linear in the text.
-    Returns the problems found, in that order; none when the text passes.
+    balanced if / case / loop / process blocks outside ``--`` comments.
+    Every check scans for a literal of its precompiled pattern and tests
+    only the candidates found, whatever the number of machines, states and
+    symbols: the audit is linear in the text.  Returns the problems found,
+    in that order; none when the text passes.
     """
     problems = []
 
@@ -295,7 +306,11 @@ def structural_audit(vhdl_text: str, system: model.System) -> list[str]:
     if labels != machine_names:
         problems.append(f"expected one process per machine {machine_names}, found {labels}")
 
-    ports = Counter(_PORT_LINE.findall(vhdl_text))
+    ports: Counter[str] = Counter()
+    for mark in _PORT_MARK.finditer(vhdl_text):
+        line = _PORT_LINE.match(vhdl_text, vhdl_text.rfind("\n", 0, mark.start()) + 1)
+        if line is not None:  # a matching line holds just one mark
+            ports[line.group(1)] += 1
     for sym in sorted(model.env_alphabet(system) | system.produced_symbols()):
         hits = ports[sym]
         if hits != 1:
@@ -323,10 +338,11 @@ def structural_audit(vhdl_text: str, system: model.System) -> list[str]:
                     "branches, expected exactly one"
                 )
 
-    words = Counter(_BLOCK_WORD.findall(vhdl_text))
-    for kind in ("if", "case", "loop", "process"):
-        n_open = words[kind]
-        n_close = words["end " + kind]
+    code = _COMMENT.sub("", vhdl_text)
+    closers = Counter(_CLOSER.findall(code))
+    for kind in _BLOCK_KINDS:
+        n_open = len(_OPENERS[kind].findall(code))
+        n_close = closers[kind]
         if n_open != n_close:
             problems.append(f"unbalanced {kind} blocks: {n_open} openers, {n_close} closers")
 
@@ -336,15 +352,32 @@ def structural_audit(vhdl_text: str, system: model.System) -> list[str]:
 def _process_blocks(vhdl_text: str) -> tuple[list[str], dict[str, str]]:
     """The process labels in text order, and each label's block.
 
-    A block runs from the label's first ``X : process`` line to the end of
-    the first ``end process X;`` in the text; a label without such an end
-    has no block.
+    The labels are those that ``^\\s*(\\w+)\\s*:\\s*process\\b`` finds with
+    ``re.M``.  From each "process" the scan reads back over whitespace and
+    the colon to the label's line, which must start no earlier than the
+    end of the previous label's match, and matches that line forwards.  A
+    block runs from the line of the label's first ``X : process`` to the
+    end of the first ``end process X;`` in the text; a label without such
+    an end has no block.
     """
     labels = []
     starts: dict[str, int] = {}
-    for m in _PROCESS_START.finditer(vhdl_text):
-        labels.append(m.group(1))
-        starts.setdefault(m.group(1), m.start())
+    floor = 0  # where the previous label's match ended
+    for m in _PROCESS_WORD.finditer(vhdl_text):
+        colon = _space_before(vhdl_text, m.start(), floor) - 1
+        if colon < floor or vhdl_text[colon] != ":":
+            continue
+        # the label ends where the whitespace before the colon begins, and
+        # no line end comes between the label's line start and its end
+        line = vhdl_text.rfind("\n", floor, _space_before(vhdl_text, colon, floor)) + 1
+        if line == 0 and floor:
+            continue
+        label = _LABEL_LINE.match(vhdl_text, line)
+        if label is None or label.end() != m.end():
+            continue
+        labels.append(label.group(1))
+        starts.setdefault(label.group(1), line)
+        floor = m.end()
     ends: dict[str, int] = {}
     for m in _PROCESS_END.finditer(vhdl_text):
         ends.setdefault(m.group(1), m.end())
@@ -352,3 +385,10 @@ def _process_blocks(vhdl_text: str) -> tuple[list[str], dict[str, str]]:
         label: vhdl_text[start : ends[label]] for label, start in starts.items() if label in ends
     }
     return labels, blocks
+
+
+def _space_before(text: str, i: int, floor: int) -> int:
+    """The least ``j >= floor`` such that ``text[j:i]`` is whitespace."""
+    while i > floor and text[i - 1].isspace():
+        i -= 1
+    return i

@@ -394,7 +394,7 @@ def regex_audit(vhdl_text: str, system: model.System) -> list[str]:
 
     Verifies one process per machine, one port line per symbol, one
     ``when`` branch per state inside its machine's process, and balanced
-    if / case / loop / process blocks.
+    if / case / loop / process blocks outside ``--`` comments.
     """
     problems = []
 
@@ -439,14 +439,16 @@ def regex_audit(vhdl_text: str, system: model.System) -> list[str]:
                     "branches, expected exactly one"
                 )
 
+    # block words inside "--" comments (state names, for one) do not count
+    code = re.sub(r"--.*", "", vhdl_text)
     for opener, closer in (
         (r"(?<!end )\bif\b", r"\bend if\b"),
         (r"(?<!end )\bcase\b", r"\bend case\b"),
         (r"(?<!end )\bloop\b", r"\bend loop\b"),
         (r"(?<!end )\bprocess\b", r"\bend process\b"),
     ):
-        n_open = len(re.findall(opener, vhdl_text))
-        n_close = len(re.findall(closer, vhdl_text))
+        n_open = len(re.findall(opener, code))
+        n_close = len(re.findall(closer, code))
         if n_open != n_close:
             name = closer.replace(r"\bend ", "").replace(r"\b", "")
             problems.append(

@@ -632,6 +632,19 @@ class TestVhdl:
         assert vhdlgen.structural_audit(out, system) == []
         assert '        when "0" => -- a\n          newstate := "0";\n      end case;' in out
 
+    @pytest.mark.parametrize("encoding", ["binary", "onehot"])
+    @pytest.mark.parametrize("name", ["if", "case", "loop", "process"])
+    def test_a_state_named_like_a_block_word(self, tmp_path, capsys, name, encoding):
+        # the name stands in its branch's "-- name" comment, where block words do not count
+        path = tmp_path / "word.csm"
+        path.write_text(f"system s {{ machine M {{ init a; state a {{ -> {name} when go; }} "
+                        f"state {name} {{ -> a when go; }} }} }}\n")
+        code, out, err = run(capsys, ["vhdl", str(path), "--state-encoding", encoding])
+        assert code == 0 and err == "", err
+        system = frontend.parse_system(path.read_text(), str(path)).system
+        assert vhdlgen.structural_audit(out, system) == []
+        assert f" => -- {name}\n" in out
+
     def test_illegal_output_name_gets_a_suggestion(self, tmp_path, capsys):
         path = tmp_path / "ux.csm"
         path.write_text("system u { machine M { init a; state a { out _x; -> a when 1; } } }\n")

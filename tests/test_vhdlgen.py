@@ -213,9 +213,9 @@ def mutated_vhdl(draw):
     lines = vhdlgen.generate(system, opts).split("\n")
     state_names = [s.name for m in system.machines for s in m.states]
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["delete", "duplicate", "copy", "append", "rename", "recode",
-                                     "swap", "glue"]))
-        if kind in ("delete", "duplicate", "copy", "append"):
+        kind = draw(st.sampled_from(["delete", "duplicate", "copy", "append", "split", "rename",
+                                     "recode", "swap", "glue"]))
+        if kind in ("delete", "duplicate", "copy", "append", "split"):
             # one kind of line the audit reads, or any line ("")
             keys = draw(st.sampled_from(
                 [("process",), (" => -- ",), ("BIT",), ("if", "case", "loop"), ("",)]
@@ -230,6 +230,11 @@ def mutated_vhdl(draw):
                 lines.insert(i, lines[i])
             elif kind == "copy":
                 lines.insert(draw(st.integers(0, len(lines))), lines[i])
+            elif kind == "split":  # the line broken in two at one of its spaces
+                spaces = [j for j, char in enumerate(lines[i]) if char == " "]
+                if spaces:
+                    j = draw(st.sampled_from(spaces))
+                    lines[i : i + 1] = [lines[i][:j], lines[i][j + 1 :]]
             else:
                 lines[i] += draw(st.sampled_from([";", ",", " ", " x", "0"]))
         elif kind in ("rename", "recode"):
@@ -238,7 +243,8 @@ def mutated_vhdl(draw):
                 i = draw(st.sampled_from(branches))
                 head, _, name = lines[i].partition(" => -- ")
                 if kind == "rename":
-                    name = draw(st.sampled_from(state_names + ["zz"]))
+                    name = draw(st.sampled_from(state_names + ["zz", "if", "case", "loop",
+                                                                "process"]))
                     name += draw(st.sampled_from(["", ".", " x", "x", "_", "0"]))
                 else:  # a code one bit shorter or longer
                     prefix, code, _ = head.split('"')
@@ -267,6 +273,26 @@ def mutated_vhdl(draw):
 def test_audit_agrees_with_regex_oracle(case):
     system, text = case
     assert vhdlgen.structural_audit(text, system) == regex_audit(text, system)
+
+
+@pytest.mark.parametrize("old, new, clean", [
+    ("  TimerTS : process\n", "  TimerTS\n    : process\n", True),
+    ("  TimerTS : process\n", "  TimerTS\n  :\n  process\n", True),
+    ("  port (\n", "  port (\n\n   \n", True),
+    ("\n", "\r\n", True),
+    (" : in BIT;\n", " : in BIT;  \n", True),
+    ("  TimerTS : process\n", "  TimerTS : process TimerTS : process\n", False),
+    # the second line starts inside the first label's match, so "process" is no label
+    ("  TimerTS : process\n", "  TimerTS :\nprocess : process\n", False),
+], ids=["label-split-from-process", "colon-on-its-own-line", "blank-lines-before-a-port",
+        "crlf-line-ends", "trailing-spaces-after-a-port", "two-labels-on-one-line",
+        "line-start-inside-a-label-match"])
+def test_audit_agrees_with_regex_oracle_on_layout(tlc_vhdl, tlc_system, old, new, clean):
+    assert old in tlc_vhdl
+    text = tlc_vhdl.replace(old, new)
+    problems = vhdlgen.structural_audit(text, tlc_system)
+    assert problems == regex_audit(text, tlc_system)
+    assert (problems == []) == clean, problems
 
 
 class TestOptionsAndErrors:
