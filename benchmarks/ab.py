@@ -49,9 +49,6 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 RECORD = HERE / "BENCH_e2e.json"
-SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-WORKLOADS = [w["name"] for w in SPEC["workloads"]]
-END_TO_END = {m["name"]: m for m in SPEC["end_to_end"]}
 SIDES = ("base", "head")
 RESOLVE_SHARE = 0.9  # the share of pairs a side must win before a difference counts
 ABOUT = (
@@ -77,7 +74,7 @@ def export(commit: str, dest: Path) -> None:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One benchmark run in ``tree``: its result and the raw times of its result file."""
+    """One benchmark run in ``tree``: its result, and the run facts of its result file."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -93,7 +90,6 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: bool) -> di
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "raw": info["raw_s"],
         "info": info,
     }
 
@@ -130,7 +126,8 @@ def summarize(base: list[float], head: list[float], better: str, bound: float | 
     return summary
 
 
-def compare(trees: dict, workload: str, pairs: int, seconds: float, seed: int) -> dict:
+def compare(trees: dict, workload: str, pairs: int, seconds: float, seed: int,
+            end_to_end_spec: list[dict]) -> dict:
     """Alternating pairs and one traced run per side on one workload."""
     runs = {side: [] for side in SIDES}
     for i in range(pairs):
@@ -140,13 +137,14 @@ def compare(trees: dict, workload: str, pairs: int, seconds: float, seed: int) -
     traced = {side: run(trees[side], workload, seed, seconds, trace=True) for side in SIDES}
 
     end_to_end = {}
-    for name, spec in END_TO_END.items():
+    for metric in end_to_end_spec:
+        name = metric["name"]
         values = {side: [r["metrics"][name] for r in runs[side]] for side in SIDES}
-        entry = summarize(values["base"], values["head"], spec["better"], spec["bound"])
+        entry = summarize(values["base"], values["head"], metric["better"], metric["bound"])
         entry["runs"] = values
-        if name in runs["base"][0]["raw"]:  # a time: its raw seconds too
-            raw = {side: [r["raw"][name] for r in runs[side]] for side in SIDES}
-            entry["raw"] = summarize(raw["base"], raw["head"], spec["better"], None)
+        if name in runs["base"][0]["info"]["raw_s"]:  # a time: its raw seconds too
+            raw = {side: [r["info"]["raw_s"][name] for r in runs[side]] for side in SIDES}
+            entry["raw"] = summarize(raw["base"], raw["head"], metric["better"], None)
             entry["raw"]["runs"] = raw
         end_to_end[name] = entry
     per_layer = {
@@ -189,13 +187,15 @@ def report(workload: str, result: dict) -> None:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", metavar="BASE", help="the commit compared against")
     parser.add_argument("head", metavar="HEAD", help="the commit whose change is measured")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+    parser.add_argument("--workload", action="append", choices=workloads,
                         help="a workload to run (repeatable; default: every workload)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
+    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=0, help="the first pair's seed")
     parser.add_argument("--record", metavar="LABEL", help=f"store as a column of {RECORD.name}")
     parser.add_argument("--note", default="", help="text stored with the recorded column")
@@ -210,8 +210,9 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
-        for workload in args.workload or WORKLOADS:
-            results[workload] = compare(trees, workload, args.pairs, args.seconds, args.seed)
+        for workload in args.workload or workloads:
+            results[workload] = compare(trees, workload, args.pairs, args.seconds, args.seed,
+                                        spec["end_to_end"])
             report(workload, results[workload])
 
     if args.record:
