@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the BDD manager on five workloads, each checking its own answer.
+"""Time the BDD manager on six workloads, each checking its own answer.
 
 * ``queens``   the n-queens constraint function, built with and_/or_/not_
                alone: pure apply/unique-table traffic.
@@ -12,6 +12,9 @@
 * ``ring``     symbolic reachability of the benchmark's token ring of N
                machines (``perfbench/families.py``): one image step per
                token position, each over the whole N-machine relation.
+* ``toggles``  symbolic reachability of the benchmark's N independent
+               toggles, each flipped by an input of its own: 2^N states,
+               which the variable order must reach with a store linear in N.
 
 Each time is the best of three runs.  The machine's speed drifts, so the
 reference loop of ``perfbench/run.py`` is timed just before and just after
@@ -19,6 +22,7 @@ each best-of-3, and the scaled column reads the time as seconds on a
 machine that runs that loop in ``REF_S``, as ``perfbench/run.py`` does.
 
 Run:  python benchmarks/bench_bdd.py [--repeat N] [--counter-bits N] [--queens N] [--ring N]
+                                    [--toggles N]
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from cosma import assets, frontend, reach, robdd
 from cosma import formula as F
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import families  # noqa: E402  (read only: the ring model's text and answer)
+import families  # noqa: E402  (read only: the ring and toggles models' texts and answers)
 from run import REF_S, reference_loop  # noqa: E402  (read only: the drift correction)
 
 
@@ -143,12 +147,22 @@ def bench_ring(m: int) -> float:
     return time.perf_counter() - started
 
 
+def bench_toggles(n: int) -> float:
+    spec = families.toggles(families.Namer(0), n)
+    system = frontend.parse_system(spec.text, f"{spec.key}.csm").system
+    started = time.perf_counter()
+    sym = reach.build_rg_symbolic(system)
+    assert sym.count == 2 ** n, sym.count
+    return time.perf_counter() - started
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=30, help="pipeline repetitions")
     parser.add_argument("--counter-bits", type=int, default=9)
     parser.add_argument("--queens", type=int, default=7)
     parser.add_argument("--ring", type=int, default=100, help="machines in the token ring")
+    parser.add_argument("--toggles", type=int, default=16, help="independent toggles")
     args = parser.parse_args()
 
     workloads = [
@@ -157,6 +171,7 @@ def main() -> int:
         ("counter", lambda: bench_counter(args.counter_bits)),
         ("pipeline", lambda: bench_pipeline(args.repeat)),
         ("ring", lambda: bench_ring(args.ring)),
+        ("toggles", lambda: bench_toggles(args.toggles)),
     ]
 
     width = max(len(n) for n, _ in workloads)

@@ -347,8 +347,12 @@ def check_query(rg: ReachGraph, query: Query) -> Verdict:
     bad = _label(rg, avoid)
 
     for node in matching:
-        conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
-        conditioned = [(e, guard) for e, guard in conditioned if guard != m.FALSE]
+        if env_ref == m.TRUE:
+            # nothing to condition on, and an edge guard is never FALSE
+            conditioned = [(e, e.guard) for e in rg.out_edges(node)]
+        else:
+            conditioned = [(e, m.and_(e.guard, env_ref)) for e in rg.out_edges(node)]
+            conditioned = [(e, guard) for e, guard in conditioned if guard != m.FALSE]
         if not conditioned:
             return Verdict(holds=False, trace=[TraceStep(node, None)])
         for edge, guard in conditioned:

@@ -5,13 +5,17 @@ Two engines build the same set of global states:
 * an explicit breadth-first search that also records edges, each guarded
   by a BDD over the environment inputs in the graph's one manager (the arc
   guards with every produced symbol fixed by the source state).  It merges
-  each machine's moves by target and walks the machines depth first,
-  pruning every combination whose running conjunction is ``FALSE``, and
-  numbers nodes and orders edges as the plain product of moves would; and
+  each machine's moves by target and walks depth first only the machines
+  that have a choice of target, pruning every combination whose running
+  conjunction is ``FALSE``; nodes whose machines offer the same guards
+  share one walk.  It numbers nodes and orders edges as the plain product
+  of moves would; and
 * a symbolic fixpoint over a BDD-encoded transition relation, built
   bottom-up (state cubes from the last bit, machine relations conjoined
   from the last machine), whose image steps take only the states reached
-  in the step before.  It counts, and answers membership of one state.
+  in the step before.  Each environment input sits in the variable order
+  right after the last machine that reads it.  It counts, and answers
+  membership of one state.
 
 The two must always agree on the reachable set: equal sizes, and every
 explicit node in the symbolic set.  That cross-check is the central oracle
@@ -171,7 +175,18 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
     groups are enumerated depth first with a running conjunction, pruned as
     soon as it is ``FALSE``, so each leaf is one edge whose guard is the OR
     over every combination of moves into that target vector, and machines
-    with several moves into one state add no combinations.  Edges, and so
+    with several moves into one state add no combinations.
+
+    Only the machines with more than one group are walked: a machine with
+    one group always fires into it, since the groups cover every
+    valuation, so its target goes straight into each leaf.  The walk
+    depends only on the guards the walked machines offer, so it is kept
+    per tuple of their shapes (a shape is the tuple of one machine's group
+    guards) and each node that offers the same guards maps the walk's
+    choices to its own targets.  On n independent toggles all 2^n nodes
+    share one walk of 2^(n+1) - 2 ANDs.
+
+    Edges, and so
     the numbering of newly found nodes, come in the order of each target
     vector's lexicographically first satisfiable combination of moves: the
     order a plain product of moves would find them in.  When no machine
@@ -189,12 +204,18 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
     outputs: list[frozenset] = [model.output_valuation(system, initial)]
     edges: list[ReachEdge] = []  # in discovery order
     # a machine's moves depend only on its state and the outputs its arcs
-    # read, so they are built once per such pair, not once per node: a list
-    # of (target, OR of the guards) per target, the (move index, guard) pairs
-    # of each target, and whether any target has more than one move
+    # read, so they are built once per such pair, not once per node: the
+    # id of their shape (the tuple of the groups' guards), each group's
+    # target, the (move index, guard) pairs of each target, and whether any
+    # target has more than one move
     reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
               for j in range(len(machine.states))] for machine in system.machines]
-    known_moves: dict[tuple, tuple[list, dict, bool]] = {}
+    known_moves: dict[tuple, tuple[int, list, dict, bool]] = {}
+    shapes: dict[tuple, int] = {}  # the groups' guard nodes -> shape id
+    options: list[list] = []  # per shape id, the (group index, guard) pairs
+    # per tuple of the shape ids of the machines with a choice, the pruned
+    # walk over their groups: (group indices, conjunction) in walk order
+    products: dict[tuple, list] = {}
 
     frontier = 0
     while frontier < len(nodes):
@@ -206,7 +227,9 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 return m.mk_var(sym)
             return m.TRUE if sym in valuation else m.FALSE
 
-        per_machine = []
+        succ = []  # each machine's first target; a machine with a choice gets its own per leaf
+        branching = []  # (machine index, targets) of each machine with more than one target
+        shape_key = []
         moves_at = []
         merged = False
         for i, (machine, idx) in enumerate(zip(system.machines, nodes[src])):
@@ -225,30 +248,47 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 if ctx.satisfiable(stay):
                     by_target.setdefault(idx, []).append((count, stay))
                     count += 1
-                groups = []
-                for target, moves in by_target.items():
+                guards = []
+                for moves in by_target.values():
                     guard = moves[0][1]
                     for _, r in moves[1:]:
                         guard = m.or_(guard, r)
                     # a group that always fires holds m.TRUE itself, whose AND the walk skips
-                    groups.append((target, m.TRUE if ctx.tautology(guard) else guard))
-                known = known_moves[key] = groups, by_target, len(groups) < count
-            per_machine.append(known[0])
-            moves_at.append(known[1])
-            merged = merged or known[2]
+                    guards.append(m.TRUE if ctx.tautology(guard) else guard)
+                nodes_key = tuple(g.node for g in guards)
+                shape = shapes.get(nodes_key)
+                if shape is None:
+                    shape = shapes[nodes_key] = len(options)
+                    options.append(list(enumerate(guards)))
+                known = known_moves[key] = shape, list(by_target), by_target, len(guards) < count
+            targets = known[1]
+            succ.append(targets[0])
+            if len(targets) > 1:
+                branching.append((i, targets))
+                shape_key.append(known[0])
+            moves_at.append(known[2])
+            merged = merged or known[3]
 
-        leaves = list(_conjunctions(m, per_machine))
+        shape_key = tuple(shape_key)
+        walk = products.get(shape_key)
+        if walk is None:
+            walk = products[shape_key] = list(_conjunctions(m, [options[s] for s in shape_key]))
+        leaves = []
+        for choice, guard in walk:
+            for (i, targets), c in zip(branching, choice):
+                succ[i] = targets[c]
+            leaves.append((tuple(succ), guard))
         if merged and len(leaves) > 1:
             # by the indices of each leaf's first satisfiable combination of moves
             leaves.sort(key=lambda edge: next(_conjunctions(
                 m, [moves[t] for moves, t in zip(moves_at, edge[0])]))[0])
-        for succ, guard in leaves:
-            dst = index.get(succ)
+        for target, guard in leaves:
+            dst = index.get(target)
             if dst is None:
                 dst = len(nodes)
-                index[succ] = dst
-                nodes.append(succ)
-                outputs.append(model.output_valuation(system, succ))
+                index[target] = dst
+                nodes.append(target)
+                outputs.append(model.output_valuation(system, target))
             edges.append(ReachEdge(src, guard, dst))
         frontier += 1
 
@@ -289,14 +329,36 @@ def _bit_width(nstates: int) -> int:
     return (nstates - 1).bit_length()
 
 
+def _variable_order(system: model.System, current_bits: list[list[str]],
+                    next_bits: list[list[str]], env_vars: dict) -> list[str]:
+    """The symbolic engine's variables, from the top level down.
+
+    Each machine's current and next state bits are interleaved (the
+    standard low-blowup choice for transition relations), and each
+    environment input comes right after the bits of the last machine whose
+    guards read it; the inputs placed after one machine keep the order of
+    ``env_vars``.  An input then sits next to the relations that test it,
+    so n machines that each read an input of their own cost n times one
+    machine, not 2^n: the fan-in rule for interacting machines of Aziz,
+    Tasiran and Brayton (DAC 1994).
+    """
+    last_reader = {sym: i for i, machine in enumerate(system.machines)
+                   for arc in machine.arcs for sym in F.atoms(arc.guard) if sym in env_vars}
+    names: list[list[str]] = [[v for pair in zip(cur, nxt) for v in pair]
+                              for cur, nxt in zip(current_bits, next_bits)]
+    for sym, name in env_vars.items():
+        names[last_reader[sym]].append(name)
+    return [name for machine_names in names for name in machine_names]
+
+
 def build_rg_symbolic(system: model.System) -> SymbolicReachability:
     """Least fixpoint of the image operation over a BDD transition relation.
 
-    Each machine's state is binary-encoded; current and next bits are
-    interleaved in the variable order (the standard low-blowup choice for
-    transition relations) with the environment variables after them.  Guard
-    atoms naming produced symbols are substituted by functions of the
-    current state bits, so the relation realizes the same synchronous step
+    Each machine's state is binary-encoded, and ``_variable_order`` places
+    the bits and the environment inputs: current and next bits interleaved,
+    each input right after the last machine that reads it.  Guard atoms
+    naming produced symbols are substituted by functions of the current
+    state bits, so the relation realizes the same synchronous step
     semantics as the explicit engine, output feedback included.
 
     Every state cube is built once by ``BddManager.cube``, one node per bit
@@ -310,30 +372,14 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
     step, so the manager prepares them once.  AND-NOT is a single ``ite``
     (``ite(a, FALSE, b)`` is b AND NOT a), with no copy of NOT a.
     """
-    env = model.declaration_order(system, model.env_alphabet(system))
-    manager = robdd.BddManager()
-
-    current_bits: list[list[str]] = []
-    next_bits: list[list[str]] = []
-    for i, machine in enumerate(system.machines):
-        width = _bit_width(len(machine.states))
-        cur, nxt = [], []
-        for k in range(width):
-            cur_name = f"cur[{i}][{k}]"
-            nxt_name = f"nxt[{i}][{k}]"
-            manager.mk_var(cur_name)
-            manager.mk_var(nxt_name)
-            cur.append(cur_name)
-            nxt.append(nxt_name)
-        current_bits.append(cur)
-        next_bits.append(nxt)
+    current_bits = [[f"cur[{i}][{k}]" for k in range(_bit_width(len(machine.states)))]
+                    for i, machine in enumerate(system.machines)]
+    next_bits = [[f"nxt[{i}][{k}]" for k in range(len(bits))]
+                 for i, bits in enumerate(current_bits)]
     total_bits = sum(len(bits) for bits in current_bits)
-
-    env_vars = {}
-    for sym in env:
-        name = f"env[{sym}]"
-        manager.mk_var(name)
-        env_vars[sym] = name
+    env_vars = {sym: f"env[{sym}]"
+                for sym in model.declaration_order(system, model.env_alphabet(system))}
+    manager = robdd.BddManager(_variable_order(system, current_bits, next_bits, env_vars))
 
     def cubes(names: list[str], nstates: int) -> list[robdd.BddRef]:
         """The cube of each state index over ``names``, bit k of the index on names[k]."""
@@ -392,9 +438,10 @@ def build_rg_symbolic(system: model.System) -> SymbolicReachability:
 
     # reachable holds valid codes only (the initial state and every next-state
     # cube encode states, and a relation is false on any other current code),
-    # so it is counted over the current bits as it is; the interleaved next
-    # bits are free, hence the shift
-    count = manager.sat_count(reachable, 2 * total_bits) >> total_bits
+    # so it is counted over every declared variable as it is; the next bits
+    # and the inputs are free, hence the shift
+    count = manager.sat_count(reachable, 2 * total_bits + len(env_vars)) >> (
+        total_bits + len(env_vars))
 
     return SymbolicReachability(
         system=system,

@@ -1,9 +1,9 @@
-"""Random small systems for cross-engine and oracle tests."""
+"""Random small systems and growing families for cross-engine and oracle tests."""
 
 import random
 
 from cosma import formula as F
-from cosma import model
+from cosma import frontend, model
 
 
 def random_guard(rng: random.Random, pool, depth=2) -> F.BoolExpr:
@@ -57,3 +57,55 @@ def random_system(rng: random.Random, max_machines=3, max_states=4, max_env=3) -
     report = model.validate(system)
     assert report.ok, [e.message for e in report.errors]
     return system
+
+
+# -- growing families, as in the benchmark's ``perfbench/families.py`` ----------
+
+
+def _parse(name: str, machines: list[str]) -> model.System:
+    text = f"system {name} {{\n" + "\n".join(machines) + "\n}\n"
+    result = frontend.parse_system(text, f"{name}.csm")
+    assert result.ok, [str(d) for d in result.diagnostics]
+    return result.system
+
+
+def toggles(n: int) -> model.System:
+    """``n`` independent toggles, each flipped by its own input ``x{i}``:
+    2^n states, every one a single step from every other."""
+    return _parse("Toggles", [
+        f"machine T{i} {{ init off; state off {{ -> on when x{i}; -> off when ~x{i}; }}"
+        f" state on {{ out On{i}; -> off when x{i}; -> on when ~x{i}; }} }}"
+        for i in range(n)])
+
+
+def ring(m: int) -> model.System:
+    """A token passed round ``m`` two-state machines whenever ``pass`` occurs."""
+    return _parse("Ring", [
+        f"machine R{i} {{ init {'tok' if i == 0 else 'idle'};"
+        f" state idle {{ -> tok when T{(i - 1) % m} * pass; -> idle when ~(T{(i - 1) % m} * pass); }}"
+        f" state tok {{ out T{i}; -> idle when pass; -> tok when ~pass; }} }}"
+        for i in range(m)])
+
+
+def parallel(m: int) -> model.System:
+    """``m`` machines that each have two complementary arcs into one state,
+    so every machine merges two moves by target."""
+    return _parse("Parallel", [
+        f"machine P{i} {{ init a; state a {{ -> b when y{i}; -> b when ~y{i}; }}"
+        f" state b {{ out B{i}; -> a when 1; }} }}"
+        for i in range(m)])
+
+
+def kguard(k: int) -> model.System:
+    """One machine that fires only when all ``k`` inputs occur at once."""
+    conj = " * ".join(f"z{i}" for i in range(k))
+    return _parse("Kguard", [
+        f"machine G {{ init g0; state g0 {{ -> g1 when {conj}; -> g0 when ~({conj}); }}"
+        " state g1 { out Fire; -> g0 when 1; } }"])
+
+
+def cycle(n: int) -> model.System:
+    """One machine of ``n`` states in a ring, advanced by the input ``go``."""
+    states = " ".join(f"state c{i} {{ out C{i}; -> c{(i + 1) % n} when go; -> c{i} when ~go; }}"
+                      for i in range(n))
+    return _parse("Cycle", [f"machine Cyc {{ init c0; {states} }}"])

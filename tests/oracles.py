@@ -5,16 +5,17 @@ exhaustively, reachability is recomputed through the raw step semantics,
 and temporal operators are decided by path enumeration.  The only engine
 code used is ``BddManager.evaluate``, which reads an edge guard under one
 valuation at a time; apart from the symbolic fixpoint, the rescanning
-query checker and the explicit engine's product loop below, nothing here
-builds or combines BDDs.  The symbolic
+query checker and the explicit engine's two earlier loops below, nothing
+here builds or combines BDDs.  The symbolic
 fixpoint's reference is the loop the engine first ran: images of the whole
 reachable set until it stops growing.  The explicit checker's reference is
 its first labelling, which rescans every node until nothing changes.  The
 VHDL audit's reference is the audit as it was first written, with one
 regex per machine, state and symbol.  The lexer's reference is its first
 version, which walks the text one character at a time and builds a span
-for every token.  The explicit engine's reference is its first successor
-loop, which conjoins every combination of per-machine moves.  The
+for every token.  The explicit engine's references are its first successor
+loop, which conjoins every combination of per-machine moves, and the
+pruned walk over merged moves that it then ran anew at every node.  The
 exporters' references are their first versions: guard texts keyed by
 ``BddRef`` and computed anew for each export, and the JSON document as a
 dict for ``json.dumps``.
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from cosma import formula as F
-from cosma import mc, model, robdd
+from cosma import mc, model, reach, robdd
 from cosma.frontend import _NOT_NAMES, ParseError, SourceSpan
 from cosma.reach import ReachEdge, ReachGraph
 
@@ -622,6 +623,92 @@ def product_rg_explicit(system: model.System) -> ReachGraph:
         frontier += 1
 
     edges = [ReachEdge(src, guard, dst) for (src, dst), guard in edge_guards.items()]
+    return ReachGraph(system=system, nodes=nodes, edges=edges, outputs=outputs, manager=m)
+
+
+# -- the explicit engine before it shared one walk among nodes -------------------
+
+# ``reach.build_rg_explicit`` as it was before it walked only the machines
+# with a choice and kept one pruned walk per tuple of the shapes of their
+# moves: every node walks every machine's merged moves again.  Apart from
+# its name and its docstring it is verbatim; it calls the engine's own
+# ``_conjunctions``, which the product loop above does not need.
+
+
+def explicit_rg(system: model.System) -> ReachGraph:
+    env = model.env_alphabet(system)
+    ctx = F.GuardContext(model.declaration_order(system, env))
+    m = ctx.manager
+
+    initial = system.initial_state()
+    index: dict[model.GlobalState, int] = {initial: 0}
+    nodes: list[model.GlobalState] = [initial]
+    outputs: list[frozenset] = [model.output_valuation(system, initial)]
+    edges: list[ReachEdge] = []  # in discovery order
+    # a machine's moves depend only on its state and the outputs its arcs
+    # read, so they are built once per such pair, not once per node: a list
+    # of (target, OR of the guards) per target, the (move index, guard) pairs
+    # of each target, and whether any target has more than one move
+    reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
+              for j in range(len(machine.states))] for machine in system.machines]
+    known_moves: dict[tuple, tuple[list, dict, bool]] = {}
+
+    frontier = 0
+    while frontier < len(nodes):
+        src = frontier
+        valuation = outputs[src]
+
+        def leaf(sym):
+            if sym in env:
+                return m.mk_var(sym)
+            return m.TRUE if sym in valuation else m.FALSE
+
+        per_machine = []
+        moves_at = []
+        merged = False
+        for i, (machine, idx) in enumerate(zip(system.machines, nodes[src])):
+            key = (i, idx, valuation & reads[i][idx])
+            known = known_moves.get(key)
+            if known is None:
+                by_target: dict[int, list[tuple[int, robdd.BddRef]]] = {}
+                stay = m.TRUE
+                count = 0
+                for arc in machine.arcs_from(idx):
+                    r = m.from_expr(arc.guard, leaf)
+                    stay = m.and_(stay, m.not_(r))
+                    if ctx.satisfiable(r):
+                        by_target.setdefault(machine.state_index(arc.dst), []).append((count, r))
+                        count += 1
+                if ctx.satisfiable(stay):
+                    by_target.setdefault(idx, []).append((count, stay))
+                    count += 1
+                groups = []
+                for target, moves in by_target.items():
+                    guard = moves[0][1]
+                    for _, r in moves[1:]:
+                        guard = m.or_(guard, r)
+                    # a group that always fires holds m.TRUE itself, whose AND the walk skips
+                    groups.append((target, m.TRUE if ctx.tautology(guard) else guard))
+                known = known_moves[key] = groups, by_target, len(groups) < count
+            per_machine.append(known[0])
+            moves_at.append(known[1])
+            merged = merged or known[2]
+
+        leaves = list(reach._conjunctions(m, per_machine))
+        if merged and len(leaves) > 1:
+            # by the indices of each leaf's first satisfiable combination of moves
+            leaves.sort(key=lambda edge: next(reach._conjunctions(
+                m, [moves[t] for moves, t in zip(moves_at, edge[0])]))[0])
+        for succ, guard in leaves:
+            dst = index.get(succ)
+            if dst is None:
+                dst = len(nodes)
+                index[succ] = dst
+                nodes.append(succ)
+                outputs.append(model.output_valuation(system, succ))
+            edges.append(ReachEdge(src, guard, dst))
+        frontier += 1
+
     return ReachGraph(system=system, nodes=nodes, edges=edges, outputs=outputs, manager=m)
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosma import assets, frontend, mc, model, reach
+from cosma import assets, frontend, mc, model, reach, robdd
 from cosma import formula as F
+import gensys
 from gensys import random_system
 from oracles import (
     eventually_query_oracle,
@@ -286,6 +287,23 @@ class TestEdgeConditioningConsistency:
         produced = mc.check_query(tlc_car_rg, query)
         assert plain.holds and produced.holds
         assert plain.vacuous == produced.vacuous == False  # noqa: E712
+
+    def test_edges_are_conditioned_only_on_an_environment_part(self, monkeypatch):
+        # four toggles: 8 nodes show On0, each with 16 out-edges
+        rg = reach.build_rg_explicit(gensys.toggles(4))
+        and_ = robdd.BddManager.and_
+        calls = []
+
+        def counted(manager, f, g):
+            calls.append((f, g))
+            return and_(manager, f, g)
+
+        monkeypatch.setattr(robdd.BddManager, "and_", counted)
+        assert mc.check_query(rg, q("can: always (On0 => exists eventually ~On0);")).holds
+        assert mc.check_query(rg, q("hop: always (On0 => next (On0 + ~On0));")).holds
+        assert calls == []
+        assert mc.check_query(rg, q("flip: always (On0 * x0 => next ~On0);")).holds
+        assert len(calls) == 8 * 16
 
     def test_verdict_json_shape(self, tlc_rg):
         verdict = mc.check_query(tlc_rg, q("bad: always (HG => next FG);"))

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosma import frontend, model, reach, robdd
+from cosma import assets, frontend, model, reach, robdd
 import oracles
+import gensys
 from gensys import random_system
 from oracles import (
     all_valuations,
+    explicit_rg,
     guard_holds,
     product_rg_explicit,
     reachable_by_stepping,
@@ -138,6 +140,38 @@ class TestExplicit:
         assert reach.json_text(rg) == reach.json_text(expected)
         assert reach.to_dot(rg) == reach.to_dot(expected)
 
+    @settings(deadline=None, max_examples=150)
+    @given(seed=st.integers(0, 10**6))
+    def test_same_graph_as_the_walk_at_every_node(self, seed):
+        system = random_system(random.Random(seed), max_machines=5, max_states=4, max_env=3)
+        assert_same_graph(reach.build_rg_explicit(system), explicit_rg(system))
+
+    @pytest.mark.parametrize("family, sizes", [
+        ("toggles", range(2, 6)), ("ring", range(3, 9)), ("parallel", range(2, 6)),
+        ("kguard", range(1, 5)), ("cycle", range(1, 6)),
+    ])
+    def test_families_same_graph_as_the_walk_at_every_node(self, family, sizes):
+        for n in sizes:
+            system = getattr(gensys, family)(n)
+            assert_same_graph(reach.build_rg_explicit(system), explicit_rg(system))
+
+    def test_bundled_same_graph_as_the_walk_at_every_node(self, tlc_system, tlc_car_system):
+        mutant = frontend.parse_system(
+            assets.text("tlc.csm").replace("-> sFG when TimTS;", ""), "mutant.csm").system
+        for system in (tlc_system, tlc_car_system, mutant):
+            assert_same_graph(reach.build_rg_explicit(system), explicit_rg(system))
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_toggles_take_ands_in_proportion_to_the_nodes(self, monkeypatch, n):
+        # every one of the 2^n nodes offers the same guards, x_i and ~x_i per
+        # machine, so one pruned walk serves them all: 2^(n+1) - 2 ANDs, plus
+        # two per (machine, state) for the implicit stays, stays below
+        # 4 * 2^n.  A walk at every node takes 2^n (2^(n+1) - 2), which grows
+        # as 4^n: 8,064 ANDs at n = 6
+        limit_ands(monkeypatch, 4 * 2 ** n)
+        rg = reach.build_rg_explicit(gensys.toggles(n))
+        assert (len(rg), len(rg.edges)) == (2 ** n, 4 ** n)
+
     def test_parallel_arcs_take_linearly_many_ands(self, monkeypatch):
         # two complementary arcs into one state per machine: a product of
         # moves makes 2^20 combinations of 20 ANDs each
@@ -168,6 +202,15 @@ class TestExplicit:
         assert rg.quiescent == frozenset({0})
 
 
+def assert_same_graph(rg, expected) -> None:
+    """``rg`` has the nodes, outputs and edges of ``expected``, and the same exports."""
+    assert rg.nodes == expected.nodes
+    assert rg.outputs == expected.outputs
+    assert [(e.src, e.dst) for e in rg.edges] == [(e.src, e.dst) for e in expected.edges]
+    assert reach.json_text(rg) == reach.json_text(expected)
+    assert reach.to_dot(rg) == reach.to_dot(expected)
+
+
 def limit_ands(monkeypatch, bound: int) -> None:
     """Make ``BddManager.and_`` fail once it has run more than ``bound`` times."""
     and_ = robdd.BddManager.and_
@@ -191,9 +234,38 @@ class TestSymbolic:
         assert reach.build_rg_symbolic(system).count == 1
 
     def test_count_equals_masked_sat_count(self, tlc_system):
+        # counted over every declared level: the inputs sit between the
+        # machines' bits, so the state bits are not the top levels
         sym = reach.build_rg_symbolic(tlc_system)
         total_bits = sum(len(bits) for bits in sym.current_bits)
-        assert sym.count == sym.manager.sat_count(sym.reachable, 2 * total_bits) >> total_bits
+        free = total_bits + len(sym.env_vars)  # the next bits and the inputs
+        assert sym.count == sym.manager.sat_count(sym.reachable, total_bits + free) >> free
+
+    def test_each_input_follows_its_last_reader(self):
+        # ``a`` is read by the first machine and the last, ``b`` by the middle
+        # one only and ``pass`` by the last; ``Q`` is produced, not an input
+        text = """system S {
+          machine M0 { init p; state p { -> q when a; } state q { out Q; -> p when 1; } }
+          machine M1 { init p; state p { -> p when b * Q; } }
+          machine M2 { init p; state p { -> q when a + pass; } state q { -> p when Q; } }
+        }"""
+        sym = reach.build_rg_symbolic(frontend.parse_system(text, "s.csm").system)
+        names = [v for bits in sym.current_bits + sym.next_bits for v in bits]
+        names += sym.env_vars.values()
+        assert sorted(names, key=sym.manager.level_of) == [
+            "cur[0][0]", "nxt[0][0]", "env[b]", "cur[2][0]", "nxt[2][0]", "env[a]", "env[pass]"]
+
+    def test_toggles_store_grows_linearly(self):
+        # each input sits right after its own machine's bits, so n toggles
+        # cost n times one: 467 nodes at n = 16 and 947 at n = 32.  With every
+        # input below every state bit the store held 721,103 nodes at n = 16
+        sizes = []
+        for n in (16, 32):
+            sym = reach.build_rg_symbolic(gensys.toggles(n))
+            assert sym.count == 2 ** n
+            sizes.append(len(sym.manager))
+            assert sizes[-1] < 40 * n
+        assert sizes[1] < 2.1 * sizes[0]
 
     def test_cross_engine_on_bundled_models(self, tlc_car_system, tlc_car_rg):
         assert reach.build_rg_symbolic(tlc_car_system).count == len(tlc_car_rg)
