@@ -161,6 +161,19 @@ class TestExplicit:
         for system in (tlc_system, tlc_car_system, mutant):
             assert_same_graph(reach.build_rg_explicit(system), explicit_rg(system))
 
+    def test_a_machine_without_a_choice_still_orders_the_leaves(self):
+        # M0 always moves to b, by y or by ~y; M1 moves to A by ~y and to B
+        # by y.  The first combination of moves into (b, B) is (y, y), which
+        # comes before (~y, ~y) into (b, A), so (b, B) is found first: a sort
+        # that skipped M0 would put A, M1's first move, first
+        text = """system S {
+          machine M0 { init a; state a { -> b when y; -> b when ~y; } state b { } }
+          machine M1 { init p; state p { -> A when ~y; -> B when y; } state A { } state B { } }
+        }"""
+        system = frontend.parse_system(text, "s.csm").system
+        assert reach.build_rg_explicit(system).nodes == [(0, 0), (1, 2), (1, 1)]
+        assert product_rg_explicit(system).nodes == [(0, 0), (1, 2), (1, 1)]
+
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_toggles_take_ands_in_proportion_to_the_nodes(self, monkeypatch, n):
         # every one of the 2^n nodes offers the same guards, x_i and ~x_i per
