@@ -138,21 +138,13 @@ def bench_pipeline(repeat: int) -> float:
     return time.perf_counter() - started
 
 
-def bench_ring(m: int) -> float:
-    spec = families.ring(families.Namer(0), m)
+def bench_family(family, size: int, states: int) -> float:
+    """Symbolic reachability of ``family(size)``, asserting its state count."""
+    spec = family(families.Namer(0), size)
     system = frontend.parse_system(spec.text, f"{spec.key}.csm").system
     started = time.perf_counter()
     sym = reach.build_rg_symbolic(system)
-    assert sym.count == m, sym.count
-    return time.perf_counter() - started
-
-
-def bench_toggles(n: int) -> float:
-    spec = families.toggles(families.Namer(0), n)
-    system = frontend.parse_system(spec.text, f"{spec.key}.csm").system
-    started = time.perf_counter()
-    sym = reach.build_rg_symbolic(system)
-    assert sym.count == 2 ** n, sym.count
+    assert sym.count == states, sym.count
     return time.perf_counter() - started
 
 
@@ -170,8 +162,8 @@ def main() -> int:
         ("guards", bench_guards),
         ("counter", lambda: bench_counter(args.counter_bits)),
         ("pipeline", lambda: bench_pipeline(args.repeat)),
-        ("ring", lambda: bench_ring(args.ring)),
-        ("toggles", lambda: bench_toggles(args.toggles)),
+        ("ring", lambda: bench_family(families.ring, args.ring, args.ring)),
+        ("toggles", lambda: bench_family(families.toggles, args.toggles, 2 ** args.toggles)),
     ]
 
     width = max(len(n) for n, _ in workloads)

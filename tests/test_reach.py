@@ -177,10 +177,10 @@ class TestExplicit:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_toggles_take_ands_in_proportion_to_the_nodes(self, monkeypatch, n):
         # every one of the 2^n nodes offers the same guards, x_i and ~x_i per
-        # machine, so one pruned walk serves them all: 2^(n+1) - 2 ANDs, plus
-        # two per (machine, state) for the implicit stays, stays below
-        # 4 * 2^n.  A walk at every node takes 2^n (2^(n+1) - 2), which grows
-        # as 4^n: 8,064 ANDs at n = 6
+        # machine, so one pruned walk of 2^(n+1) - 2 ANDs serves them all;
+        # with two more per (machine, state) for the implicit stays the count
+        # stays below 4 * 2^n.  A walk at every node takes 2^n (2^(n+1) - 2),
+        # which grows as 4^n: 8,064 ANDs at n = 6
         limit_ands(monkeypatch, 4 * 2 ** n)
         rg = reach.build_rg_explicit(gensys.toggles(n))
         assert (len(rg), len(rg.edges)) == (2 ** n, 4 ** n)
