@@ -16,10 +16,14 @@
                toggles, each flipped by an input of its own: 2^N states,
                which the variable order must reach with a store linear in N.
 
-Each time is the best of three runs.  The machine's speed drifts, so the
-reference loop of ``perfbench/run.py`` is timed just before and just after
-each best-of-3, and the scaled column reads the time as seconds on a
-machine that runs that loop in ``REF_S``, as ``perfbench/run.py`` does.
+A round times every workload once, as the best of three runs.  The
+machine's speed drifts, so the reference loop of ``perfbench/run.py`` is
+timed just before and just after each best-of-3, and the scaled time reads
+as seconds on a machine that runs that loop in ``REF_S``, as
+``perfbench/run.py`` does.  Each workload is reported as the median over
+``ROUNDS`` rounds, run one after another so that a drift of the machine's
+speed reaches every workload alike, as ``bench_frontend.py`` does, with the
+lowest and highest scaled time of the rounds beside it.
 
 Run:  python benchmarks/bench_bdd.py [--repeat N] [--counter-bits N] [--queens N] [--ring N]
                                     [--toggles N]
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -39,6 +44,9 @@ from cosma import formula as F
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402  (read only: the ring and toggles models' texts and answers)
 from run import REF_S, reference_loop  # noqa: E402  (read only: the drift correction)
+
+
+ROUNDS = 7
 
 
 def random_formula(rng, symbols, depth):
@@ -166,17 +174,28 @@ def main() -> int:
         ("toggles", lambda: bench_family(families.toggles, args.toggles, 2 ** args.toggles)),
     ]
 
+    for _, fn in workloads:
+        fn()  # warm-up
+    raw: dict[str, list[float]] = {name: [] for name, _ in workloads}
+    scaled: dict[str, list[float]] = {name: [] for name, _ in workloads}
+    for _ in range(ROUNDS):
+        for name, fn in workloads:
+            before = reference_loop()
+            best = min(fn() for _ in range(3))
+            after = reference_loop()
+            raw[name].append(best)
+            scaled[name].append(best * 2 * REF_S / (before + after))
+
     width = max(len(n) for n, _ in workloads)
-    header = f"{'workload':<{width}}  {'seconds':>12}  {'scaled':>12}"
+    print(f"median of {ROUNDS} rounds; the scaled time's lowest and highest round beside it")
+    header = "".join([f"{'workload':<{width}}"] + [f"  {column:>10}" for column in
+                                                   ("seconds", "scaled", "lowest", "highest")])
     print(header)
     print("-" * len(header))
-    for name, fn in workloads:
-        fn()  # warm-up
-        before = reference_loop()
-        best = min(fn() for _ in range(3))
-        after = reference_loop()
-        scaled = best * 2 * REF_S / (before + after)
-        print(f"{name:<{width}}  {best:>11.4f}s  {scaled:>11.4f}s")
+    for name, _ in workloads:
+        times = (statistics.median(raw[name]), statistics.median(scaled[name]),
+                 min(scaled[name]), max(scaled[name]))
+        print(f"{name:<{width}}" + "".join(f"  {t:>9.4f}s" for t in times))
     return 0
 
 

@@ -479,24 +479,25 @@ def parse_queries(
     When ``system`` is given, atoms that name no symbol of the system are
     reported as warnings (they may well be environment inputs, so they are
     not errors), and an implication query that cannot be checked against
-    the system (``mc.split_query``) is an error at the query's name.
+    the system (``mc.split_query``) is an error.  Each of these, and a
+    repeated name, is placed at the name of its requirement.
     """
     result = QueryParseResult()
     try:
         words, locate = _lex(text, filename, glyphs=True)
         p = _Parser(words, locate, _QUERY_KEYWORDS)
         seen_names: set[str] = set()
-        starts: list[int] = []  # per entry, its first token: an implication query's name
+        names: list[int] = []  # per entry, the token of its name
         while words[p.pos]:
-            starts.append(p.pos)
             if words[p.pos] == "ctl":
+                names.append(p.pos + 1)
                 entry = _parse_ctl_query(p)
             else:
+                names.append(p.pos)
                 entry = _parse_always_query(p)
             if entry.name in seen_names:
-                result.diagnostics.append(
-                    ParseDiagnostic("warning", f"duplicate query name {entry.name!r}", None)
-                )
+                result.diagnostics.append(ParseDiagnostic(
+                    "warning", f"duplicate query name {entry.name!r}", locate(names[-1])))
             seen_names.add(entry.name)
             result.queries.append(entry)
     except ParseError as exc:
@@ -506,7 +507,7 @@ def parse_queries(
     if system is not None:
         produced = system.produced_symbols()
         mentioned = produced | system.guard_symbols()
-        for entry, start in zip(result.queries, starts):
+        for entry, name_pos in zip(result.queries, names):
             if isinstance(entry, mc.Query):
                 used = F.atoms(entry.antecedent) | F.atoms(entry.consequent)
                 for name in sorted(used - mentioned):
@@ -515,13 +516,13 @@ def parse_queries(
                             "warning",
                             f"query {entry.name!r} uses symbol {name!r} that the system "
                             "never mentions (it may be environmental)",
-                            None,
+                            locate(name_pos),
                         )
                     )
                 try:
                     mc.split_query(entry, produced)
                 except mc.QueryError as exc:
-                    result.diagnostics.append(ParseDiagnostic("error", str(exc), locate(start)))
+                    result.diagnostics.append(ParseDiagnostic("error", str(exc), locate(name_pos)))
             else:
                 # CTL atoms are read against node outputs only
                 foreign = sorted(mc.ctl_atoms(entry.formula) - produced)
@@ -531,7 +532,7 @@ def parse_queries(
                             "warning",
                             f"requirement {entry.name!r}: no machine produces {name!r}, "
                             "so the atom is false at every state",
-                            None,
+                            locate(name_pos),
                         )
                     )
     return result

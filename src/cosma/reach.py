@@ -132,8 +132,7 @@ def _conjunctions(m: robdd.BddManager, options):
 
     Depth first with an explicit stack, not one recursion per list: each
     prefix is conjoined once and shared by all its extensions, and a prefix
-    whose conjunction is ``FALSE`` is not extended.  A guard that is the
-    manager's ``TRUE`` object itself is taken without an AND.
+    whose conjunction is ``FALSE`` is not extended.
     """
     if not options:
         yield (), m.TRUE
@@ -146,7 +145,7 @@ def _conjunctions(m: robdd.BddManager, options):
     depth = 0
     while depth >= 0:
         for label, guard in untried[depth]:
-            c = conj[depth] if guard is true else and_(conj[depth], guard)
+            c = and_(conj[depth], guard)
             if c != false:
                 break
         else:
@@ -179,12 +178,13 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
 
     Only the machines with more than one group are walked: a machine with
     one group always fires into it, since the groups cover every
-    valuation, so its target goes straight into each leaf.  The walk
-    depends only on the guards the walked machines offer, so it is kept
-    per tuple of their shapes (a shape is the tuple of one machine's group
-    guards) and each node that offers the same guards maps the walk's
-    choices to its own targets.  On n independent toggles all 2^n nodes
-    share one walk of 2^(n+1) - 2 ANDs.
+    valuation, so its target goes straight into each leaf.  Two memos keep
+    the work per node small.  ``known_moves`` holds a machine's groups and
+    moves per (machine, state, outputs its arcs read).  ``products`` holds
+    the walk per tuple of the walked machines' group-guard nodes, since the
+    walk depends only on those guards, and each node that offers the same
+    guards maps the walk's choices to its own targets.  On n independent
+    toggles all 2^n nodes share one walk of 2^(n+1) - 2 ANDs.
 
     Edges, and so
     the numbering of newly found nodes, come in the order of each target
@@ -204,17 +204,15 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
     outputs: list[frozenset] = [model.output_valuation(system, initial)]
     edges: list[ReachEdge] = []  # in discovery order
     # a machine's moves depend only on its state and the outputs its arcs
-    # read, so they are built once per such pair, not once per node: the
-    # id of their shape (the tuple of the groups' guards), each group's
-    # target, the (move index, guard) pairs of each target, and whether any
-    # target has more than one move
+    # read, so they are built once per such pair, not once per node: each
+    # group's target, the tuple of the groups' guard nodes, the (group index,
+    # guard) pairs, the (move index, guard) pairs of each target, and whether
+    # any target has more than one move
     reads = [[frozenset().union(*(F.atoms(a.guard) for a in machine.arcs_from(j))) - env
               for j in range(len(machine.states))] for machine in system.machines]
-    known_moves: dict[tuple, tuple[int, list, dict, bool]] = {}
-    shapes: dict[tuple, int] = {}  # the groups' guard nodes -> shape id
-    options: list[list] = []  # per shape id, the (group index, guard) pairs
-    # per tuple of the shape ids of the machines with a choice, the pruned
-    # walk over their groups: (group indices, conjunction) in walk order
+    known_moves: dict[tuple, tuple[list, tuple, list, dict, bool]] = {}
+    # per tuple of the guard-node tuples of the machines with a choice, the
+    # pruned walk over their groups: (group indices, conjunction) in walk order
     products: dict[tuple, list] = {}
 
     frontier = 0
@@ -229,7 +227,8 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
 
         succ = []  # each machine's first target; a machine with a choice gets its own per leaf
         branching = []  # (machine index, targets) of each machine with more than one target
-        shape_key = []
+        offered = []  # the (group index, guard) pairs of each machine with a choice
+        walk_key = []
         moves_at = []
         merged = False
         for i, (machine, idx) in enumerate(zip(system.machines, nodes[src])):
@@ -248,31 +247,24 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 if ctx.satisfiable(stay):
                     by_target.setdefault(idx, []).append((count, stay))
                     count += 1
-                guards = []
-                for moves in by_target.values():
-                    guard = moves[0][1]
-                    for _, r in moves[1:]:
-                        guard = m.or_(guard, r)
-                    # a group that always fires holds m.TRUE itself, whose AND the walk skips
-                    guards.append(m.TRUE if ctx.tautology(guard) else guard)
-                nodes_key = tuple(g.node for g in guards)
-                shape = shapes.get(nodes_key)
-                if shape is None:
-                    shape = shapes[nodes_key] = len(options)
-                    options.append(list(enumerate(guards)))
-                known = known_moves[key] = shape, list(by_target), by_target, len(guards) < count
-            targets = known[1]
+                guards = [functools.reduce(m.or_, [r for _, r in moves])
+                          for moves in by_target.values()]
+                known = known_moves[key] = (list(by_target), tuple([g.node for g in guards]),
+                                            list(enumerate(guards)), by_target,
+                                            len(guards) < count)
+            targets, guard_nodes, groups, by_move, many = known
             succ.append(targets[0])
             if len(targets) > 1:
                 branching.append((i, targets))
-                shape_key.append(known[0])
-            moves_at.append(known[2])
-            merged = merged or known[3]
+                offered.append(groups)
+                walk_key.append(guard_nodes)
+            moves_at.append(by_move)
+            merged = merged or many
 
-        shape_key = tuple(shape_key)
-        walk = products.get(shape_key)
+        walk_key = tuple(walk_key)
+        walk = products.get(walk_key)
         if walk is None:
-            walk = products[shape_key] = list(_conjunctions(m, [options[s] for s in shape_key]))
+            walk = products[walk_key] = list(_conjunctions(m, offered))
         leaves = []
         for choice, guard in walk:
             for (i, targets), c in zip(branching, choice):

@@ -1,9 +1,10 @@
 """Random small systems and growing families for cross-engine and oracle tests."""
 
 import random
+import re
 
+from cosma import assets, frontend, mc, model
 from cosma import formula as F
-from cosma import frontend, model
 
 
 def random_guard(rng: random.Random, pool, depth=2) -> F.BoolExpr:
@@ -109,3 +110,41 @@ def cycle(n: int) -> model.System:
     states = " ".join(f"state c{i} {{ out C{i}; -> c{(i + 1) % n} when go; -> c{i} when ~go; }}"
                       for i in range(n))
     return _parse("Cycle", [f"machine Cyc {{ init c0; {states} }}"])
+
+
+# -- the paper's intersection, chained -----------------------------------------
+
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _copy(text: str, i: int, keywords: frozenset) -> str:
+    """``text`` with every identifier but ``keywords`` suffixed by ``i``, and
+    ``Car`` read as ``FG{i-1}`` from the second copy on."""
+    def rename(match):
+        word = match.group()
+        if word in keywords:
+            return word
+        return f"FG{i - 1}" if word == "Car" and i else f"{word}{i}"
+    return _IDENTIFIER.sub(rename, re.sub(r"//[^\n]*", "", text))
+
+
+def tlc_chain(k: int) -> model.System:
+    """``k`` copies of the bundled ``tlc.csm``: copy i's machines, states and
+    symbols take the suffix i, and the farm-road sensor of copy i >= 1 is
+    copy i-1's farm-green output, so outputs feed guards across machines
+    and across intersections.  Copy 0 reads the environment input ``Car0``."""
+    text = assets.text("tlc.csm")
+    body = text[text.index("{", text.index("system")) + 1:text.rindex("}")]
+    words = frozenset({"machine", "init", "state", "out", "when"})
+    return _parse("TlcChain", [_copy(body, i, words) for i in range(k)])
+
+
+def tlc_chain_queries(k: int) -> list[mc.Query]:
+    """The ten queries of ``tlc_queries.tq`` per copy of ``tlc_chain(k)``,
+    renamed as the copy is: ``q1`` of copy 2 is ``q12`` and reads ``FG1``
+    where the original reads ``Car``."""
+    text = "".join(_copy(assets.text("tlc_queries.tq"), i, frontend._QUERY_KEYWORDS)
+                   for i in range(k))
+    result = frontend.parse_queries(text, tlc_chain(k), "tlc_chain.tq")
+    assert result.ok and not result.diagnostics, [str(d) for d in result.diagnostics]
+    return result.queries

@@ -480,6 +480,23 @@ class TestCheck:
         code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)])
         assert code == 0, err
 
+    def test_query_warnings_are_placed_at_the_requirement_name(self, workdir, capsys):
+        queries = workdir / "warn.tq"
+        queries.write_text("ok: always (HY * TimTS => next FG);\n"
+                           "  ok: always (HY * TimTS * Rain => next FG);\n"
+                           "ctl  dry: AG (Sun => HG);\n")
+        code, out, err = run(
+            capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(queries)]
+        )
+        assert code == 0, err
+        assert err.splitlines() == [
+            f"{queries}:2:3: warning: duplicate query name 'ok'",
+            f"{queries}:2:3: warning: query 'ok' uses symbol 'Rain' that the system never "
+            "mentions (it may be environmental)",
+            f"{queries}:3:6: warning: requirement 'dry': no machine produces 'Sun', so the "
+            "atom is false at every state",
+        ]
+
     def test_model_parse_error_exits_two(self, tmp_path, workdir, capsys):
         bad = tmp_path / "bad.csm"
         bad.write_text("system {")

@@ -59,6 +59,29 @@ class TestBundledSuite:
                             query.consequent, universal=False)
             assert mc.check_query(tlc_rg, weak).holds == mc.check_query(tlc_rg, query).holds
 
+    # intersection i >= 1 sees its farm car only while its neighbour shows
+    # farm green, so the verdicts are checked, not carried over
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_chained_copy_of_the_suite_holds(self, k):
+        queries = gensys.tlc_chain_queries(k)
+        verdicts = mc.check_suite(reach.build_rg_explicit(gensys.tlc_chain(k)), queries)
+        assert len(verdicts) == 10 * k
+        for name, verdict in verdicts:
+            assert verdict.holds and not verdict.vacuous, name
+
+    # the path oracle took 44 s at k = 3
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_chained_suite_matches_the_oracles(self, k):
+        system = gensys.tlc_chain(k)
+        rg = reach.build_rg_explicit(system)
+        for query in gensys.tlc_chain_queries(k):
+            verdict = mc.check_query(rg, query)
+            if query.mode == "next":
+                expected = next_query_oracle(system, query)
+            else:
+                expected = eventually_query_oracle(rg, query)
+            assert (verdict.holds, verdict.vacuous) == expected, query.name
+
 
 class TestFailuresAndTraces:
     def test_green_does_not_jump_to_farm_green(self, tlc_rg, tlc_system):

@@ -363,6 +363,101 @@ def bfs_depth(rg) -> int:
     return max(depth.values())
 
 
+def calls_of(name: str, build, system):
+    """The number of ``BddManager.<name>`` calls that ``build(system)`` makes, and its result."""
+    real = getattr(robdd.BddManager, name)
+    calls = 0
+
+    def counted(manager, *args):
+        nonlocal calls
+        calls += 1
+        return real(manager, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(robdd.BddManager, name, counted)
+        result = build(system)
+    return calls, result
+
+
+class TestCountGuard:
+    """Deterministic counts at two sizes n and 2n, each bounded by the growth
+    the problem itself has, so that a blow-up fails in tier-1 whatever the
+    machine's speed."""
+
+    # explicit ANDs, measured: ring 8 -> 16 86 -> 166, cycle 50 -> 100
+    # 102 -> 202, parallel 8 -> 16 24 -> 48, kguard 16 -> 32 35 -> 67.  Each
+    # family offers a fixed number of distinct guard groups per machine, so
+    # the ANDs grow with the (machine, state) pairs: ring and cycle take two
+    # per state for the implicit stays and a constant per shared walk,
+    # parallel three per machine, and kguard two per input of its one
+    # conjunction.  Linear growth doubles the count; 2.2 leaves room for the
+    # constant part
+    @pytest.mark.parametrize("family, n", [("ring", 8), ("cycle", 50), ("parallel", 8),
+                                           ("kguard", 16)])
+    def test_explicit_ands_grow_linearly(self, family, n):
+        small, _ = calls_of("and_", reach.build_rg_explicit, getattr(gensys, family)(n))
+        large, _ = calls_of("and_", reach.build_rg_explicit, getattr(gensys, family)(2 * n))
+        assert large <= 2.2 * small, (small, large)
+
+    # the symbolic store, measured: ring 50 -> 100 10,412 -> 35,912 nodes,
+    # cycle 100 -> 200 2,566 -> 5,159, parallel 8 -> 16 168 -> 344 and kguard
+    # 16 -> 32 76 -> 156.  The manager frees no node, and ring's fixpoint has
+    # m levels that each image an O(m)-node frontier, so its dead
+    # intermediates grow as m^2 (ROADMAP item 7): bounded by 4 per doubling.
+    # The others grow linearly: bounded by 2.2.  Each fixpoint takes one
+    # image step per breadth-first level plus the one that finds nothing new
+    @pytest.mark.parametrize("family, n, growth", [("ring", 50, 4), ("cycle", 100, 2.2),
+                                                   ("parallel", 8, 2.2), ("kguard", 16, 2.2)])
+    def test_symbolic_store_and_image_steps(self, family, n, growth):
+        stores = []
+        for size in (n, 2 * n):
+            system = getattr(gensys, family)(size)
+            steps, sym = calls_of("exists", reach.build_rg_symbolic, system)
+            assert steps == bfs_depth(reach.build_rg_explicit(system)) + 1
+            stores.append(len(sym.manager))
+        assert stores[1] <= growth * stores[0], stores
+
+    def test_chain_store_grows_more_slowly_than_the_reachable_set(self):
+        # 467 / 2,568 / 7,316 nodes against 13 / 130 / 1,233 states at k = 1-3
+        stores, counts = [], []
+        for k in (1, 2, 3):
+            sym = reach.build_rg_symbolic(gensys.tlc_chain(k))
+            stores.append(len(sym.manager))
+            counts.append(sym.count)
+        for k in (1, 2):
+            assert stores[k] / stores[k - 1] < counts[k] / counts[k - 1], (stores, counts)
+
+
+class TestTlcChain:
+    """``gensys.tlc_chain(k)``: k copies of the paper's intersection, each
+    copy's farm-road sensor fed by its neighbour's farm green."""
+
+    @pytest.mark.parametrize("k, states, edges", [(1, 13, 21), (2, 130, 282), (3, 1233, 3578)])
+    def test_reachable_states_and_edges(self, k, states, edges):
+        rg = reach.build_rg_explicit(gensys.tlc_chain(k))
+        assert (len(rg), len(rg.edges)) == (states, edges)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nodes_are_those_reached_by_stepping(self, k):
+        system = gensys.tlc_chain(k)
+        assert set(reach.build_rg_explicit(system).nodes) == reachable_by_stepping(system)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_same_graph_as_the_earlier_engines(self, k):
+        system = gensys.tlc_chain(k)
+        rg = reach.build_rg_explicit(system)
+        assert_same_graph(rg, explicit_rg(system))
+        assert_same_graph(rg, product_rg_explicit(system))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_symbolic_engine_agrees(self, k):
+        system = gensys.tlc_chain(k)
+        nodes = reach.build_rg_explicit(system).nodes
+        sym = reach.build_rg_symbolic(system)
+        assert sym.count == len(nodes)
+        assert all(sym.contains(node) for node in nodes)
+
+
 class TestExport:
     def test_dot_node_statements(self, tlc_rg):
         dot = reach.to_dot(tlc_rg)
