@@ -252,13 +252,13 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 known = known_moves[key] = (list(by_target), tuple([g.node for g in guards]),
                                             list(enumerate(guards)), by_target,
                                             len(guards) < count)
-            targets, guard_nodes, groups, by_move, many = known
+            targets, guard_nodes, groups, by_target, many = known
             succ.append(targets[0])
             if len(targets) > 1:
                 branching.append((i, targets))
                 offered.append(groups)
                 walk_key.append(guard_nodes)
-            moves_at.append(by_move)
+            moves_at.append(by_target)
             merged = merged or many
 
         walk_key = tuple(walk_key)

@@ -125,7 +125,11 @@ def _copy(text: str, i: int, keywords: frozenset) -> str:
         if word in keywords:
             return word
         return f"FG{i - 1}" if word == "Car" and i else f"{word}{i}"
-    return _IDENTIFIER.sub(rename, re.sub(r"//[^\n]*", "", text))
+    return _IDENTIFIER.sub(rename, text)
+
+
+def _uncommented(asset: str) -> str:
+    return re.sub(r"//[^\n]*", "", assets.text(asset))
 
 
 def tlc_chain(k: int) -> model.System:
@@ -133,17 +137,16 @@ def tlc_chain(k: int) -> model.System:
     symbols take the suffix i, and the farm-road sensor of copy i >= 1 is
     copy i-1's farm-green output, so outputs feed guards across machines
     and across intersections.  Copy 0 reads the environment input ``Car0``."""
-    text = assets.text("tlc.csm")
-    body = text[text.index("{", text.index("system")) + 1:text.rindex("}")]
-    words = frozenset({"machine", "init", "state", "out", "when"})
-    return _parse("TlcChain", [_copy(body, i, words) for i in range(k)])
+    text = _uncommented("tlc.csm")
+    body = text[text.index("{") + 1:text.rindex("}")]
+    return _parse("TlcChain", [_copy(body, i, frontend._SYSTEM_KEYWORDS) for i in range(k)])
 
 
 def tlc_chain_queries(k: int) -> list[mc.Query]:
     """The ten queries of ``tlc_queries.tq`` per copy of ``tlc_chain(k)``,
     renamed as the copy is: ``q1`` of copy 2 is ``q12`` and reads ``FG1``
     where the original reads ``Car``."""
-    text = "".join(_copy(assets.text("tlc_queries.tq"), i, frontend._QUERY_KEYWORDS)
+    text = "".join(_copy(_uncommented("tlc_queries.tq"), i, frontend._QUERY_KEYWORDS)
                    for i in range(k))
     result = frontend.parse_queries(text, tlc_chain(k), "tlc_chain.tq")
     assert result.ok and not result.diagnostics, [str(d) for d in result.diagnostics]

@@ -385,13 +385,12 @@ class TestCountGuard:
     machine's speed."""
 
     # explicit ANDs, measured: ring 8 -> 16 86 -> 166, cycle 50 -> 100
-    # 102 -> 202, parallel 8 -> 16 24 -> 48, kguard 16 -> 32 35 -> 67.  Each
-    # family offers a fixed number of distinct guard groups per machine, so
-    # the ANDs grow with the (machine, state) pairs: ring and cycle take two
-    # per state for the implicit stays and a constant per shared walk,
-    # parallel three per machine, and kguard two per input of its one
-    # conjunction.  Linear growth doubles the count; 2.2 leaves room for the
-    # constant part
+    # 102 -> 202, parallel 8 -> 16 24 -> 48, kguard 16 -> 32 35 -> 67.  The
+    # ANDs come from building each (machine, state, outputs read) entry once
+    # and from one walk per distinct tuple of offered guards, and each family
+    # has O(n) of both; kguard's come from its one n-input conjunction, built
+    # for the arc and for its negation.  Linear growth doubles the count;
+    # 2.2 leaves room for the constant part
     @pytest.mark.parametrize("family, n", [("ring", 8), ("cycle", 50), ("parallel", 8),
                                            ("kguard", 16)])
     def test_explicit_ands_grow_linearly(self, family, n):
