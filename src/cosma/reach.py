@@ -247,8 +247,12 @@ def build_rg_explicit(system: model.System) -> ReachGraph:
                 if ctx.satisfiable(stay):
                     by_target.setdefault(idx, []).append((count, stay))
                     count += 1
-                guards = [functools.reduce(m.or_, [r for _, r in moves])
-                          for moves in by_target.values()]
+                guards = []
+                for moves in by_target.values():
+                    guard = moves[0][1]
+                    for _, r in moves[1:]:
+                        guard = m.or_(guard, r)
+                    guards.append(guard)
                 known = known_moves[key] = (list(by_target), tuple([g.node for g in guards]),
                                             list(enumerate(guards)), by_target,
                                             len(guards) < count)
