@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Time the front end's three layers on the bundled models and four model families.
+"""Time the front end's four layers on the bundled models and four model families.
 
 For each model the script times, separately:
 
-* ``lex``       ``frontend._lex``: the model's text to its tokens;
-* ``parse``     ``frontend.parse_system`` with ``frontend._lex`` and
-                ``model.validate`` answered from the first parse: the
-                parser and the diagnostics it folds in;
-* ``validate``  ``model.validate`` on the parsed system.
+* ``lex``        ``frontend._lex``: the model's text to its tokens;
+* ``parse``      ``frontend.parse_system`` with ``frontend._lex`` and
+                 ``model.validate`` answered from the first parse: the
+                 parser and the diagnostics it folds in;
+* ``structure``  ``model.check_structure`` on the parsed system: the
+                 errors-only pass, all that ``rg`` and ``check`` validate;
+* ``validate``   ``model.validate`` on the parsed system, its structural
+                 pass included, as ``lint`` pays for it.
 
 The families are the benchmark's own (``perfbench/families.py``): a cycle of
 n states, a ring of n machines, n toggles and one guard over k inputs, each
@@ -55,7 +58,7 @@ FAMILIES = {
     "toggles": [8, 16, 32, 64],
     "kguard": [16, 32, 64, 128],
 }
-LAYERS = ("lex", "parse", "validate")
+LAYERS = ("lex", "parse", "structure", "validate")
 ROUNDS = 7
 
 
@@ -87,12 +90,17 @@ def measure(key: str, family: str, size: int | None, text: str, machine_states: 
     with mock.patch.object(frontend, "_lex", lambda *args, **kwargs: lexed), \
             mock.patch.object(model, "validate", lambda checked: result.system.report):
         parse_s = best_scaled(lambda: frontend.parse_system(text, filename), repeat)
-    validate_s = best_scaled(lambda: model.validate(system), repeat)
+    structure_s = best_scaled(lambda: model.check_structure(system), repeat)
+    # validate builds on the system's cached structural pass; uncached, each
+    # run pays for that pass as one command does
+    with mock.patch.object(model.System, "structure", property(model.check_structure)):
+        validate_s = best_scaled(lambda: model.validate(system), repeat)
     return {
         "model": key, "family": family, "size": size,
         "bytes": len(text.encode()), "tokens": len(tokens),
         "machines": len(machine_states), "states": sum(machine_states),
-        "lex_s": lex_s, "parse_s": parse_s, "validate_s": validate_s,
+        "lex_s": lex_s, "parse_s": parse_s, "structure_s": structure_s,
+        "validate_s": validate_s,
     }
 
 

@@ -41,10 +41,8 @@ def _style(text: str, code: str, stream=None) -> str:
 _SEVERITY_STYLE = {"error": "31", "warning": "33"}
 
 
-def _print_diagnostics(diagnostics, errors_only: bool = False) -> None:
+def _print_diagnostics(diagnostics) -> None:
     for diag in diagnostics:
-        if errors_only and diag.severity != "error":
-            continue
         where = f"{diag.span}: " if diag.span else ""
         label = _style(diag.severity, _SEVERITY_STYLE.get(diag.severity, "0"))
         print(f"{where}{label}: {diag.message}", file=sys.stderr)
@@ -79,12 +77,18 @@ def _read(path: str) -> str | None:
 
 
 def _load_system(path: str, errors_only: bool = True) -> model.System | None:
-    """Parse and validate a model file and print its diagnostics; None on error."""
+    """Parse and validate a model file and print its diagnostics; None on error.
+
+    With ``errors_only``, as ``rg``, ``check`` and ``vhdl`` ask, the parse
+    computes and prints the structural errors alone; the guard analysis runs
+    only when something reads ``System.report`` later, as ``vhdl``'s
+    overlap comments do.
+    """
     text = _read(path)
     if text is None:
         return None
-    result = frontend.parse_system(text, filename=path)
-    _print_diagnostics(result.diagnostics, errors_only)
+    result = frontend.parse_system(text, filename=path, errors_only=errors_only)
+    _print_diagnostics(result.diagnostics)
     return result.system
 
 

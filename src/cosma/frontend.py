@@ -383,19 +383,24 @@ def _parse_unary(p):
 # -- system files --------------------------------------------------------------
 
 
-def parse_system(text: str, filename: str = "<input>") -> ParseResult:
+def parse_system(text: str, filename: str = "<input>", errors_only: bool = False) -> ParseResult:
     """Parse and validate a system description.
 
     Returns the system together with diagnostics: the parse error, or the
-    findings of the system's ``report``, each placed at the name it is about.
-    The system is None when there is an error, so a result with a system is
-    safe to analyze.
+    findings of the system's ``report``, each placed at the name it is
+    about.  A ``bad-initial`` error is placed at the name after ``init``,
+    and a ``bad-arc`` error at the first arc target that names the missing
+    state.  With ``errors_only``, the findings are those of the system's
+    ``structure`` that are errors, which are all of the report's errors, and
+    the guard analysis does not run.  The system is None when there is an
+    error, so a result with a system is safe to analyze.
     """
     diagnostics: list[ParseDiagnostic] = []
-    # the index of the name token of each machine and each state (the
-    # system's is name_at); a span is built only for the validation findings
-    # that point at one, and a repeated name keeps its last token, so a
-    # duplicate is placed there
+    # the index of the name token of each machine, its initial state, each
+    # state and the first arc target naming each state (the system's is
+    # name_at); a span is built only for the validation findings that point
+    # at one, and a repeated machine or state name keeps its last token, so
+    # a duplicate is placed there
     spans: dict[tuple, int] = {}
     try:
         words, locate = _lex(text, filename, glyphs=False)
@@ -415,13 +420,22 @@ def parse_system(text: str, filename: str = "<input>") -> ParseResult:
         diagnostics.append(ParseDiagnostic("error", exc.message, exc.span))
         return ParseResult(None, diagnostics)
 
-    report = system.report
-    for entry in report.entries:
-        index = spans.get(("state", entry.machine, entry.state))
+    report = system.structure if errors_only else system.report
+    for entry in report.errors if errors_only else report.entries:
+        index = spans.get(_span_key(entry))
         if index is None:
             index = spans.get(("machine", entry.machine), name_at)
         diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
     return ParseResult(None if report.errors else system, diagnostics)
+
+
+def _span_key(entry: model.LintEntry) -> tuple:
+    """The key in ``parse_system``'s spans of the token a finding is about."""
+    if entry.code == "bad-initial":
+        return ("init", entry.machine)
+    if entry.code == "bad-arc":
+        return ("target", entry.machine, entry.state)
+    return ("state", entry.machine, entry.state)
 
 
 def _parse_machine(p, spans) -> model.Machine:
@@ -432,7 +446,9 @@ def _parse_machine(p, spans) -> model.Machine:
     spans[("machine", name)] = name_at
     p.expect("{")
     p.expect("init")
-    initial = words[p.name("the initial state name")]
+    init_at = p.name("the initial state name")
+    initial = words[init_at]
+    spans[("init", name)] = init_at
     p.expect(";")
     states: list[model.State] = []
     arcs: list[model.Arc] = []
@@ -459,7 +475,9 @@ def _parse_state(p, spans, machine_name, states, arcs):
             outputs.append(_symbol(p, p.name("an output symbol")))
         p.expect(";")
     while p.accept("->"):
-        dst = words[p.name("a target state name")]
+        dst_at = p.name("a target state name")
+        dst = words[dst_at]
+        spans.setdefault(("target", machine_name, dst), dst_at)
         p.expect("when")
         guard = _parse_or(p)
         p.expect(";")

@@ -141,8 +141,17 @@ class System:
         return tuple(first)
 
     @functools.cached_property
+    def structure(self) -> LintReport:
+        """``check_structure(self)``: the report's errors and its
+        ``shared-output`` warnings, without the guard analysis.  A system
+        without errors here is safe to analyze; ``validate`` builds on it."""
+        return check_structure(self)
+
+    @functools.cached_property
     def report(self) -> LintReport:
-        """``validate(self)``: every analysis of the system reads this one report."""
+        """``validate(self)``: every finding, the guard analysis's included;
+        read by those that print or use its warnings (``lint``, and ``vhdl``'s
+        overlap comments)."""
         # looked up when called, so a wrapper put on model.validate (as
         # perfbench's tracer does) sees every validation
         return validate(self)
@@ -246,14 +255,14 @@ class LintReport(F.Record):
         self.entries.append(LintEntry(severity, code, message, machine, state))
 
 
-def validate(system: System) -> LintReport:
-    """Structural checks; pure, so equal systems give identical reports.
+def check_structure(system: System) -> LintReport:
+    """The structural checks; pure, so equal systems give identical reports.
 
-    Errors make the model unusable (dangling state names, duplicate names,
-    bad initial).  Warnings flag modeling smells: a symbol produced by two
-    machines, outgoing guards that do not cover all valuations (the machine
-    may be forced to stay via the implicit self-loop), and overlapping
-    guards (nondeterminism, often intended).
+    Errors make the model unusable: duplicate names, a machine without
+    states, a bad initial state, an arc endpoint that is not a state.  The
+    only warning is a symbol produced
+    by two machines.  Every entry is in the place it has in ``validate``'s
+    report, and the errors are all of that report's errors.
     """
     report = LintReport()
 
@@ -308,7 +317,22 @@ def validate(system: System) -> LintReport:
                         machine=machine.name,
                         state=endpoint,
                     )
+    return report
 
+
+def validate(system: System) -> LintReport:
+    """Every finding on the system; pure, so equal systems give identical reports.
+
+    It starts from ``system.structure``, the structural errors and warnings.
+    When there are no errors, the guard analysis adds its warnings, which
+    flag modeling smells: outgoing guards that do not cover all valuations
+    (the machine may be forced to stay via the implicit self-loop), and
+    overlapping guards (nondeterminism, often intended).  It checks coverage
+    with one OR per state and overlap with one AND per pair of arcs, so it
+    is quadratic in the arcs out of a state.  Notes on environment symbols
+    come last.
+    """
+    report = LintReport(list(system.structure.entries))
     # guard coverage and overlap need satisfiability; skip when the
     # structure is already broken
     if report.errors:

@@ -60,6 +60,35 @@ def random_system(rng: random.Random, max_machines=3, max_states=4, max_env=3) -
     return system
 
 
+BREAKS = ("duplicate-machine", "duplicate-state", "bad-initial", "bad-arc")
+
+
+def broken_system(rng: random.Random, breaks=None) -> model.System:
+    """A ``random_system`` with the structural errors ``breaks`` put in, each
+    into a machine drawn at random; by default one to four of ``BREAKS``."""
+    if breaks is None:
+        breaks = rng.sample(BREAKS, rng.randint(1, len(BREAKS)))
+    system = random_system(rng)
+    machines = list(system.machines)
+    for kind in breaks:
+        i = rng.randrange(len(machines))
+        machine = machines[i]
+        if kind == "duplicate-machine":
+            machines.insert(rng.randrange(len(machines) + 1), machine)
+            continue
+        states, initial, arcs = list(machine.states), machine.initial, list(machine.arcs)
+        if kind == "duplicate-state":
+            states.insert(rng.randrange(len(states) + 1),
+                          model.State(rng.choice(states).name, frozenset()))
+        elif kind == "bad-initial":
+            initial = "ghost"
+        else:
+            arcs.insert(rng.randrange(len(arcs) + 1),
+                        model.Arc(rng.choice(states).name, "ghost", F.TRUE))
+        machines[i] = model.Machine(machine.name, states, initial, arcs)
+    return model.System(system.name, machines)
+
+
 # -- growing families, as in the benchmark's ``perfbench/families.py`` ----------
 
 

@@ -11,7 +11,8 @@ import types
 
 import pytest
 
-from cosma import cli, frontend, model, reach, vhdlgen
+from cosma import cli, frontend, model, reach, robdd, vhdlgen
+from cosma import formula as F
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +100,73 @@ class TestLint:
         code, out, err = run(capsys, ["lint", str(path)])
         assert code == 2
         assert err == f"{path}:1:54: error: duplicate machine name 'A'\n"
+
+
+BROKEN = ("system S {\n  machine M {\n    init zz;\n"
+          "    state a { -> b when x; -> c when y; }\n    state b { -> c when 1; }\n  }\n}\n")
+
+
+class TestGuardAnalysis:
+    """Only ``lint`` and ``vhdl``'s overlap comments read the guard
+    analysis's findings, so ``rg`` and ``check`` get the structural errors
+    alone."""
+
+    @pytest.mark.parametrize("command, validations",
+                             [("lint", 1), ("rg", 0), ("check", 0), ("vhdl", 1)])
+    def test_only_lint_and_vhdl_validate(self, workdir, capsys, monkeypatch, command, validations):
+        calls, contexts = [], []
+        real = model.validate
+        monkeypatch.setattr(model, "validate", lambda system: calls.append(system) or real(system))
+        init = F.GuardContext.__init__
+        monkeypatch.setattr(F.GuardContext, "__init__",
+                            lambda ctx, *args: contexts.append(ctx) or init(ctx, *args))
+        argv = [command, str(workdir / "tlc.csm")]
+        if command == "check":
+            argv += ["--queries", str(workdir / "tlc_queries.tq")]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        # the one context is validate's, or the explicit engine's
+        assert (len(calls), len(contexts)) == (validations, 1)
+
+    @pytest.mark.parametrize("command", ["rg", "check"])
+    def test_many_arcs_out_of_a_state_cost_linear_ands(self, tmp_path, capsys, monkeypatch,
+                                                        command):
+        # one state with n arcs on distinct inputs: the guard analysis ANDs
+        # every pair, n(n-1)/2, and rg and check do not run it.  Measured at
+        # n = 100 and 200: rg --engine both 204 and 404 ANDs, check 100 and
+        # 200 (with the analysis 5,154 -> 20,304 and 5,050 -> 20,100); 2.2
+        # leaves room for the constant part
+        queries = tmp_path / "q.tq"
+        queries.write_text("q: always (S => next S);\n")
+        options = {"rg": ["--engine", "both"], "check": ["--queries", str(queries)]}[command]
+        ands = []
+        real = robdd.BddManager.and_
+        monkeypatch.setattr(robdd.BddManager, "and_",
+                            lambda manager, *args: ands.append(None) or real(manager, *args))
+        counts = []
+        for n in (100, 200):
+            arcs = " ".join(f"-> s when x{i};" for i in range(n))
+            path = tmp_path / f"fan{n}.csm"
+            path.write_text(f"system Fan {{ machine M {{ init s; state s {{ out S; {arcs} }} }} }}\n")
+            ands.clear()
+            code, out, err = run(capsys, [command, str(path), *options])
+            assert code == 0, err
+            counts.append(len(ands))
+        assert counts[1] <= 2.2 * counts[0], counts
+
+    def test_structural_errors_are_placed_at_their_token(self, tmp_path, workdir, capsys):
+        path = tmp_path / "b.csm"
+        path.write_text(BROKEN)
+        missing = f"{path}:4:31: error: machine 'M': arc target 'c' is not a state"
+        errors = [f"{path}:3:10: error: machine 'M': initial state 'zz' does not exist",
+                  missing, missing]
+        code, out, err = run(capsys, ["lint", str(path)])
+        assert code == 2
+        assert [line for line in err.splitlines() if ": error: " in line] == errors
+        for argv in (["rg"], ["check", "--queries", str(workdir / "tlc_queries.tq")], ["vhdl"]):
+            code, out, err = run(capsys, [argv[0], str(path), *argv[1:]])
+            assert code == 2
+            assert err.splitlines() == errors
 
 
 class TestRg:

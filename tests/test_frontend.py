@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cosma import assets, frontend, mc
 from cosma import formula as F
 from cosma import model
-from gensys import random_system
+from gensys import broken_system, random_system
 from oracles import charwise_words
 
 TINY = """
@@ -79,6 +79,24 @@ class TestSystemParsing:
         result = frontend.parse_system(text, "x.csm")
         assert result.system is None
         assert any("ghost" in d.message for d in result.diagnostics if d.severity == "error")
+
+    def test_structural_errors_are_placed_at_their_token(self):
+        text = ("system S {\n  machine M {\n    init zz;\n"
+                "    state a { -> b when x; -> c when y; }\n    state b { -> c when 1; }\n  }\n}\n")
+        result = frontend.parse_system(text, "b.csm", errors_only=True)
+        missing = "b.csm:4:31: error: machine 'M': arc target 'c' is not a state"
+        assert [str(d) for d in result.diagnostics] == [
+            "b.csm:3:10: error: machine 'M': initial state 'zz' does not exist", missing, missing]
+
+    def test_errors_only_gives_the_errors_of_the_full_parse(self):
+        rng = random.Random(7)
+        for i in range(200):
+            system = random_system(rng) if i % 2 else broken_system(rng)
+            text = frontend.system_to_text(system)
+            full = frontend.parse_system(text, "r.csm")
+            errors = frontend.parse_system(text, "r.csm", errors_only=True)
+            assert errors.diagnostics == [d for d in full.diagnostics if d.severity == "error"]
+            assert (errors.ok, errors.system is None) == (full.ok, full.system is None)
 
     def test_query_and_temporal_words_are_names_in_models(self):
         text = "system x { machine m { init a; state a { -> a when not * AX; } } }"

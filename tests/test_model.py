@@ -4,7 +4,7 @@ import pytest
 
 from cosma import assets, frontend, model
 from cosma import formula as F
-from gensys import random_system
+from gensys import BREAKS, broken_system, random_system
 from oracles import all_valuations
 
 
@@ -255,6 +255,39 @@ class TestValidate:
         assert len(system.symbols) == n + 1
         assert sum(len(m.arcs) for m in system.machines) == 4 * n
         assert len(walks) == 1 and walks[0] is system
+
+
+class TestStructure:
+    """``System.structure``, the structural pass: every error of ``validate``'s
+    report, in order, and the warnings that come before the guard analysis."""
+
+    @staticmethod
+    def assert_validate_builds_on_it(system):
+        report = model.validate(system)
+        assert system.structure.errors == report.errors
+        assert report.entries[:len(system.structure.entries)] == system.structure.entries
+
+    def test_random_systems(self):
+        for seed in range(150):
+            self.assert_validate_builds_on_it(random_system(random.Random(seed)))
+
+    @pytest.mark.parametrize("kind", BREAKS)
+    def test_each_break(self, kind):
+        for seed in range(40):
+            system = broken_system(random.Random(seed), [kind])
+            assert kind in {e.code for e in system.structure.errors}
+            self.assert_validate_builds_on_it(system)
+
+    def test_broken_systems(self):
+        for seed in range(150):
+            system = broken_system(random.Random(seed))
+            assert system.structure.errors
+            self.assert_validate_builds_on_it(system)
+
+    def test_runs_no_guard_analysis(self, tlc_system, monkeypatch):
+        monkeypatch.setattr(F, "GuardContext", None)  # a guard analysis would call it
+        system = model.System(tlc_system.name, tlc_system.machines)
+        assert system.structure.entries == []
 
 
 class TestStepSemantics:

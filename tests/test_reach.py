@@ -416,6 +416,44 @@ class TestCountGuard:
             stores.append(len(sym.manager))
         assert stores[1] <= growth * stores[0], stores
 
+    # the ite table after build_rg_symbolic, measured: ring 50 -> 100 11,697
+    # -> 38,547 entries, cycle 100 -> 200 3,335 -> 6,583, parallel 8 -> 16
+    # 126 -> 254 and kguard 16 -> 32 74 -> 154.  The table keeps an entry
+    # for every ite the build computed, so it grows like the store: ring's
+    # as m^2 (ROADMAP item 7), bounded by 4 per doubling, the others
+    # linearly, bounded by 2.2
+    @pytest.mark.parametrize("family, n, growth", [("ring", 50, 4), ("cycle", 100, 2.2),
+                                                   ("parallel", 8, 2.2), ("kguard", 16, 2.2)])
+    def test_symbolic_ite_table(self, family, n, growth):
+        entries = [len(reach.build_rg_symbolic(getattr(gensys, family)(size)).manager._ite_cache)
+                   for size in (n, 2 * n)]
+        assert entries[1] <= growth * entries[0], entries
+
+    # the ite entries of model.validate, the guard analysis that only lint
+    # and vhdl run, in the one manager it makes; measured: ring 50 -> 100
+    # 350 -> 700, cycle 100 -> 200 3 -> 3 and parallel 8 -> 16 24 -> 48,
+    # linear in the states and their arcs, bounded by 2.2.  kguard's are
+    # exactly 3k + (k/2) log2 k (16, 36, 80, 176, 384, 832 at k = 4 to
+    # 128): the pairwise fold of its k-input conjunction, built for the arc
+    # and its negation, makes (k/2) log2 k + k, and the coverage OR and the
+    # overlap AND walk k levels each.  That grows by 2 (1 + 1 / (6 + log2 k))
+    # per doubling, 2.2 at k = 16 and less above, so its bound is 2.3
+    @pytest.mark.parametrize("family, n, growth", [("ring", 50, 2.2), ("cycle", 100, 2.2),
+                                                   ("parallel", 8, 2.2), ("kguard", 16, 2.3)])
+    def test_validate_ite_entries(self, family, n, growth):
+        entries = []
+        init = robdd.BddManager.__init__
+        for size in (n, 2 * n):
+            system = getattr(gensys, family)(size)
+            managers = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(robdd.BddManager, "__init__",
+                              lambda manager, *args: managers.append(manager) or init(manager, *args))
+                model.validate(system)
+            assert len(managers) == 1
+            entries.append(len(managers[0]._ite_cache))
+        assert entries[1] <= growth * entries[0], entries
+
     def test_chain_store_grows_more_slowly_than_the_reachable_set(self):
         # 467 / 2,568 / 7,316 nodes against 13 / 130 / 1,233 states at k = 1-3
         stores, counts = [], []
