@@ -396,11 +396,10 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
     error, so a result with a system is safe to analyze.
     """
     diagnostics: list[ParseDiagnostic] = []
-    # the index of the name token of each machine, its initial state, each
-    # state and the first arc target naming each state (the system's is
-    # name_at); a span is built only for the validation findings that point
-    # at one, and a repeated machine or state name keeps its last token, so
-    # a duplicate is placed there
+    # the index of the name token of each machine and each state (the
+    # system's is name_at); a span is built only for the validation findings
+    # that point at one, and a repeated name keeps its last token, so a
+    # duplicate is placed there
     spans: dict[tuple, int] = {}
     try:
         words, locate = _lex(text, filename, glyphs=False)
@@ -421,21 +420,32 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
         return ParseResult(None, diagnostics)
 
     report = system.structure if errors_only else system.report
+    targets: dict[int, dict[str, int]] = {}  # per machine with a bad arc, _first_targets
     for entry in report.errors if errors_only else report.entries:
-        index = spans.get(_span_key(entry))
-        if index is None:
-            index = spans.get(("machine", entry.machine), name_at)
+        machine_at = spans.get(("machine", entry.machine), name_at)
+        if entry.code == "bad-initial":
+            index = machine_at + 3  # "machine" NAME "{" "init" INITIAL
+        elif entry.code == "bad-arc":
+            if machine_at not in targets:
+                targets[machine_at] = _first_targets(words, machine_at)
+            index = targets[machine_at].get(entry.state, machine_at)
+        else:
+            index = spans.get(("state", entry.machine, entry.state), machine_at)
         diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
     return ParseResult(None if report.errors else system, diagnostics)
 
 
-def _span_key(entry: model.LintEntry) -> tuple:
-    """The key in ``parse_system``'s spans of the token a finding is about."""
-    if entry.code == "bad-initial":
-        return ("init", entry.machine)
-    if entry.code == "bad-arc":
-        return ("target", entry.machine, entry.state)
-    return ("state", entry.machine, entry.state)
+def _first_targets(words: list[str], machine_at: int) -> dict[str, int]:
+    """The index of the first arc target naming each state, in the machine
+    whose name is the token ``machine_at``; looked up only for an error, so
+    a valid model's parse records no arc target."""
+    firsts: dict[str, int] = {}
+    for index in range(machine_at, len(words)):
+        if words[index] == "machine":
+            break
+        if words[index] == "->":
+            firsts.setdefault(words[index + 1], index + 1)
+    return firsts
 
 
 def _parse_machine(p, spans) -> model.Machine:
@@ -446,9 +456,7 @@ def _parse_machine(p, spans) -> model.Machine:
     spans[("machine", name)] = name_at
     p.expect("{")
     p.expect("init")
-    init_at = p.name("the initial state name")
-    initial = words[init_at]
-    spans[("init", name)] = init_at
+    initial = words[p.name("the initial state name")]
     p.expect(";")
     states: list[model.State] = []
     arcs: list[model.Arc] = []
@@ -475,9 +483,7 @@ def _parse_state(p, spans, machine_name, states, arcs):
             outputs.append(_symbol(p, p.name("an output symbol")))
         p.expect(";")
     while p.accept("->"):
-        dst_at = p.name("a target state name")
-        dst = words[dst_at]
-        spans.setdefault(("target", machine_name, dst), dst_at)
+        dst = words[p.name("a target state name")]
         p.expect("when")
         guard = _parse_or(p)
         p.expect(";")
