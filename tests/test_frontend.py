@@ -90,9 +90,13 @@ class TestSystemParsing:
 
     def test_errors_only_gives_the_errors_of_the_full_parse(self):
         rng = random.Random(7)
-        for i in range(200):
-            system = random_system(rng) if i % 2 else broken_system(rng)
-            text = frontend.system_to_text(system)
+        # a shared output is a structural warning, with and without an error
+        shared = ("system s { machine A { init a; state a { out x; } }"
+                  " machine B { init %s; state b { out x; } } }")
+        texts = [shared % "b", shared % "zz"] + [
+            frontend.system_to_text(random_system(rng) if i % 2 else broken_system(rng))
+            for i in range(200)]
+        for text in texts:
             full = frontend.parse_system(text, "r.csm")
             errors = frontend.parse_system(text, "r.csm", errors_only=True)
             assert errors.diagnostics == [d for d in full.diagnostics if d.severity == "error"]

@@ -284,6 +284,16 @@ class TestStructure:
             assert system.structure.errors
             self.assert_validate_builds_on_it(system)
 
+    def test_a_shared_output_keeps_its_place_among_the_errors(self):
+        x = F.Symbol("x")
+        a = model.Machine("A", [model.State("s", frozenset({x}))], "s", [])
+        b = model.Machine("B", [model.State("t", frozenset({x})), model.State("t", frozenset())],
+                          "zz", [model.Arc("t", "ghost", F.TRUE)])
+        system = model.System("sys", [a, b])
+        assert [e.code for e in system.structure.entries] == [
+            "shared-output", "duplicate-state", "bad-initial", "bad-arc"]
+        self.assert_validate_builds_on_it(system)
+
     def test_runs_no_guard_analysis(self, tlc_system, monkeypatch):
         monkeypatch.setattr(F, "GuardContext", None)  # a guard analysis would call it
         system = model.System(tlc_system.name, tlc_system.machines)
