@@ -260,9 +260,9 @@ def check_structure(system: System) -> LintReport:
 
     Errors make the model unusable: duplicate names, a machine without
     states, a bad initial state, an arc endpoint that is not a state.  The
-    only warning is a symbol produced
-    by two machines.  Every entry is in the place it has in ``validate``'s
-    report, and the errors are all of that report's errors.
+    only warning is a symbol produced by two machines.  Every entry is in
+    the place it has in ``validate``'s report, and the errors are all of
+    that report's errors.
     """
     report = LintReport()
 
