@@ -387,20 +387,19 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
     """Parse and validate a system description.
 
     Returns the system together with diagnostics: the parse error, or the
-    findings of the system's ``report``, each placed at the name it is
-    about.  A ``bad-initial`` error is placed at the name after ``init``,
-    and a ``bad-arc`` error at the first arc target that names the missing
-    state.  With ``errors_only``, the findings are those of the system's
-    ``structure`` that are errors, which are all of the report's errors, and
-    the guard analysis does not run.  The system is None when there is an
-    error, so a result with a system is safe to analyze.
+    findings of the system's ``report``, each placed in its own machine at
+    the token it is about: a repeat at the repeated name, a ``bad-initial``
+    error at the name after ``init``, a ``bad-arc`` error at its arc's
+    target.  With ``errors_only``, the findings are those of the system's
+    ``structure`` that are errors, which are all of the report's errors,
+    and the guard analysis does not run.  The system is None when there is
+    an error, so a result with a system is safe to analyze.
     """
     diagnostics: list[ParseDiagnostic] = []
-    # the index of the name token of each machine and each state (the
-    # system's is name_at); a span is built only for the validation findings
-    # that point at one, and a repeated name keeps its last token, so a
-    # duplicate is placed there
-    spans: dict[tuple, int] = {}
+    # per machine, the token indices of its name, of its initial state's
+    # name, of each state's name and of each arc's target, by the positions
+    # that the findings give; a span is built only for those they point at
+    tokens: list[tuple[int, int, list[int], list[int]]] = []
     try:
         words, locate = _lex(text, filename, glyphs=False)
         p = _Parser(words, locate, _SYSTEM_KEYWORDS)
@@ -409,7 +408,7 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
         p.expect("{")
         machines: list[model.Machine] = []
         while not p.accept("}"):
-            machines.append(_parse_machine(p, spans))
+            machines.append(_parse_machine(p, tokens))
         if words[p.pos]:
             raise p.error(f"unexpected {words[p.pos]!r} after the system")
         if not machines:
@@ -420,61 +419,49 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
         return ParseResult(None, diagnostics)
 
     report = system.structure if errors_only else system.report
-    targets: dict[int, dict[str, int]] = {}  # per machine with a bad arc, _first_targets
     for entry in report.errors if errors_only else report.entries:
-        machine_at = spans.get(("machine", entry.machine), name_at)
-        if entry.code == "bad-initial":
-            index = machine_at + 3  # "machine" NAME "{" "init" INITIAL
-        elif entry.code == "bad-arc":
-            if machine_at not in targets:
-                targets[machine_at] = _first_targets(words, machine_at)
-            index = targets[machine_at].get(entry.state, machine_at)
-        else:
-            index = spans.get(("state", entry.machine, entry.state), machine_at)
+        index = name_at  # a finding about no machine, such as an environment note
+        if entry.machine is not None:
+            machine_at, initial_at, states_at, targets_at = tokens[entry.machine]
+            if entry.code == "bad-initial":
+                index = initial_at
+            elif entry.arc is not None:
+                index = targets_at[entry.arc]
+            else:
+                index = machine_at if entry.state is None else states_at[entry.state]
         diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
     return ParseResult(None if report.errors else system, diagnostics)
 
 
-def _first_targets(words: list[str], machine_at: int) -> dict[str, int]:
-    """The index of the first arc target naming each state, in the machine
-    whose name is the token ``machine_at``; looked up only for an error, so
-    a valid model's parse records no arc target."""
-    firsts: dict[str, int] = {}
-    for index in range(machine_at, len(words)):
-        if words[index] == "machine":
-            break
-        if words[index] == "->":
-            firsts.setdefault(words[index + 1], index + 1)
-    return firsts
-
-
-def _parse_machine(p, spans) -> model.Machine:
+def _parse_machine(p, tokens) -> model.Machine:
     words = p.words
     p.expect("machine")
     name_at = p.name("a machine name")
     name = words[name_at]
-    spans[("machine", name)] = name_at
     p.expect("{")
     p.expect("init")
-    initial = words[p.name("the initial state name")]
+    initial_at = p.name("the initial state name")
     p.expect(";")
     states: list[model.State] = []
     arcs: list[model.Arc] = []
+    states_at: list[int] = []  # the tokens of the state names and arc targets
+    targets_at: list[int] = []
     while not p.accept("}"):
         if words[p.pos] != "state":
             raise p.error("expected 'state' or '}'")
-        _parse_state(p, spans, name, states, arcs)
+        _parse_state(p, states, arcs, states_at, targets_at)
     if not states:
         raise p.error(f"machine {name!r} has no states", name_at)
-    return model.Machine(name, states, initial, arcs)
+    tokens.append((name_at, initial_at, states_at, targets_at))
+    return model.Machine(name, states, words[initial_at], arcs)
 
 
-def _parse_state(p, spans, machine_name, states, arcs):
+def _parse_state(p, states, arcs, states_at, targets_at):
     words = p.words
     p.expect("state")
     name_at = p.name("a state name")
     name = words[name_at]
-    spans[("state", machine_name, name)] = name_at
+    states_at.append(name_at)
     p.expect("{")
     outputs: list[F.Symbol] = []
     if p.accept("out"):
@@ -483,11 +470,12 @@ def _parse_state(p, spans, machine_name, states, arcs):
             outputs.append(_symbol(p, p.name("an output symbol")))
         p.expect(";")
     while p.accept("->"):
-        dst = words[p.name("a target state name")]
+        dst_at = p.name("a target state name")
+        targets_at.append(dst_at)
         p.expect("when")
         guard = _parse_or(p)
         p.expect(";")
-        arcs.append(model.Arc(name, dst, guard))
+        arcs.append(model.Arc(name, words[dst_at], guard))
     p.expect("}")
     states.append(model.State(name, frozenset(outputs)))
 

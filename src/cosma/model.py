@@ -221,15 +221,21 @@ def step_successors(system: System, gstate: GlobalState, env_true: AbstractSet) 
 
 
 class LintEntry(F.Record):
-    __slots__ = ("severity", "code", "message", "machine", "state")
+    """One finding, placed by position: ``machine`` indexes
+    ``system.machines``, ``state`` that machine's ``states`` and ``arc`` its
+    ``arcs``.  Each is None when the finding is not about one, as an
+    environment note is about no machine."""
 
-    def __init__(self, severity: str, code: str, message: str,
-                 machine: str | None = None, state: str | None = None):
+    __slots__ = ("severity", "code", "message", "machine", "state", "arc")
+
+    def __init__(self, severity: str, code: str, message: str, machine: int | None = None,
+                 state: int | None = None, arc: int | None = None):
         self.severity = severity  # "error" | "warning"
         self.code = code
         self.message = message
         self.machine = machine
         self.state = state
+        self.arc = arc
 
 
 class LintReport(F.Record):
@@ -251,8 +257,8 @@ class LintReport(F.Record):
     def ok(self) -> bool:
         return not self.errors
 
-    def add(self, severity, code, message, machine=None, state=None):
-        self.entries.append(LintEntry(severity, code, message, machine, state))
+    def add(self, severity, code, message, machine=None, state=None, arc=None):
+        self.entries.append(LintEntry(severity, code, message, machine, state, arc))
 
 
 def check_structure(system: System) -> LintReport:
@@ -260,30 +266,31 @@ def check_structure(system: System) -> LintReport:
 
     Errors make the model unusable: duplicate names, a machine without
     states, a bad initial state, an arc endpoint that is not a state.  The
-    only warning is a symbol produced by two machines.  Every entry is in
-    the place it has in ``validate``'s report, and the errors are all of
-    that report's errors.
+    only warning is a symbol produced by two machines.  Each entry gives
+    the index of its machine; a repeated state also gives the repeat's
+    index, and a bad arc the arc's.  Every entry is in the place it has in
+    ``validate``'s report, and the errors are all of that report's errors.
     """
     report = LintReport()
 
     seen_machines = set()
-    for machine in system.machines:
+    for m, machine in enumerate(system.machines):
         if machine.name in seen_machines:
             report.add("error", "duplicate-machine", f"duplicate machine name {machine.name!r}",
-                       machine=machine.name)
+                       machine=m)
         seen_machines.add(machine.name)
 
     produced_by: dict = {}
-    for machine in system.machines:
+    for m, machine in enumerate(system.machines):
         names = set()
-        for state in machine.states:
+        for idx, state in enumerate(machine.states):
             if state.name in names:
                 report.add(
                     "error",
                     "duplicate-state",
                     f"duplicate state {state.name!r} in machine {machine.name!r}",
-                    machine=machine.name,
-                    state=state.name,
+                    machine=m,
+                    state=idx,
                 )
             names.add(state.name)
             for sym in sorted(state.outputs):
@@ -293,29 +300,29 @@ def check_structure(system: System) -> LintReport:
                         "warning",
                         "shared-output",
                         f"symbol {sym!r} is produced by machines {prev!r} and {machine.name!r}",
-                        machine=machine.name,
+                        machine=m,
                     )
                 produced_by[sym] = machine.name
         if not machine.states:
             report.add("error", "empty-machine", f"machine {machine.name!r} has no states",
-                       machine=machine.name)
+                       machine=m)
             continue
         if machine.initial not in names:
             report.add(
                 "error",
                 "bad-initial",
                 f"machine {machine.name!r}: initial state {machine.initial!r} does not exist",
-                machine=machine.name,
+                machine=m,
             )
-        for arc in machine.arcs:
+        for a, arc in enumerate(machine.arcs):
             for endpoint, which in ((arc.src, "source"), (arc.dst, "target")):
                 if endpoint not in names:
                     report.add(
                         "error",
                         "bad-arc",
                         f"machine {machine.name!r}: arc {which} {endpoint!r} is not a state",
-                        machine=machine.name,
-                        state=endpoint,
+                        machine=m,
+                        arc=a,
                     )
     return report
 
@@ -330,7 +337,7 @@ def validate(system: System) -> LintReport:
     overlapping guards (nondeterminism, often intended).  It checks coverage
     with one OR per state and overlap with one AND per pair of arcs, so it
     is quadratic in the arcs out of a state.  Notes on environment symbols
-    come last.
+    come last.  A guard finding gives the indices of its machine and state.
     """
     report = LintReport(list(system.structure.entries))
     # guard coverage and overlap need satisfiability; skip when the
@@ -340,7 +347,7 @@ def validate(system: System) -> LintReport:
         return report
 
     ctx = F.GuardContext(declaration_order(system, system.guard_symbols()))
-    for machine in system.machines:
+    for m, machine in enumerate(system.machines):
         for idx, state in enumerate(machine.states):
             arcs = machine.arcs_from(idx)
             if not arcs:
@@ -349,8 +356,8 @@ def validate(system: System) -> LintReport:
                     "coverage-gap",
                     f"machine {machine.name!r}, state {state.name!r}: no outgoing arcs; "
                     "every step keeps the machine here",
-                    machine=machine.name,
-                    state=state.name,
+                    machine=m,
+                    state=idx,
                 )
                 continue
             guards = [ctx.manager.from_expr(arc.guard) for arc in arcs]
@@ -360,8 +367,8 @@ def validate(system: System) -> LintReport:
                     "coverage-gap",
                     f"machine {machine.name!r}, state {state.name!r}: outgoing guards do not "
                     "cover all valuations; the machine stays when none is enabled",
-                    machine=machine.name,
-                    state=state.name,
+                    machine=m,
+                    state=idx,
                 )
             for (a, ga), (b, gb) in itertools.combinations(zip(arcs, guards), 2):
                 if ctx.satisfiable(ctx.manager.and_(ga, gb)):
@@ -371,8 +378,8 @@ def validate(system: System) -> LintReport:
                         f"machine {machine.name!r}, state {state.name!r}: guards "
                         f"{F.to_text(a.guard)!r} and {F.to_text(b.guard)!r} overlap "
                         "(nondeterministic choice)",
-                        machine=machine.name,
-                        state=state.name,
+                        machine=m,
+                        state=idx,
                     )
 
     _env_notes(system, report)

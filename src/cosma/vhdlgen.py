@@ -201,7 +201,7 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
     emit(f"architecture behavior of {entity} is")
     emit("begin")
 
-    for machine, width in zip(system.machines, widths):
+    for m, (machine, width) in enumerate(zip(system.machines, widths)):
         mine = sorted({s for st in machine.states for s in st.outputs})
         init_code = _encode(machine.initial_index, width, onehot)
         emit("")
@@ -217,7 +217,7 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
             code = _encode(idx, width, onehot)
             emit(f'        when "{code}" => -- {state.name}')
             arcs = machine.arcs_from(idx)
-            if (machine.name, state.name) in overlapping:
+            if (m, idx) in overlapping:
                 emit("          -- overlapping guards: the first true branch wins")
 
             def assigns(dst_idx: int, pad: str):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import hashlib
@@ -10,9 +11,12 @@ import sys
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cosma import cli, frontend, model, reach, robdd, vhdlgen
+from cosma import assets, cli, frontend, model, reach, robdd, vhdlgen
 from cosma import formula as F
+from test_frontend import LEX_PIECES
 
 
 @pytest.fixture(autouse=True)
@@ -101,6 +105,20 @@ class TestLint:
         assert code == 2
         assert err == f"{path}:1:54: error: duplicate machine name 'A'\n"
 
+    def test_each_copy_of_a_machine_gets_its_own_bad_initial(self, tmp_path, capsys):
+        path = tmp_path / "dup.csm"
+        path.write_text("system S {\n"
+                        "  machine M { init zz; state a { } }\n"
+                        "  machine M { init yy; state b { } }\n"
+                        "}\n")
+        code, out, err = run(capsys, ["lint", str(path)])
+        assert code == 2
+        assert [line for line in err.splitlines() if ": error: " in line] == [
+            f"{path}:3:11: error: duplicate machine name 'M'",
+            f"{path}:2:20: error: machine 'M': initial state 'zz' does not exist",
+            f"{path}:3:20: error: machine 'M': initial state 'yy' does not exist",
+        ]
+
 
 BROKEN = ("system S {\n  machine M {\n    init zz;\n"
           "    state a { -> b when x; -> c when y; }\n    state b { -> c when 1; }\n  }\n}\n")
@@ -157,9 +175,10 @@ class TestGuardAnalysis:
     def test_structural_errors_are_placed_at_their_token(self, tmp_path, workdir, capsys):
         path = tmp_path / "b.csm"
         path.write_text(BROKEN)
-        missing = f"{path}:4:31: error: machine 'M': arc target 'c' is not a state"
+        # each arc to the missing state 'c' is placed at its own target
+        missing = "error: machine 'M': arc target 'c' is not a state"
         errors = [f"{path}:3:10: error: machine 'M': initial state 'zz' does not exist",
-                  missing, missing]
+                  f"{path}:4:31: {missing}", f"{path}:5:18: {missing}"]
         code, out, err = run(capsys, ["lint", str(path)])
         assert code == 2
         assert [line for line in err.splitlines() if ": error: " in line] == errors
@@ -443,6 +462,50 @@ def test_non_ascii_symbol_names_are_input_errors(tmp_path, workdir, capsys):
         code, out, err = run(capsys, ["check", str(workdir / "tlc.csm"), "--queries", str(broken)])
         assert code == 2, (text, err)
         assert re.search(r"broken\.tq:1:\d+: error: invalid symbol name 'é'", err), err
+
+
+# the words of both languages that test_frontend's LEX_PIECES lacks
+MUTANT_PIECES = LEX_PIECES + ["state", "out", "ctl", "always", "eventually", "exists", "not",
+                              "AG", "EF", "AX", "A", "E", "U", "HG", "Car"]
+MUTANT_COMMANDS = [["lint", "{model}"],
+                   ["rg", "{model}", "--json", "{out}.json", "--dot", "{out}.dot"],
+                   ["check", "{model}", "--queries", "{queries}", "--json"],
+                   ["vhdl", "{model}", "-o", "{out}.vhd"],
+                   ["vhdl", "{model}", "--state-encoding", "onehot", "--clock", "-o", "{out}.vhd"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_command_survives_mutated_input(data, tmp_path_factory):
+    # one to three token-sized edits of the bundled model or requirements;
+    # an input problem exits 2 with its location, never as an internal error
+    where = tmp_path_factory.mktemp("mutant")
+    model_path, queries_path = where / "m.csm", where / "q.tq"
+    texts = {model_path: assets.text("tlc.csm"), queries_path: assets.text("tlc_queries.tq")}
+    mutated = data.draw(st.sampled_from([model_path, queries_path]))
+    text = texts[mutated]
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 6))
+        piece = data.draw(st.sampled_from(MUTANT_PIECES))
+        text = text[:at] + piece + text[at + cut:]
+    texts[mutated] = text
+    for path, written in texts.items():
+        path.write_bytes(written.encode())
+    located = re.compile(rf"({re.escape(str(model_path))}|{re.escape(str(queries_path))})"
+                         r":\d+:\d+: error: ")
+    for command in MUTANT_COMMANDS:
+        argv = [word.format(model=model_path, queries=queries_path, out=where / "out")
+                for word in command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), (argv, text, lines)
+        assert not any("internal error" in line for line in lines), (argv, text, lines)
+        if code == 2:
+            errors = [line for line in lines if ": error: " in line]
+            assert all(located.match(line) for line in errors), (argv, text, errors)
 
 
 class TestNotUtf8:

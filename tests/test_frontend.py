@@ -84,9 +84,65 @@ class TestSystemParsing:
         text = ("system S {\n  machine M {\n    init zz;\n"
                 "    state a { -> b when x; -> c when y; }\n    state b { -> c when 1; }\n  }\n}\n")
         result = frontend.parse_system(text, "b.csm", errors_only=True)
-        missing = "b.csm:4:31: error: machine 'M': arc target 'c' is not a state"
+        missing = "error: machine 'M': arc target 'c' is not a state"
         assert [str(d) for d in result.diagnostics] == [
-            "b.csm:3:10: error: machine 'M': initial state 'zz' does not exist", missing, missing]
+            "b.csm:3:10: error: machine 'M': initial state 'zz' does not exist",
+            f"b.csm:4:31: {missing}", f"b.csm:5:18: {missing}"]
+
+    @pytest.mark.parametrize("errors_only", [True, False])
+    def test_each_finding_is_placed_in_the_copy_it_is_about(self, errors_only, monkeypatch):
+        # repeated machines and states: a finding lands on the line of its
+        # own machine, state or arc, at the name it is about
+        parsed = []
+        real = model.check_structure
+        monkeypatch.setattr(model, "check_structure",
+                            lambda system: parsed.append(system) or real(system))
+        rng = random.Random(26)
+        repeats = 0
+        # every third model repeats a machine; others repeat states and arcs
+        kinds = [["duplicate-machine", "bad-initial", "bad-arc"],
+                 ["duplicate-state"] * 3 + ["bad-arc"] * 2, None]
+        for i in range(200):
+            breaks = kinds[i % 3]
+            text = frontend.system_to_text(broken_system(rng, breaks))
+            lines = text.splitlines()
+            parsed.clear()
+            result = frontend.parse_system(text, "r.csm", errors_only=errors_only)
+            (system,) = parsed
+            report = system.structure if errors_only else system.report
+            entries = report.errors if errors_only else report.entries
+            assert len(result.diagnostics) == len(entries)
+            names = [m.name for m in system.machines]
+            repeats += len(names) > len(set(names))
+            # per machine, the lines (0-based) of its name, its init, its
+            # states and its arcs, as system_to_text prints them
+            blocks = []
+            for number, line in enumerate(lines):
+                if line.startswith("  machine "):
+                    blocks.append((number, number + 1, [], []))
+                elif line.startswith("    state "):
+                    blocks[-1][2].append(number)
+                elif line.startswith("      -> "):
+                    blocks[-1][3].append(number)
+            for diag, entry in zip(result.diagnostics, entries):
+                assert diag.message == entry.message
+                if entry.machine is None:
+                    line, name = 0, system.name
+                else:
+                    machine = system.machines[entry.machine]
+                    machine_line, init_line, state_lines, arc_lines = blocks[entry.machine]
+                    if entry.code == "bad-initial":
+                        line, name = init_line, machine.initial
+                    elif entry.code == "bad-arc":
+                        line, name = arc_lines[entry.arc], machine.arcs[entry.arc].dst
+                    elif entry.state is not None:
+                        line, name = state_lines[entry.state], machine.states[entry.state].name
+                    else:
+                        line, name = machine_line, machine.name
+                span = diag.span
+                assert span.line == line + 1, (str(diag), text)
+                assert lines[line][span.column - 1:][:span.length] == name, (str(diag), text)
+        assert repeats >= 50
 
     def test_errors_only_gives_the_errors_of_the_full_parse(self):
         rng = random.Random(7)

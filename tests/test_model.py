@@ -174,7 +174,7 @@ class TestValidate:
     def test_empty_machine(self):
         # the parser rejects a machine without states, so only the API builds one
         report = model.validate(model.System("sys", [model.Machine("m", [], "s", [])]))
-        assert [(e.code, e.machine) for e in report.errors] == [("empty-machine", "m")]
+        assert [(e.code, e.machine) for e in report.errors] == [("empty-machine", 0)]
 
     def test_full_coverage_has_no_gap_warning(self, tlc_system):
         # sHG's pair Car*TimTL / ~(Car*TimTL) covers everything
@@ -192,7 +192,7 @@ class TestValidate:
         report = model.validate(model.System("sys", [machine]))
         assert report.ok
         gaps = [e for e in report.warnings if e.code == "coverage-gap"]
-        assert len(gaps) == 1 and gaps[0].state == "s"
+        assert [(e.machine, e.state) for e in gaps] == [(0, 0)]
 
     def test_overlap_warning(self):
         a, b = F.Symbol("a"), F.Symbol("b")

@@ -28,8 +28,8 @@ CASES = [
      ("a", frozenset({x}))),
     (model.Arc("a", "b", F.TRUE), "Arc(src='a', dst='b', guard=ConstTrue())", ("a", "b", F.TRUE)),
     (model.LintEntry("warning", "w", "m"),
-     "LintEntry(severity='warning', code='w', message='m', machine=None, state=None)",
-     ("warning", "w", "m", None, None)),
+     "LintEntry(severity='warning', code='w', message='m', machine=None, state=None, arc=None)",
+     ("warning", "w", "m", None, None, None)),
     (model.LintReport(), "LintReport(entries=[])", None),
     (span, "SourceSpan(file='m.csm', line=3, column=7, length=2)", ("m.csm", 3, 7, 2)),
     (frontend.ParseDiagnostic("error", "bad", span),
