@@ -99,7 +99,8 @@ class TestSystemParsing:
                             lambda system: parsed.append(system) or real(system))
         rng = random.Random(26)
         repeats = 0
-        # every third model repeats a machine; others repeat states and arcs
+        # a third of the models repeat a machine, a third repeat states and
+        # add two arcs to a missing state, a third take random breaks
         kinds = [["duplicate-machine", "bad-initial", "bad-arc"],
                  ["duplicate-state"] * 3 + ["bad-arc"] * 2, None]
         for i in range(200):
