@@ -76,8 +76,9 @@ def _read(path: str) -> str | None:
     return None
 
 
-def _load_system(path: str, errors_only: bool = True) -> model.System | None:
-    """Parse and validate a model file and print its diagnostics; None on error.
+def _load_system(path: str, errors_only: bool = True) -> tuple[model.System | None, str | None]:
+    """Parse and validate a model file and print its diagnostics.  Returns the
+    system, None on error, and the file's text, None when it cannot be read.
 
     With ``errors_only``, as ``rg``, ``check`` and ``vhdl`` ask, the parse
     computes and prints the structural errors alone; the guard analysis runs
@@ -86,10 +87,10 @@ def _load_system(path: str, errors_only: bool = True) -> model.System | None:
     """
     text = _read(path)
     if text is None:
-        return None
+        return None, None
     result = frontend.parse_system(text, filename=path, errors_only=errors_only)
     _print_diagnostics(result.diagnostics)
-    return result.system
+    return result.system, text
 
 
 def _plural(count: int, word: str) -> str:
@@ -100,7 +101,7 @@ def _plural(count: int, word: str) -> str:
 
 
 def cmd_lint(args) -> int:
-    system = _load_system(args.model, errors_only=False)
+    system, _ = _load_system(args.model, errors_only=False)
     if system is None:
         return EXIT_INPUT_ERROR
     print(
@@ -111,7 +112,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_rg(args) -> int:
-    system = _load_system(args.model)
+    system, _ = _load_system(args.model)
     if system is None:
         return EXIT_INPUT_ERROR
 
@@ -162,7 +163,7 @@ def cmd_rg(args) -> int:
 
 
 def cmd_check(args) -> int:
-    system = _load_system(args.model)
+    system, _ = _load_system(args.model)
     if system is None:
         return EXIT_INPUT_ERROR
     qtext = _read(args.queries)
@@ -207,14 +208,13 @@ def cmd_check(args) -> int:
     return EXIT_OK if not failures else EXIT_QUERY_FAILED
 
 
-def _parse_encoding(text: str):
-    if text == "binary":
-        return "binary", None
-    if text == "onehot":
-        return "onehot", None
+def _parse_encoding(text: str) -> str | int:
+    """``binary``, ``onehot``, or the width N of ``width:N`` as an int."""
+    if text in ("binary", "onehot"):
+        return text
     if text.startswith("width:"):
         try:
-            return "width", int(text.split(":", 1)[1])
+            return int(text.removeprefix("width:"))
         except ValueError:
             pass
     raise argparse.ArgumentTypeError(
@@ -223,26 +223,27 @@ def _parse_encoding(text: str):
 
 
 def cmd_vhdl(args) -> int:
-    system = _load_system(args.model)
+    system, source = _load_system(args.model)
     if system is None:
         return EXIT_INPUT_ERROR
-    encoding, width = args.state_encoding
+    encoding = args.state_encoding
     # the options' own checks, worded for the command line
-    if encoding == "width" and width < 1:
-        return _input_error(f"--state-encoding width:{width}: the width must be at least 1")
+    if isinstance(encoding, int) and encoding < 1:
+        return _input_error(f"--state-encoding width:{encoding}: the width must be at least 1")
     if args.delay_ns < 0:
         return _input_error(f"--delay-ns {args.delay_ns}: the delay must be nonnegative")
     try:
         opts = vhdlgen.CodegenOptions(
             state_encoding=encoding,
-            explicit_width=width,
             delay_ns=args.delay_ns,
             clock=args.clock,
             entity_name=args.entity,
         )
         text = vhdlgen.generate(system, opts)
     except vhdlgen.VhdlGenError as exc:
-        return _input_error(str(exc))
+        span = None if exc.place is None else frontend.locate_name(source, args.model, *exc.place)
+        _print_diagnostics([frontend.ParseDiagnostic("error", str(exc), span)])
+        return EXIT_INPUT_ERROR
     problems = vhdlgen.structural_audit(text, system)
     for problem in problems:
         print(f"{_style('audit failure', '31')}: {problem}", file=sys.stderr)
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--state-encoding",
         type=_parse_encoding,
-        default=("binary", None),
+        default="binary",
         metavar="binary|onehot|width:N",
     )
     p.add_argument("--delay-ns", type=int, default=10, metavar="N")

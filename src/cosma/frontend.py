@@ -52,6 +52,7 @@ __all__ = [
     "QueryParseResult",
     "SourceSpan",
     "decode",
+    "locate_name",
     "parse_queries",
     "parse_system",
     "system_to_text",
@@ -431,6 +432,24 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
                 index = machine_at if entry.state is None else states_at[entry.state]
         diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
     return ParseResult(None if report.errors else system, diagnostics)
+
+
+# the words before a name that is not a symbol: a system, machine or state name
+_BEFORE_OTHER_NAMES = frozenset({"system", "machine", "init", "state", "->"})
+
+
+def locate_name(text: str, file: str, kind: str, name: str) -> SourceSpan | None:
+    """The span of the first token of a system description that names ``name``
+    as a ``kind``: "system" or "machine", the token after that keyword, or
+    "symbol", a token after none of ``_BEFORE_OTHER_NAMES``; None if no token
+    does.  The text must lex, as the text of a parsed system does."""
+    words, locate = _lex(text, file, glyphs=False)
+    for index in range(1, len(words)):
+        before = words[index - 1]
+        if words[index] == name and (
+                before not in _BEFORE_OTHER_NAMES if kind == "symbol" else before == kind):
+            return locate(index)
+    return None
 
 
 def _parse_machine(p, tokens) -> model.Machine:

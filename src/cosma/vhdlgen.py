@@ -32,22 +32,27 @@ __all__ = ["CodegenOptions", "VhdlGenError", "generate", "structural_audit"]
 
 
 class VhdlGenError(ValueError):
-    """Input that cannot be rendered as VHDL."""
+    """Input that cannot be rendered as VHDL.  ``place`` is None or the model
+    name it is about: ``(kind, name)``, kind "system", "machine" or "symbol"."""
+
+    def __init__(self, message: str, place: tuple[str, str] | None = None):
+        super().__init__(message)
+        self.place = place
 
 
 class CodegenOptions(F.Record):
-    __slots__ = ("state_encoding", "explicit_width", "delay_ns", "entity_name", "clock")
+    """How ``generate`` renders: ``state_encoding`` is "binary", "onehot" or an int width >= 1."""
 
-    def __init__(self, state_encoding: str = "binary", explicit_width: int | None = None,
-                 delay_ns: int = 10, entity_name: str | None = None, clock: bool = False):
-        if state_encoding not in ("binary", "onehot", "width"):
+    __slots__ = ("state_encoding", "delay_ns", "entity_name", "clock")
+
+    def __init__(self, state_encoding: str | int = "binary", delay_ns: int = 10,
+                 entity_name: str | None = None, clock: bool = False):
+        if state_encoding not in ("binary", "onehot") and not (
+                type(state_encoding) is int and state_encoding >= 1):
             raise VhdlGenError(f"unknown state encoding {state_encoding!r}")
-        if state_encoding == "width" and (explicit_width is None or explicit_width < 1):
-            raise VhdlGenError("state_encoding 'width' needs explicit_width >= 1")
         if delay_ns < 0:
             raise VhdlGenError("delay_ns must be nonnegative")
-        self.state_encoding = state_encoding  # "binary" | "onehot" | "width"
-        self.explicit_width = explicit_width  # used when state_encoding == "width"
+        self.state_encoding = state_encoding
         self.delay_ns = delay_ns
         self.entity_name = entity_name
         self.clock = clock
@@ -73,11 +78,11 @@ _STANDARD = {"bit": "BIT", "bit_vector": "BIT_VECTOR", "true": "TRUE", "false": 
 _STANDARD_UNCLOCKED = {**_STANDARD, "ns": "ns"}  # "wait for N ns"
 
 
-def _check_identifier(name: str, what: str, hidden: dict[str, str]) -> None:
+def _check_identifier(name: str, what: str, hidden: dict[str, str], place: tuple | None) -> None:
     if name.lower() in hidden:
         raise VhdlGenError(
             f"{what} {name!r} hides {hidden[name.lower()]!r} of VHDL's STANDARD package, "
-            "which the generated text uses; rename it"
+            "which the generated text uses; rename it", place
         )
     if _VHDL_IDENT.match(name) and name.lower() not in _VHDL_RESERVED:
         return
@@ -89,46 +94,56 @@ def _check_identifier(name: str, what: str, hidden: dict[str, str]) -> None:
         suggestion += "0"
     raise VhdlGenError(
         f"{what} {name!r} is not a legal VHDL identifier; rename it (for example to "
-        f"{suggestion!r})"
+        f"{suggestion!r})", place
     )
 
 
-def _check_distinct(system: model.System, env: list, produced: list, clock: bool) -> None:
-    """VHDL ignores case in identifiers, so the ports, the process labels and
-    the names a process declares must differ ignoring case; only
-    ``current_state`` and ``newstate`` are declared again in each process."""
-    names = [("Clk", "clock port 'Clk'")] if clock else []
-    names += [(s, f"input {s!r}") for s in env]
-    names += [(s, f"output {s!r}") for s in produced]
-    names += [(m.name, f"machine {m.name!r}") for m in system.machines]
-    names += [(n, f"process variable {n!r}") for n in ("current_state", "newstate")]
-    names += [(f"new{s}", f"process variable 'new{s}' (the next value of {s!r})")
-              for s in produced]
-    seen: dict[str, str] = {}
-    for name, label in names:
-        first = seen.setdefault(name.lower(), label)
+def _check_names(system: model.System, env: list, produced: list, entity: str,
+                 opts: CodegenOptions) -> None:
+    """Check the names that the VHDL text declares, from one table: the entity,
+    then each row with a word, must be a legal identifier that hides no
+    STANDARD name; then the rows must differ ignoring case, as VHDL ignores it.
+    A row is a name, its label, its word (None: legal by form) and its place."""
+    hidden = _STANDARD if opts.clock else _STANDARD_UNCLOCKED
+    _check_identifier(entity, "entity name", hidden,
+                      ("system", entity) if opts.entity_name is None else None)
+    rows = [("Clk", "clock port 'Clk'", None, None)] if opts.clock else []
+    rows += [(s, f"input {s!r}", "symbol", ("symbol", s)) for s in env]
+    rows += [(s, f"output {s!r}", "symbol", ("symbol", s)) for s in produced]
+    rows += [(m.name, f"machine {m.name!r}", "machine name", ("machine", m.name))
+             for m in system.machines]
+    rows += [(n, f"process variable {n!r}", None, None) for n in ("current_state", "newstate")]
+    rows += [(f"new{s}", f"process variable 'new{s}' (the next value of {s!r})", None,
+              ("symbol", s)) for s in produced]
+    for name, _, what, place in rows:
+        if what is not None:
+            _check_identifier(name, what, hidden, place)
+    seen: dict[str, tuple] = {}
+    for name, label, _, place in rows:
+        first, first_place = seen.setdefault(name.lower(), (label, place))
         if first != label:
             raise VhdlGenError(
                 f"{first} and {label} are the same identifier in VHDL, which ignores "
-                "case; rename one of them"
+                "case; rename one of them", place or first_place
             )
 
 
 def _widths(system: model.System, opts: CodegenOptions) -> list[int]:
+    encoding = opts.state_encoding
     widths = []
     for machine in system.machines:
         n = len(machine.states)
-        if opts.state_encoding == "binary":
-            widths.append(max(1, (n - 1).bit_length()))
-        elif opts.state_encoding == "onehot":
+        if encoding == "onehot":
             widths.append(n)
+        elif encoding == "binary":
+            widths.append(max(1, (n - 1).bit_length()))
+        elif (n - 1).bit_length() > encoding:
+            raise VhdlGenError(
+                f"machine {machine.name!r} has {n} states; width {encoding} encodes at most "
+                f"{1 << encoding}"
+            )
         else:
-            if (1 << opts.explicit_width) < n:
-                raise VhdlGenError(
-                    f"machine {machine.name!r} has {n} states; width "
-                    f"{opts.explicit_width} encodes at most {1 << opts.explicit_width}"
-                )
-            widths.append(opts.explicit_width)
+            widths.append(encoding)
     return widths
 
 
@@ -169,13 +184,7 @@ def generate(system: model.System, opts: CodegenOptions = CodegenOptions()) -> s
     produced = sorted(system.produced_symbols())
     entity = system.name if opts.entity_name is None else opts.entity_name
 
-    hidden = _STANDARD if opts.clock else _STANDARD_UNCLOCKED
-    _check_identifier(entity, "entity name", hidden)
-    for sym in env + produced:
-        _check_identifier(sym, "symbol", hidden)
-    for machine in system.machines:
-        _check_identifier(machine.name, "machine name", hidden)
-    _check_distinct(system, env, produced, opts.clock)
+    _check_names(system, env, produced, entity, opts)
 
     widths = _widths(system, opts)
     onehot = opts.state_encoding == "onehot"

@@ -165,7 +165,7 @@ def test_5_robdd_property_run():
 
 
 def test_6_vhdl_generation(tlc_system):
-    opts = vhdlgen.CodegenOptions(state_encoding="width", explicit_width=3)
+    opts = vhdlgen.CodegenOptions(state_encoding=3)
     text = vhdlgen.generate(tlc_system, opts)
     again = vhdlgen.generate(tlc_system, opts)
     assert text == again  # byte-identical

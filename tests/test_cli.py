@@ -464,9 +464,11 @@ def test_non_ascii_symbol_names_are_input_errors(tmp_path, workdir, capsys):
         assert re.search(r"broken\.tq:1:\d+: error: invalid symbol name 'é'", err), err
 
 
-# the words of both languages that test_frontend's LEX_PIECES lacks
+# the words of both languages that test_frontend's LEX_PIECES lacks, and names that
+# the model language accepts but VHDL does not
 MUTANT_PIECES = LEX_PIECES + ["state", "out", "ctl", "always", "eventually", "exists", "not",
-                              "AG", "EF", "AX", "A", "E", "U", "HG", "Car"]
+                              "AG", "EF", "AX", "A", "E", "U", "HG", "Car",
+                              "process", "signal", "bit", "x__y", "clk"]
 MUTANT_COMMANDS = [["lint", "{model}"],
                    ["rg", "{model}", "--json", "{out}.json", "--dot", "{out}.dot"],
                    ["check", "{model}", "--queries", "{queries}", "--json"],
@@ -504,7 +506,7 @@ def test_every_command_survives_mutated_input(data, tmp_path_factory):
         assert code in (0, 1, 2), (argv, text, lines)
         assert not any("internal error" in line for line in lines), (argv, text, lines)
         if code == 2:
-            errors = [line for line in lines if ": error: " in line]
+            errors = [line for line in lines if "error: " in line]
             assert all(located.match(line) for line in errors), (argv, text, errors)
 
 
@@ -677,22 +679,23 @@ class TestVhdl:
         path.write_text("system c { machine M { init a; state a { out Clk; -> a when 1; } } }\n")
         code, out, err = run(capsys, ["vhdl", str(path), "--clock"])
         assert code == 2
-        assert err == ("error: clock port 'Clk' and output 'Clk' are the same identifier in VHDL, "
-                       "which ignores case; rename one of them\n")
+        assert err == (f"{path}:1:46: error: clock port 'Clk' and output 'Clk' are the same "
+                       "identifier in VHDL, which ignores case; rename one of them\n")
         assert out == ""
 
-    @pytest.mark.parametrize("machine, label", [
-        ("machine M { init a; state a { -> a when clk; } }", "input 'clk'"),
-        ("machine clk { init a; state a { -> a when 1; } }", "machine 'clk'"),
+    @pytest.mark.parametrize("machine, label, where", [
+        ("machine M { init a; state a { -> a when clk; } }", "input 'clk'", "1:52"),
+        ("machine clk { init a; state a { -> a when 1; } }", "machine 'clk'", "1:20"),
     ], ids=["input-clk", "machine-clk"])
-    def test_clock_port_clashes_like_any_other_name(self, tmp_path, capsys, machine, label):
+    def test_clock_port_clashes_like_any_other_name(self, tmp_path, capsys, machine, label,
+                                                    where):
         path = tmp_path / "clk.csm"
         path.write_text(f"system c {{ {machine} }}\n")
         assert run(capsys, ["vhdl", str(path)])[0] == 0
         code, out, err = run(capsys, ["vhdl", str(path), "--clock"])
         assert code == 2
-        assert err == (f"error: clock port 'Clk' and {label} are the same identifier in VHDL, "
-                       "which ignores case; rename one of them\n")
+        assert err == (f"{path}:{where}: error: clock port 'Clk' and {label} are the same "
+                       "identifier in VHDL, which ignores case; rename one of them\n")
         assert out == ""
 
     def test_empty_entity_name_is_not_a_vhdl_name(self, workdir, capsys):
@@ -702,56 +705,59 @@ class TestVhdl:
                        "rename it (for example to 's')\n")
         assert out == ""
 
-    @pytest.mark.parametrize("machine, message", [
+    # a clash is placed at the later name, where a process variable new<X> is placed at X
+    @pytest.mark.parametrize("machine, message, where", [
         ("machine M { init s; state s { out a; -> t when 1; } state t { out A; -> s when 1; } }",
-         "output 'A' and output 'a'"),
+         "output 'A' and output 'a'", "1:46"),
         ("machine M { init s; state s { out X; -> t when 1; } state t { out newX; -> s when 1; } }",
-         "output 'newX' and process variable 'newX' (the next value of 'X')"),
+         "output 'newX' and process variable 'newX' (the next value of 'X')", "1:46"),
         ("machine go { init s; state s { out A; -> t when go; -> s when ~go; }"
          " state t { -> s when 1; } }",
-         "input 'go' and machine 'go'"),
+         "input 'go' and machine 'go'", "1:20"),
         ("machine M { init s; state s { out X; -> t when newX; -> s when ~newX; }"
          " state t { -> s when 1; } }",
-         "input 'newX' and process variable 'newX' (the next value of 'X')"),
+         "input 'newX' and process variable 'newX' (the next value of 'X')", "1:46"),
     ], ids=["outputs-differ-in-case", "output-named-like-a-variable", "machine-named-like-a-port",
             "input-named-like-a-variable"])
     def test_names_that_vhdl_reads_as_one_are_input_errors(self, tmp_path, capsys, machine,
-                                                           message):
+                                                           message, where):
         path = tmp_path / "clash.csm"
         path.write_text(f"system c {{ {machine} }}\n")
         assert run(capsys, ["lint", str(path)])[0] == 0
         code, out, err = run(capsys, ["vhdl", str(path)])
         assert code == 2
-        assert err == (f"error: {message} are the same identifier in VHDL, which ignores case; "
-                       "rename one of them\n")
+        assert err == (f"{path}:{where}: error: {message} are the same identifier in VHDL, "
+                       "which ignores case; rename one of them\n")
         assert out == ""
 
-    @pytest.mark.parametrize("system, options, message", [
+    # a name given by --entity has no place in the model
+    @pytest.mark.parametrize("system, options, message, where", [
         ("s { machine M { init a; state a { out BIT; -> a when 1; } } }", [],
-         "symbol 'BIT' hides 'BIT'"),
+         "symbol 'BIT' hides 'BIT'", "1:46"),
         ("s { machine M { init a; state a { -> a when bit_vector; } } }", [],
-         "symbol 'bit_vector' hides 'BIT_VECTOR'"),
+         "symbol 'bit_vector' hides 'BIT_VECTOR'", "1:52"),
         ("s { machine M { init a; state a { out True; -> a when 1; } } }", [],
-         "symbol 'True' hides 'TRUE'"),
+         "symbol 'True' hides 'TRUE'", "1:46"),
         ("s { machine FALSE { init a; state a { -> a when 1; } } }", [],
-         "machine name 'FALSE' hides 'FALSE'"),
+         "machine name 'FALSE' hides 'FALSE'", "1:20"),
         ("Bit { machine M { init a; state a { -> a when 1; } } }", [],
-         "entity name 'Bit' hides 'BIT'"),
+         "entity name 'Bit' hides 'BIT'", "1:8"),
         ("s { machine M { init a; state a { -> a when 1; } } }", ["--entity", "true"],
-         "entity name 'true' hides 'TRUE'"),
+         "entity name 'true' hides 'TRUE'", None),
         ("s { machine M { init a; state a { out NS; -> a when 1; } } }", [],
-         "symbol 'NS' hides 'ns'"),
+         "symbol 'NS' hides 'ns'", "1:46"),
     ], ids=["output-BIT", "input-BIT_VECTOR", "output-TRUE", "machine-FALSE", "system-BIT",
             "entity-option-TRUE", "output-NS-unclocked"])
     def test_names_that_hide_standard_names_are_input_errors(self, tmp_path, capsys, system,
-                                                             options, message):
+                                                             options, message, where):
         path = tmp_path / "std.csm"
         path.write_text(f"system {system}\n")
         assert run(capsys, ["lint", str(path)])[0] == 0
         code, out, err = run(capsys, ["vhdl", str(path), *options])
         assert code == 2
-        assert err == (f"error: {message} of VHDL's STANDARD package, which the generated "
-                       "text uses; rename it\n")
+        prefix = "" if where is None else f"{path}:{where}: "
+        assert err == (f"{prefix}error: {message} of VHDL's STANDARD package, which the "
+                       "generated text uses; rename it\n")
         assert out == ""
 
     def test_ns_is_a_legal_name_under_clock(self, tmp_path, capsys):
@@ -798,8 +804,24 @@ class TestVhdl:
         path.write_text("system u { machine M { init a; state a { out _x; -> a when 1; } } }\n")
         code, out, err = run(capsys, ["vhdl", str(path)])
         assert code == 2
-        assert err == ("error: symbol '_x' is not a legal VHDL identifier; "
+        assert err == (f"{path}:1:46: error: symbol '_x' is not a legal VHDL identifier; "
                        "rename it (for example to 'x')\n")
+
+    @pytest.mark.parametrize("model, where", [
+        ("system s { machine M { init a; state a { out next; -> a when 1; } } }\n", "1:46"),
+        # the state names before the output are not the symbol
+        ("system s {\n  machine M {\n    init next;\n    state next { out next; -> next when 1; }"
+         "\n  }\n}\n", "4:22"),
+    ], ids=["one-line", "states-named-alike"])
+    def test_a_keyword_output_is_placed_at_its_name(self, tmp_path, capsys, model, where):
+        path = tmp_path / "kw.csm"
+        path.write_text(model)
+        assert run(capsys, ["lint", str(path)])[0] == 0
+        code, out, err = run(capsys, ["vhdl", str(path)])
+        assert code == 2
+        assert err == (f"{path}:{where}: error: symbol 'next' is not a legal VHDL identifier; "
+                       "rename it (for example to 'next0')\n")
+        assert out == ""
 
     def test_bad_encoding_argument(self, workdir, capsys):
         for encoding in ("gray", "width:x"):

@@ -52,9 +52,8 @@ CASES = [
     (reach.ReachEdge(0, manager.TRUE, 1), "ReachEdge(src=0, guard=BddRef(1), dst=1)",
      (0, manager.TRUE, 1)),
     (vhdlgen.CodegenOptions(),
-     "CodegenOptions(state_encoding='binary', explicit_width=None, delay_ns=10, "
-     "entity_name=None, clock=False)",
-     ("binary", None, 10, None, False)),
+     "CodegenOptions(state_encoding='binary', delay_ns=10, entity_name=None, clock=False)",
+     ("binary", 10, None, False)),
 ]
 IDS = [type(record).__name__ for record, _, _ in CASES]
 
@@ -104,7 +103,7 @@ def test_records_of_other_types_differ():
 @pytest.mark.parametrize("options", [
     {"state_encoding": "gray"},
     {"state_encoding": "width"},
-    {"state_encoding": "width", "explicit_width": 0},
+    {"state_encoding": 0},
     {"delay_ns": -1},
 ])
 def test_bad_codegen_options_are_rejected(options):

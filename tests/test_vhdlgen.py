@@ -12,7 +12,7 @@ from gensys import random_system
 from oracles import all_valuations, regex_audit
 from vhdl_interp import ProcessModel
 
-WIDTH3 = vhdlgen.CodegenOptions(state_encoding="width", explicit_width=3)
+WIDTH3 = vhdlgen.CodegenOptions(state_encoding=3)
 
 
 @pytest.fixture(scope="module")
@@ -203,9 +203,7 @@ def mutated_vhdl(draw):
     mode = draw(st.sampled_from(["binary", "onehot", "width", "clock"]))
     if mode == "width":
         fits = max(1, (max(len(m.states) for m in system.machines) - 1).bit_length())
-        opts = vhdlgen.CodegenOptions(
-            state_encoding="width", explicit_width=fits + draw(st.integers(0, 2))
-        )
+        opts = vhdlgen.CodegenOptions(state_encoding=fits + draw(st.integers(0, 2)))
     elif mode == "clock":
         opts = vhdlgen.CodegenOptions(clock=True)
     else:
@@ -308,10 +306,7 @@ class TestOptionsAndErrors:
 
     def test_width_overflow(self, tlc_system):
         with pytest.raises(vhdlgen.VhdlGenError, match="at most"):
-            vhdlgen.generate(
-                tlc_system,
-                vhdlgen.CodegenOptions(state_encoding="width", explicit_width=1),
-            )
+            vhdlgen.generate(tlc_system, vhdlgen.CodegenOptions(state_encoding=1))
 
     def test_entity_name_override(self, tlc_system):
         text = vhdlgen.generate(tlc_system, vhdlgen.CodegenOptions(entity_name="lights"))
@@ -338,7 +333,7 @@ class TestOptionsAndErrors:
             vhdlgen.CodegenOptions(state_encoding="gray")
 
     def test_invalid_width_and_delay_options(self):
-        with pytest.raises(vhdlgen.VhdlGenError, match="needs explicit_width"):
+        with pytest.raises(vhdlgen.VhdlGenError, match="unknown state encoding"):
             vhdlgen.CodegenOptions(state_encoding="width")
         with pytest.raises(vhdlgen.VhdlGenError, match="nonnegative"):
             vhdlgen.CodegenOptions(delay_ns=-1)
