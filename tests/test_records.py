@@ -104,6 +104,7 @@ def test_records_of_other_types_differ():
     {"state_encoding": "gray"},
     {"state_encoding": "width"},
     {"state_encoding": 0},
+    {"state_encoding": True},  # a bool is no width
     {"delay_ns": -1},
 ])
 def test_bad_codegen_options_are_rejected(options):
