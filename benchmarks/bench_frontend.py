@@ -44,7 +44,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
-from cosma import assets, frontend, model, robdd
+from cosma import assets, frontend, model
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
@@ -161,7 +161,7 @@ def main() -> int:
         document["ref_s"] = REF_S
         document.setdefault("columns", {})[args.record] = {
             "python": platform.python_version(),
-            "backend": robdd.BACKEND,
+            "backend": "python",  # the one BDD kernel; the front end builds no BDD
             "repeat": args.repeat,
             "rounds": ROUNDS,
             "exponents": exponents,

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from cosma import assets, frontend, mc, model, reach, vhdlgen
+from cosma import assets, frontend, mc, reach, vhdlgen
 
 EXIT_OK = 0
 EXIT_QUERY_FAILED = 1
@@ -76,9 +76,9 @@ def _read(path: str) -> str | None:
     return None
 
 
-def _load_system(path: str, errors_only: bool = True) -> tuple[model.System | None, str | None]:
-    """Parse and validate a model file and print its diagnostics.  Returns the
-    system, None on error, and the file's text, None when it cannot be read.
+def _load_system(path: str, errors_only: bool = True) -> frontend.ParseResult:
+    """Parse and validate a model file and print its diagnostics.  The result's
+    system is None on error, also when the file cannot be read.
 
     With ``errors_only``, as ``rg``, ``check`` and ``vhdl`` ask, the parse
     computes and prints the structural errors alone; the guard analysis runs
@@ -87,10 +87,10 @@ def _load_system(path: str, errors_only: bool = True) -> tuple[model.System | No
     """
     text = _read(path)
     if text is None:
-        return None, None
+        return frontend.ParseResult(None)
     result = frontend.parse_system(text, filename=path, errors_only=errors_only)
     _print_diagnostics(result.diagnostics)
-    return result.system, text
+    return result
 
 
 def _plural(count: int, word: str) -> str:
@@ -101,7 +101,7 @@ def _plural(count: int, word: str) -> str:
 
 
 def cmd_lint(args) -> int:
-    system, _ = _load_system(args.model, errors_only=False)
+    system = _load_system(args.model, errors_only=False).system
     if system is None:
         return EXIT_INPUT_ERROR
     print(
@@ -112,7 +112,7 @@ def cmd_lint(args) -> int:
 
 
 def cmd_rg(args) -> int:
-    system, _ = _load_system(args.model)
+    system = _load_system(args.model).system
     if system is None:
         return EXIT_INPUT_ERROR
 
@@ -163,7 +163,7 @@ def cmd_rg(args) -> int:
 
 
 def cmd_check(args) -> int:
-    system, _ = _load_system(args.model)
+    system = _load_system(args.model).system
     if system is None:
         return EXIT_INPUT_ERROR
     qtext = _read(args.queries)
@@ -223,7 +223,8 @@ def _parse_encoding(text: str) -> str | int:
 
 
 def cmd_vhdl(args) -> int:
-    system, source = _load_system(args.model)
+    parsed = _load_system(args.model)
+    system = parsed.system
     if system is None:
         return EXIT_INPUT_ERROR
     encoding = args.state_encoding
@@ -241,7 +242,7 @@ def cmd_vhdl(args) -> int:
         )
         text = vhdlgen.generate(system, opts)
     except vhdlgen.VhdlGenError as exc:
-        span = None if exc.place is None else frontend.locate_name(source, args.model, *exc.place)
+        span = None if exc.place is None else parsed.place(*exc.place)
         _print_diagnostics([frontend.ParseDiagnostic("error", str(exc), span)])
         return EXIT_INPUT_ERROR
     problems = vhdlgen.structural_audit(text, system)

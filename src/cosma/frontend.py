@@ -32,6 +32,9 @@ paths), and the glyphs ``⇒``, ``○`` and ``◇`` are aliases for ``=>``,
 by the same functions into the same nodes, plus the temporal prefixes, the
 until forms and ``=>`` at the top and inside groups.  A chain ``a + b + c``
 is one n-ary node; only nesting is bounded, by ``MAX_NESTING``.
+
+Messages are placed at tokens by index, with positions from ``_Source``
+alone; ``ParseResult.place`` finds a parsed system's names the same way.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ __all__ = [
     "QueryParseResult",
     "SourceSpan",
     "decode",
-    "locate_name",
     "parse_queries",
     "parse_system",
     "system_to_text",
@@ -93,13 +95,15 @@ class ParseError(Exception):
 
 
 class ParseResult(F.Record):
-    __slots__ = ("system", "diagnostics")
+    __slots__ = ("system", "diagnostics", "place")
     __hash__ = None  # its list of diagnostics may grow
 
     def __init__(self, system: model.System | None,
-                 diagnostics: list[ParseDiagnostic] | None = None):
+                 diagnostics: list[ParseDiagnostic] | None = None,
+                 place: Callable[[str, str], SourceSpan | None] | None = None):
         self.system = system
         self.diagnostics = [] if diagnostics is None else diagnostics
+        self.place = place  # (kind, name) to the first token that names it, or None
 
     @property
     def ok(self) -> bool:
@@ -157,8 +161,9 @@ _NOT_NAMES = _PUNCT | {"0", "1", ""}
 class _Source:
     """Locates the tokens of one input by index.
 
-    Their offsets come from ``_TOKEN.finditer``, which runs only as far as
-    the furthest token asked for; lines come from the newlines' offsets.
+    Their offsets and lengths come from one ``_TOKEN.finditer`` after
+    ``_lex``'s ``findall``; it runs only as far as the furthest token asked
+    for.  Lines come from the newlines' offsets.
     """
 
     def __init__(self, file: str, text: str):
@@ -175,24 +180,26 @@ class _Source:
         line = bisect.bisect_right(self.line_starts, start)
         return SourceSpan(self.file, line, start - self.line_starts[line - 1] + 1, length)
 
-    def locate(self, index: int) -> SourceSpan:
+    def offset(self, index: int) -> tuple[int, int]:
         located = self._located
         while len(located) <= index:
             match = next(self._matches)
             word = match.group(1)
             # the end of input has no length, also when a last comment is its text
             located.append((match.start(1), 0 if word[:2] in ("", "//") else len(word)))
-        return self.span(*located[index])
+        return located[index]
 
-    def raise_first_error(self, bad: set[str]):
-        """Raise the error at the first token whose text is in ``bad``, or
-        at a "0" or "1" before it that runs on in digits outside ``\\d``
-        (such as the "1" of "1²", whose "²" starts a bad token)."""
+    def locate(self, index: int) -> SourceSpan:
+        return self.span(*self.offset(index))
+
+    def raise_first_error(self, words: list[str], bad: set[str]):
+        """Raise the error at the first of the lexed ``words`` that is in
+        ``bad``, or at a "0" or "1" before it that runs on in digits outside
+        ``\\d`` (such as the "1" of "1²", whose "²" starts a bad token)."""
         text = self.text
-        for match in _TOKEN.finditer(text):
-            word = match.group(1)
+        for index, word in enumerate(words):
             if word in bad or word == "0" or word == "1":
-                start = match.start(1)
+                start = self.offset(index)[0]
                 if not word[0].isdigit():
                     raise ParseError(f"unexpected character {word[0]!r}", self.span(start, 1))
                 end = start + 1
@@ -223,7 +230,7 @@ def _lex(text: str, file: str, glyphs: bool) -> tuple[list[str], Callable[[int],
         unknown.difference_update(_GLYPHS)
     bad = {word for word in unknown if not (word[0].isalpha() or word[0] == "_")}
     if bad:
-        source.raise_first_error(bad)
+        source.raise_first_error(words, bad)
     return words, source.locate
 
 
@@ -251,10 +258,11 @@ class _Parser:
     them, it negates), and ``ctl`` is set while a CTL formula is read, which
     adds the temporal forms and "=>".  ``symbols`` maps each name already
     read as a symbol to its symbol, so a repeated name is one dict lookup
-    rather than one more validation.
+    rather than one more validation; ``first_at`` maps it to the index of
+    the token that first named it.
     """
 
-    __slots__ = ("words", "pos", "depth", "locate", "reserved", "ctl", "symbols")
+    __slots__ = ("words", "pos", "depth", "locate", "reserved", "ctl", "symbols", "first_at")
 
     def __init__(self, words: list[str], locate: Callable[[int], SourceSpan],
                  reserved: frozenset[str]):
@@ -265,6 +273,7 @@ class _Parser:
         self.reserved = reserved
         self.ctl = False
         self.symbols: dict[str, F.Symbol] = {}
+        self.first_at: dict[str, int] = {}
 
     def error(self, message: str, index: int | None = None) -> ParseError:
         """An input error at the token ``index``, by default the current one."""
@@ -320,6 +329,7 @@ def _symbol(p: _Parser, index: int) -> F.Symbol:
             sym = p.symbols[word] = F.Symbol(word)
         except F.FormulaError as exc:
             raise p.error(str(exc), index) from None
+        p.first_at[word] = index
     return sym
 
 
@@ -431,25 +441,14 @@ def parse_system(text: str, filename: str = "<input>", errors_only: bool = False
             else:
                 index = machine_at if entry.state is None else states_at[entry.state]
         diagnostics.append(ParseDiagnostic(entry.severity, entry.message, locate(index)))
-    return ParseResult(None if report.errors else system, diagnostics)
+    first = {"system": {system.name: name_at}, "symbol": p.first_at,
+             "machine": {words[at]: at for at, *_ in reversed(tokens)}}
 
+    def place(kind: str, name: str) -> SourceSpan | None:
+        index = first[kind].get(name)
+        return None if index is None else locate(index)
 
-# the words before a name that is not a symbol: a system, machine or state name
-_BEFORE_OTHER_NAMES = frozenset({"system", "machine", "init", "state", "->"})
-
-
-def locate_name(text: str, file: str, kind: str, name: str) -> SourceSpan | None:
-    """The span of the first token of a system description that names ``name``
-    as a ``kind``: "system" or "machine", the token after that keyword, or
-    "symbol", a token after none of ``_BEFORE_OTHER_NAMES``; None if no token
-    does.  The text must lex, as the text of a parsed system does."""
-    words, locate = _lex(text, file, glyphs=False)
-    for index in range(1, len(words)):
-        before = words[index - 1]
-        if words[index] == name and (
-                before not in _BEFORE_OTHER_NAMES if kind == "symbol" else before == kind):
-            return locate(index)
-    return None
+    return ParseResult(None if report.errors else system, diagnostics, place)
 
 
 def _parse_machine(p, tokens) -> model.Machine:

@@ -18,7 +18,9 @@ loop, which conjoins every combination of per-machine moves, and the
 pruned walk over merged moves that it then ran anew at every node.  The
 exporters' references are their first versions: guard texts keyed by
 ``BddRef`` and computed anew for each export, and the JSON document as a
-dict for ``json.dumps``.
+dict for ``json.dumps``.  The reference of ``ParseResult.place`` is the
+placement it replaced, which lexes the model again and tells a name's kind
+by the word before it.
 """
 
 import functools
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from cosma import formula as F
 from cosma import mc, model, reach, robdd
-from cosma.frontend import _NOT_NAMES, ParseError, SourceSpan
+from cosma.frontend import _NOT_NAMES, ParseError, SourceSpan, _lex
 from cosma.reach import ReachEdge, ReachGraph
 
 
@@ -767,3 +769,23 @@ def to_json(rg: ReachGraph) -> dict:
             for e, guard in zip(rg.edges, guard_texts(rg))
         ],
     }
+
+
+# -- the placement of vhdl name errors ------------------------------------------
+
+# the words before a name that is not a symbol: a system, machine or state name
+_BEFORE_OTHER_NAMES = frozenset({"system", "machine", "init", "state", "->"})
+
+
+def locate_name(text: str, file: str, kind: str, name: str) -> SourceSpan | None:
+    """The span of the first token of a system description that names ``name``
+    as a ``kind``: "system" or "machine", the token after that keyword, or
+    "symbol", a token after none of ``_BEFORE_OTHER_NAMES``; None if no token
+    does.  The text must lex, as the text of a parsed system does."""
+    words, locate = _lex(text, file, glyphs=False)
+    for index in range(1, len(words)):
+        before = words[index - 1]
+        if words[index] == name and (
+                before not in _BEFORE_OTHER_NAMES if kind == "symbol" else before == kind):
+            return locate(index)
+    return None

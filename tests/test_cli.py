@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import gc
@@ -474,16 +475,28 @@ MUTANT_COMMANDS = [["lint", "{model}"],
                    ["check", "{model}", "--queries", "{queries}", "--json"],
                    ["vhdl", "{model}", "-o", "{out}.vhd"],
                    ["vhdl", "{model}", "--state-encoding", "onehot", "--clock", "-o", "{out}.vhd"]]
+# words that VHDL reserves, that its STANDARD package declares, or that the
+# generated text declares, to rename a name of the model to
+VHDL_WORDS = ["signal", "process", "next", "end", "is", "wait", "BIT", "bit_vector", "TRUE",
+              "false", "ns", "clk", "Clk", "newstate", "current_state", "newHG", "x__y", "_a"]
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_every_command_survives_mutated_input(data, tmp_path_factory):
-    # one to three token-sized edits of the bundled model or requirements;
-    # an input problem exits 2 with its location, never as an internal error
-    where = tmp_path_factory.mktemp("mutant")
-    model_path, queries_path = where / "m.csm", where / "q.tq"
-    texts = {model_path: assets.text("tlc.csm"), queries_path: assets.text("tlc_queries.tq")}
+def draw_mutant(data, texts, model_path, queries_path):
+    """The text of one of ``texts`` after one to three token-sized edits, or
+    the model's text with one or every mention of one of its names (no
+    keyword) renamed to one of ``VHDL_WORDS``; and the path it is for."""
+    if data.draw(st.booleans()):
+        text = texts[model_path]
+        names = sorted({m.group() for m in IDENTIFIER.finditer(text)}
+                       - frontend._SYSTEM_KEYWORDS)
+        old, new = data.draw(st.sampled_from(names)), data.draw(st.sampled_from(VHDL_WORDS))
+        spots = [m.start() for m in IDENTIFIER.finditer(text) if m.group() == old]
+        if data.draw(st.booleans()):
+            spots = [data.draw(st.sampled_from(spots))]
+        for at in reversed(spots):
+            text = text[:at] + new + text[at + len(old):]
+        return model_path, text
     mutated = data.draw(st.sampled_from([model_path, queries_path]))
     text = texts[mutated]
     for _ in range(data.draw(st.integers(1, 3))):
@@ -491,6 +504,19 @@ def test_every_command_survives_mutated_input(data, tmp_path_factory):
         cut = data.draw(st.integers(0, 6))
         piece = data.draw(st.sampled_from(MUTANT_PIECES))
         text = text[:at] + piece + text[at + cut:]
+    return mutated, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_command_survives_mutated_input(data, tmp_path_factory):
+    # token-sized edits of the bundled model or requirements, or a name of the
+    # model renamed to a VHDL word; an input problem exits 2 with its
+    # location, never as an internal error
+    where = tmp_path_factory.mktemp("mutant")
+    model_path, queries_path = where / "m.csm", where / "q.tq"
+    texts = {model_path: assets.text("tlc.csm"), queries_path: assets.text("tlc_queries.tq")}
+    mutated, text = draw_mutant(data, texts, model_path, queries_path)
     texts[mutated] = text
     for path, written in texts.items():
         path.write_bytes(written.encode())
@@ -508,6 +534,52 @@ def test_every_command_survives_mutated_input(data, tmp_path_factory):
         if code == 2:
             errors = [line for line in lines if "error: " in line]
             assert all(located.match(line) for line in errors), (argv, text, errors)
+
+
+class CountingPattern:
+    """A stand-in for ``frontend._TOKEN`` that counts its scans by the text scanned."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.scans = collections.Counter()
+
+    def findall(self, text):
+        self.scans["findall", text] += 1
+        return self.pattern.findall(text)
+
+    def finditer(self, text):
+        self.scans["finditer", text] += 1
+        return self.pattern.finditer(text)
+
+
+SCANNED_MODELS = {
+    "clean": assets.text("tlc.csm").encode(),
+    "next-output": b"system s { machine M { init a; state a { out next; -> a when 1; } } }\n",
+    "superscript": b"system s { machine M { init a; state a { -> a when 1\xc2\xb2; } } }\n",
+    "not-utf8": b"system s { machine M { init a; state a { out \xff; } } }\n",
+}
+
+
+@pytest.mark.parametrize("queries", ["clean", "stray-dollar"])
+@pytest.mark.parametrize("name", SCANNED_MODELS)
+def test_each_command_scans_each_file_once_for_texts_and_once_for_places(
+        name, queries, tmp_path, monkeypatch):
+    model_path, queries_path = tmp_path / "m.csm", tmp_path / "q.tq"
+    model_path.write_bytes(SCANNED_MODELS[name])
+    queries_path.write_text(assets.text("tlc_queries.tq") + ("$\n" if queries != "clean" else ""))
+    counting = CountingPattern(frontend._TOKEN)
+    monkeypatch.setattr(frontend, "_TOKEN", counting)
+    for argv in (["lint"], ["rg"], ["check", "--queries", str(queries_path)],
+                 ["vhdl", "-o", str(tmp_path / "m.vhd")]):
+        counting.scans.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([argv[0], str(model_path), *argv[1:]])
+        assert code in (0, 1, 2) and "internal error" not in err.getvalue(), (argv, err.getvalue())
+        # the model is scanned, or the bytes before its first one that is not UTF-8
+        assert counting.scans and max(counting.scans.values()) == 1, (argv, counting.scans)
+        if argv[0] == "vhdl" and name == "next-output":
+            assert code == 2 and err.getvalue().startswith(f"{model_path}:1:46: error: "), err
 
 
 class TestNotUtf8:

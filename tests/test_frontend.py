@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cosma import assets, frontend, mc
 from cosma import formula as F
 from cosma import model
-from gensys import broken_system, random_system
-from oracles import charwise_words
+from gensys import broken_system, random_system, tlc_chain
+from oracles import charwise_words, locate_name
 
 TINY = """
 system tiny {
@@ -554,3 +554,44 @@ def test_parse_error_builds_one_span(spans_built):
         "cycle.csm:155:3: error: unexpected 'extra' after the system"
     ]
     assert len(spans_built) == 1
+
+
+# -- names are placed at their first mention ---------------------------------------
+
+
+def assert_placed_as_the_oracle(text, file="m.csm"):
+    """``ParseResult.place`` gives the oracle's span for the system, each machine
+    and each symbol, and None, as the oracle does, for a name that none is."""
+    result = frontend.parse_system(text, file)
+    system = result.system
+    names = [("system", system.name), *[("machine", m.name) for m in system.machines],
+             *[("symbol", s) for s in system.symbols], ("machine", "nosuch"), ("symbol", "nosuch")]
+    for kind, name in names:
+        span = result.place(kind, name)
+        assert span == locate_name(text, file, kind, name), (kind, name)
+        assert (span is None) == (name == "nosuch"), (kind, name)
+
+
+# whole lines inserted between the model's lines; the comments name its names
+INSERTED_LINES = ["\n", "\n\n", "// a comment\n", "  // machine m0 { init m0s0; }\n",
+                  "// out o0_0, e0; -> m0s1 when e1;\n", "\t//\n"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_placement_agrees_with_the_oracle_on_random_systems(seed, data):
+    lines = frontend.system_to_text(random_system(random.Random(seed))).splitlines(keepends=True)
+    for _ in range(data.draw(st.integers(0, 6))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(INSERTED_LINES)))
+    assert_placed_as_the_oracle("".join(lines))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_placement_agrees_with_the_oracle_on_tlc_chains(k):
+    assert_placed_as_the_oracle(frontend.system_to_text(tlc_chain(k)))
+
+
+@pytest.mark.parametrize("name", ["tlc.csm", "tlc_car.csm"])
+def test_placement_agrees_with_the_oracle_on_the_bundled_models(name):
+    assert_placed_as_the_oracle(assets.text(name), name)

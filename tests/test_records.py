@@ -36,7 +36,7 @@ CASES = [
      "ParseDiagnostic(severity='error', message='bad', "
      "span=SourceSpan(file='m.csm', line=3, column=7, length=2))",
      ("error", "bad", span)),
-    (frontend.ParseResult(None), "ParseResult(system=None, diagnostics=[])", None),
+    (frontend.ParseResult(None), "ParseResult(system=None, diagnostics=[], place=None)", None),
     (frontend.QueryParseResult(), "QueryParseResult(queries=[], diagnostics=[])", None),
     (mc.Query("q", x, "next", y),
      "Query(name='q', antecedent='x', mode='next', consequent='y', universal=True)",
