@@ -2,7 +2,8 @@
 
 Subcommands: ``lint`` (parse + validate), ``rg`` (reachability graph),
 ``check`` (temporal requirements), ``vhdl`` (code generation), and
-``examples`` (emit the bundled benchmark files).
+``examples`` (emit the bundled benchmark files).  Each call builds only the
+named command's parser.
 
 Exit codes: 0 success / all checks pass, 1 some query verdict is false,
 2 parse or validation error (diagnostics on stderr), 3 internal invariant
@@ -182,13 +183,9 @@ def cmd_check(args) -> int:
 
     failures = [name for name, verdict in results if not verdict.holds]
     if args.json:
-        doc = {
-            "model": system.name,
-            "queries": [
-                {"name": name, **verdict.as_json(graph)} for name, verdict in results
-            ],
-            "all_hold": not failures,
-        }
+        doc = {"model": system.name,
+               "queries": [{"name": name, **verdict.as_json(graph)} for name, verdict in results],
+               "all_hold": not failures}
         print(json.dumps(doc, indent=2))
     else:
         for name, verdict in results:
@@ -234,12 +231,8 @@ def cmd_vhdl(args) -> int:
     if args.delay_ns < 0:
         return _input_error(f"--delay-ns {args.delay_ns}: the delay must be nonnegative")
     try:
-        opts = vhdlgen.CodegenOptions(
-            state_encoding=encoding,
-            delay_ns=args.delay_ns,
-            clock=args.clock,
-            entity_name=args.entity,
-        )
+        opts = vhdlgen.CodegenOptions(state_encoding=encoding, delay_ns=args.delay_ns,
+                                      clock=args.clock, entity_name=args.entity)
         text = vhdlgen.generate(system, opts)
     except vhdlgen.VhdlGenError as exc:
         span = None if exc.place is None else parsed.place(*exc.place)
@@ -282,55 +275,60 @@ def cmd_examples(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cosma",
-        description="concurrent state machine toolkit: lint, reachability, "
-        "temporal checks, VHDL generation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lint", help="parse and validate a model")
-    p.add_argument("model")
-    p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser("rg", help="build the reachability graph")
+def _rg_arguments(p) -> None:
     p.add_argument("model")
     p.add_argument("--engine", choices=("explicit", "bdd", "both"), default="both")
     p.add_argument("--dot", metavar="PATH", help="write a Graphviz rendering")
     p.add_argument("--json", metavar="PATH", help="write a JSON dump of nodes and edges")
-    p.set_defaults(func=cmd_rg)
 
-    p = sub.add_parser("check", help="verify temporal requirements")
+
+def _check_arguments(p) -> None:
     p.add_argument("model")
     p.add_argument("--queries", metavar="PATH", required=True)
     p.add_argument("--json", action="store_true", help="machine-readable verdicts on stdout")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("vhdl", help="generate VHDL")
+
+def _vhdl_arguments(p) -> None:
     p.add_argument("model")
     p.add_argument("-o", "--output", metavar="PATH")
-    p.add_argument(
-        "--state-encoding",
-        type=_parse_encoding,
-        default="binary",
-        metavar="binary|onehot|width:N",
-    )
+    p.add_argument("--state-encoding", type=_parse_encoding, default="binary",
+                   metavar="binary|onehot|width:N")
     p.add_argument("--delay-ns", type=int, default=10, metavar="N")
     p.add_argument("--clock", action="store_true",
                    help="wait on a rising Clk edge instead of a fixed delay")
     p.add_argument("--entity", metavar="NAME", help="entity name (default: system name)")
-    p.set_defaults(func=cmd_vhdl)
 
-    p = sub.add_parser("examples", help="list or emit the bundled benchmark files")
-    p.add_argument("--emit", metavar="DIR")
-    p.set_defaults(func=cmd_examples)
 
+# name -> (help, handler, the function that adds the command's arguments)
+_COMMANDS = {
+    "lint": ("parse and validate a model", cmd_lint, lambda p: p.add_argument("model")),
+    "rg": ("build the reachability graph", cmd_rg, _rg_arguments),
+    "check": ("verify temporal requirements", cmd_check, _check_arguments),
+    "vhdl": ("generate VHDL", cmd_vhdl, _vhdl_arguments),
+    "examples": ("list or emit the bundled benchmark files", cmd_examples,
+                 lambda p: p.add_argument("--emit", metavar="DIR")),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The top parser and that of the command ``argv`` names exactly, or all five if none."""
+    parser = argparse.ArgumentParser(prog="cosma", description="concurrent state machine toolkit: "
+                                     "lint, reachability, temporal checks, VHDL generation")
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # one command's metavar keeps the top usage line that "unrecognized arguments" prints
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, add_arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 (invariant violations surface as code 3)
