@@ -1,3 +1,4 @@
+import argparse
 import collections
 import contextlib
 import copy
@@ -958,6 +959,74 @@ def test_internal_error_without_message_names_its_type(workdir, capsys, monkeypa
     code, out, err = run(capsys, ["rg", str(workdir / "tlc.csm"), "--engine", "bdd"])
     assert code == 3
     assert err == "internal error: AssertionError\n"
+
+
+# a complete argv of each command, apart from the command's name
+COMPLETE = {"lint": ["m.csm"], "rg": ["m.csm"], "check": ["m.csm", "--queries", "q.tq"],
+            "vhdl": ["m.csm"], "examples": []}
+
+# argvs on which parsing exits: help, usage errors and bad option values
+PARSE_EXITS = [
+    *([name, "-h"] for name in COMPLETE),
+    *([name, *args, "extra"] for name, args in COMPLETE.items()),
+    *([name, *args, "--bogus"] for name, args in COMPLETE.items()),
+    ["lint"], ["rg"], ["rg", "--engine", "bdd"], ["check"], ["check", "m.csm"], ["vhdl"],
+    ["rg", "m.csm", "--engine", "fast"],
+    ["vhdl", "m.csm", "--state-encoding", "gray"], ["vhdl", "m.csm", "--state-encoding", "width:x"],
+    ["vhdl", "m.csm", "--delay-ns", "x"],
+    ["check", "m.csm", "--queries"], ["vhdl", "m.csm", "-o"], ["rg", "m.csm", "--dot"],
+    ["examples", "--emit"],
+    [], ["-h"], ["bogus"], ["vh"], ["LINT"], ["--"], ["-x", "lint"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_parsing_exits_as_the_full_tree_does(argv, capsys, monkeypatch):
+    # main builds only the named command's parser; build_parser() builds all five
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for call in (cli.main, lambda argv: cli.build_parser().parse_args(argv)):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+        outcomes.append((exc.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 2)
+
+
+class TestParserCount:
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        """The list of every ``argparse.ArgumentParser`` built from now on."""
+        parsers = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            parsers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return parsers
+
+    @pytest.mark.parametrize("argv", [
+        ["lint", "tlc.csm"], ["rg", "tlc.csm", "--engine", "explicit"],
+        ["check", "tlc.csm", "--queries", "tlc_queries.tq"], ["vhdl", "tlc.csm", "-o", "tlc.vhd"],
+        ["examples"],
+    ], ids=lambda argv: argv[0])
+    def test_a_command_builds_the_top_parser_and_its_own(self, argv, workdir, capsys, built):
+        argv = [str(workdir / word) if "." in word else word for word in argv]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert len(built) == 2
+
+    def test_no_command_name_builds_all_five(self, capsys, built):
+        with pytest.raises(SystemExit):
+            cli.main(["bogus"])
+        capsys.readouterr()
+        assert len(built) == 6
+
+    def test_each_call_builds_a_fresh_parser(self, workdir, capsys, built):
+        for _ in range(2):
+            assert cli.main(["lint", str(workdir / "tlc.csm")]) == 0
+        assert len(built) == 4
 
 
 class TestExamples:
