@@ -40,9 +40,15 @@ class VhdlGenError(ValueError):
         self.place = place
 
 
+# a state vector is declared BIT_VECTOR (width - 1 downto 0), and VHDL
+# guarantees an INTEGER range only up to 2**31 - 1
+_MAX_WIDTH = 2**31
+
+
 class CodegenOptions(F.Record):
     """How ``generate`` renders: ``state_encoding`` is "binary", "onehot" or an int
-    width >= 1.  A bad width or delay is refused in the words of ``cosma vhdl``."""
+    width from 1 to 2**31.  A bad width or delay is refused in the words of
+    ``cosma vhdl``."""
 
     __slots__ = ("state_encoding", "delay_ns", "entity_name", "clock")
 
@@ -54,6 +60,9 @@ class CodegenOptions(F.Record):
         if width and state_encoding < 1:
             raise VhdlGenError(
                 f"--state-encoding width:{state_encoding}: the width must be at least 1")
+        if width and state_encoding > _MAX_WIDTH:
+            raise VhdlGenError(
+                f"--state-encoding width:{state_encoding}: the width must be at most {_MAX_WIDTH}")
         if delay_ns < 0:
             raise VhdlGenError(f"--delay-ns {delay_ns}: the delay must be nonnegative")
         self.state_encoding = state_encoding
@@ -90,11 +99,10 @@ def _check_identifier(name: str, what: str, hidden: dict[str, str], place: tuple
         )
     if _VHDL_IDENT.match(name) and name.lower() not in _VHDL_RESERVED:
         return
-    suggestion = re.sub(r"_+", "_", name).strip("_")
-    if not suggestion or not suggestion[0].isalpha():
-        suggestion = "s_" + suggestion if suggestion else "s"
-        suggestion = suggestion.strip("_")
-    if suggestion.lower() in _VHDL_RESERVED:
+    suggestion = re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_")
+    if not suggestion[:1].isalpha():
+        suggestion = f"s_{suggestion}" if suggestion else "s"
+    if suggestion.lower() in _VHDL_RESERVED or suggestion.lower() in hidden:
         suggestion += "0"
     raise VhdlGenError(
         f"{what} {name!r} is not a legal VHDL identifier; rename it (for example to "

@@ -910,6 +910,51 @@ class TestVhdl:
         assert code == 2
         assert "at most" in err
 
+    # each suggested rename is itself a name that vhdl accepts
+    @pytest.mark.parametrize("text, option, error", [
+        ("system s { machine é { init a; state a { -> a when 1; } } }", [],
+         "1:20: error: machine name 'é' is not a legal VHDL identifier; rename it "
+         "(for example to 's')"),
+        ("system s { machine M { init a; state a { -> a when 1; } } }", ["--entity", "a b"],
+         "error: entity name 'a b' is not a legal VHDL identifier; rename it "
+         "(for example to 'a_b')"),
+        ("system s { machine M { init a; state a { -> a when 1; } } }", ["--entity", "a-b"],
+         "error: entity name 'a-b' is not a legal VHDL identifier; rename it "
+         "(for example to 'a_b')"),
+        ("system s { machine M { init a; state a { out bit_; -> a when 1; } } }", [],
+         "1:46: error: symbol 'bit_' is not a legal VHDL identifier; rename it "
+         "(for example to 'bit0')"),
+        ("system true_ { machine M { init a; state a { -> a when 1; } } }", [],
+         "1:8: error: entity name 'true_' is not a legal VHDL identifier; rename it "
+         "(for example to 'true0')"),
+    ], ids=["non-ascii", "space", "hyphen", "hides-bit", "hides-true"])
+    def test_suggested_rename_is_legal(self, tmp_path, capsys, text, option, error):
+        path = tmp_path / "names.csm"
+        path.write_text(text + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["vhdl", str(path), *option])
+        assert code == 2
+        assert err == (error if option else f"{path}:{error}") + "\n"
+        assert out == ""
+        # the suggestion, put in the name's place, passes
+        name = re.search(r"'(.*?)'", error).group(1)
+        renamed = re.search(r"for example to '(\w+)'", error).group(1)
+        if option:
+            option = [option[0], renamed]
+        else:
+            path.write_text(text.replace(name, renamed) + "\n", encoding="utf-8")
+        assert run(capsys, ["vhdl", str(path), *option])[0] == 0
+
+    # the top index of BIT_VECTOR (N-1 downto 0) must be a VHDL INTEGER; the
+    # second width once failed to format and a wide one ran out of memory
+    @pytest.mark.parametrize("width", ["2147483649", "99999999999999999999"])
+    def test_huge_width_is_input_error(self, workdir, capsys, width):
+        code, out, err = run(
+            capsys, ["vhdl", str(workdir / "tlc.csm"), "--state-encoding", f"width:{width}"])
+        assert code == 2
+        assert err == (f"error: --state-encoding width:{width}: "
+                       "the width must be at most 2147483648\n")
+        assert out == ""
+
     def test_bad_option_values_are_input_errors(self, workdir, capsys):
         for option in (["--state-encoding", "width:0"], ["--delay-ns", "-1"]):
             code, out, err = run(capsys, ["vhdl", str(workdir / "tlc.csm"), *option])

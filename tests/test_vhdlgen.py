@@ -328,6 +328,37 @@ class TestOptionsAndErrors:
         with pytest.raises(vhdlgen.VhdlGenError, match="not a legal VHDL identifier"):
             vhdlgen.generate(system)
 
+    # a non-ASCII name, a space, a hyphen, and names whose plain fix would
+    # hide BIT and TRUE of the STANDARD package
+    @pytest.mark.parametrize("name, what, suggestion", [
+        ("é", "machine name", "s"),
+        ("a b", "entity name", "a_b"),
+        ("a-b", "entity name", "a_b"),
+        ("bit_", "symbol", "bit0"),
+        ("true_", "entity name", "true0"),
+    ])
+    def test_suggestion_is_a_legal_name(self, name, what, suggestion):
+        with pytest.raises(vhdlgen.VhdlGenError) as err:
+            vhdlgen._check_identifier(name, what, vhdlgen._STANDARD_UNCLOCKED, None)
+        assert str(err.value) == (f"{what} {name!r} is not a legal VHDL identifier; "
+                                  f"rename it (for example to {suggestion!r})")
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.text(st.sampled_from("aZb9_é -.xBIT") | st.characters(), max_size=12)
+           | st.sampled_from(sorted(vhdlgen._VHDL_RESERVED) + ["bit_", "true_", "_ns", "false__"]),
+           clock=st.booleans())
+    def test_every_suggestion_passes_the_same_check(self, name, clock):
+        hidden = vhdlgen._STANDARD if clock else vhdlgen._STANDARD_UNCLOCKED
+        try:
+            vhdlgen._check_identifier(name, "symbol", hidden, None)
+            return
+        except vhdlgen.VhdlGenError as exc:
+            found = re.fullmatch(r"symbol .* is not a legal VHDL identifier; "
+                                 r"rename it \(for example to '(.*)'\)", str(exc), re.S)
+            if found is None:  # it hides a STANDARD name
+                return
+        vhdlgen._check_identifier(found.group(1), "symbol", hidden, None)
+
     def test_invalid_encoding_option(self):
         with pytest.raises(vhdlgen.VhdlGenError):
             vhdlgen.CodegenOptions(state_encoding="gray")
