@@ -22,10 +22,11 @@ model), layer, the work that is timed, and the answer that work must give:
                  and n ``toggles`` (2^n states).
 
 The front-end layers run on the bundled models and on the benchmark's
-families (``perfbench/families.py``).  A round checks each case's answer,
-untimed, then takes the best of ``REPEAT`` runs between two runs of the
-reference loop of ``perfbench/run.py``: the scaled time reads as seconds on
-a machine that runs that loop in ``REF_S``.  Each case reports the median of
+families (``perfbench/families.py``).  A round takes each case in turn:
+it collects garbage, checks the case's answer, untimed, then takes the
+best of ``REPEAT`` runs between two runs of the reference loop of
+``perfbench/run.py``, so that the scaled time reads as seconds on a machine
+that runs that loop in ``REF_S``.  Each case reports the median of
 ``ROUNDS`` rounds, run one after another so that a drift of the machine's
 speed reaches every case alike, with the lowest and highest round beside
 it.  Per family and layer, the growth exponent is the least-squares slope
@@ -43,6 +44,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import platform
@@ -239,11 +241,15 @@ def check(case: Case) -> None:
     """Run the case once, untimed, and assert its answer."""
     with isolated(case):
         got = READ[case.layer](case.run())
-    assert got == case.answer, (case.family, case.size, case.layer, got, case.answer)
+    if got != case.answer:
+        raise AssertionError((case.family, case.size, case.layer, got, case.answer))
 
 
 def measure(case: Case, repeat: int) -> float:
     """Check the case, then the best of ``repeat`` runs, scaled by the reference loop."""
+    # a BDD manager is cyclic garbage: collect an earlier case's before this
+    # case runs, not inside its timing
+    gc.collect()
     check(case)  # also the warm-up
     with isolated(case):
         before = reference_loop()

@@ -944,8 +944,8 @@ class TestVhdl:
             path.write_text(text.replace(name, renamed) + "\n", encoding="utf-8")
         assert run(capsys, ["vhdl", str(path), *option])[0] == 0
 
-    # the top index of BIT_VECTOR (N-1 downto 0) must be a VHDL INTEGER; the
-    # second width once failed to format and a wide one ran out of memory
+    # the top index of BIT_VECTOR (N-1 downto 0) must be a VHDL INTEGER, so a
+    # wider vector is refused before any text is built
     @pytest.mark.parametrize("width", ["2147483649", "99999999999999999999"])
     def test_huge_width_is_input_error(self, workdir, capsys, width):
         code, out, err = run(
